@@ -171,8 +171,8 @@ def diffuse(j: JointMatchDistribution, s: float, axes: str = "joint") -> Diffuse
     blur for exploration. Kernels are truncated at radius ``4 s`` and the
     result is renormalized, so mass stays exactly one.
     """
-    if s < 0:
-        raise ValueError("scale must be nonnegative")
+    if not (math.isfinite(s) and s >= 0):
+        raise ValueError(f"scale must be finite and nonnegative, got {s}")
     if axes not in ("joint", "source", "target"):
         raise ValueError(f"unknown diffusion axes {axes!r}")
     if s == 0:
@@ -207,56 +207,79 @@ class Mode:
     cells: tuple[tuple[int, int], ...]
 
 
+def _checked_grid(cond: np.ndarray) -> np.ndarray:
+    """``cond`` as floats; raises unless every entry is finite and nonnegative."""
+    cond = np.asarray(cond, dtype=float)
+    if not np.all(np.isfinite(cond)) or np.any(cond < 0):
+        raise ValueError("grid entries must be finite and nonnegative")
+    return cond
+
+
+def _mode_masks(stack: np.ndarray, rel_threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Top cells (no greater 8-neighbor, at least ``rel_threshold`` times a positive
+    grid maximum) of each grid in an (n, h, w) stack, and those with an equal
+    neighbor: plateau candidates. A top cell without one is a mode on its own."""
+    if not (0.0 < rel_threshold < 1.0):
+        raise ValueError("rel_threshold must lie in (0, 1)")
+    n, h, w = stack.shape
+    padded = np.full((n, h + 2, w + 2), -np.inf)
+    padded[:, 1:-1, 1:-1] = stack
+    shifts = [(r, c) for r in range(3) for c in range(3) if (r, c) != (1, 1)]
+    views = [padded[:, r : r + h, c : c + w] for r, c in shifts]
+    greater = np.any([v > stack for v in views], axis=0)
+    equal = np.any([v == stack for v in views], axis=0)
+    peak = stack.max(axis=(1, 2), keepdims=True)
+    top = ~greater & (stack >= rel_threshold * peak) & (peak > 0)
+    return top, top & equal
+
+
+def _plateaus(cond: np.ndarray, top: np.ndarray) -> list[list[tuple[int, int]]]:
+    """Equal-valued 8-connected components of ``cond`` lying wholly in ``top``, in
+    row-major order of their first cell (where each one's flood fill starts)."""
+    h, w = cond.shape
+    seen = np.zeros((h, w), dtype=bool)
+    kept = []
+    for r0, c0 in zip(*np.nonzero(top)):
+        if seen[r0, c0]:
+            continue
+        seen[r0, c0] = True
+        stack, component = [(int(r0), int(c0))], []
+        while stack:
+            r, c = stack.pop()
+            component.append((r, c))
+            for rr in range(max(r - 1, 0), min(r + 2, h)):
+                for cc in range(max(c - 1, 0), min(c + 2, w)):
+                    if not seen[rr, cc] and cond[rr, cc] == cond[r0, c0]:
+                        seen[rr, cc] = True
+                        stack.append((rr, cc))
+        if all(top[rc] for rc in component):
+            kept.append(component)
+    return kept
+
+
+def _count_modes_stack(stack: np.ndarray, rel_threshold: float) -> np.ndarray:
+    """``count_modes`` per grid of a stack; only plateau grids are labelled."""
+    top, plateau = _mode_masks(stack, rel_threshold)
+    counts = top.sum(axis=(1, 2))
+    for i in np.flatnonzero(plateau.any(axis=(1, 2))):
+        counts[i] = len(_plateaus(stack[i], top[i]))
+    return counts
+
+
 def find_modes(cond: np.ndarray, rel_threshold: float) -> list[Mode]:
     """Strict local maxima of a 2D grid under 8-connectivity.
 
     Equal-valued plateaus collapse to a single mode via connected components;
     a component counts only if every outside neighbor is strictly smaller and
-    its value reaches ``rel_threshold`` times the global maximum.
+    its value reaches ``rel_threshold`` times the global maximum. Modes come in
+    row-major order of their first cell. Entries must be finite and nonnegative.
     """
-    if not (0.0 < rel_threshold < 1.0):
-        raise ValueError("rel_threshold must lie in (0, 1)")
-    cond = np.asarray(cond, dtype=float)
-    h, w = cond.shape
-    peak = float(cond.max())
-    if peak <= 0:
-        return []
-    seen = np.zeros((h, w), dtype=bool)
-    modes: list[Mode] = []
-    neighborhood = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
-    for r0 in range(h):
-        for c0 in range(w):
-            if seen[r0, c0]:
-                continue
-            value = cond[r0, c0]
-            # Flood-fill the equal-valued plateau containing (r0, c0).
-            stack = [(r0, c0)]
-            seen[r0, c0] = True
-            component = []
-            is_max = True
-            while stack:
-                r, c = stack.pop()
-                component.append((r, c))
-                for dr, dc in neighborhood:
-                    rr, cc = r + dr, c + dc
-                    if not (0 <= rr < h and 0 <= cc < w):
-                        continue
-                    if cond[rr, cc] == value:
-                        if not seen[rr, cc]:
-                            seen[rr, cc] = True
-                            stack.append((rr, cc))
-                    elif cond[rr, cc] > value:
-                        is_max = False
-            if is_max and value >= rel_threshold * peak:
-                rows = [rc[0] for rc in component]
-                cols = [rc[1] for rc in component]
-                modes.append(
-                    Mode(
-                        value=float(value),
-                        centroid=(sum(rows) / len(rows), sum(cols) / len(cols)),
-                        cells=tuple(sorted(component)),
-                    )
-                )
+    cond = _checked_grid(cond)
+    modes = []
+    for cells in _plateaus(cond, _mode_masks(cond[None], rel_threshold)[0][0]):
+        rows, cols = zip(*cells)
+        centroid = (sum(rows) / len(rows), sum(cols) / len(cols))
+        modes.append(Mode(float(cond[cells[0]]), centroid, tuple(sorted(cells))))
     return modes
 
 
@@ -287,50 +310,36 @@ def boundary_distances(spec: SceneSpec, grid: GridSpec) -> np.ndarray:
     return d.min(axis=1).reshape(grid.height, grid.width)
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    scale: float
-    cell: int  # flat source index
-    boundary_distance: float
-    n_modes: int  # 0 for occluded (zero-mass) cells
-    has_mass: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    cells: tuple[SweepCell, ...]
+    """Mode counts of every conditional at every scale.
+
+    ``n_modes[k, i]`` counts the modes of source cell ``i`` at ``scales[k]``;
+    it is 0 where ``has_mass[k, i]`` is false (a fully occluded cell).
+    """
+
+    scales: np.ndarray  # (S,)
+    boundary_distance: np.ndarray  # (N,)
+    n_modes: np.ndarray  # (S, N)
+    has_mass: np.ndarray  # (S, N)
     cell_side: float
 
     def fraction_multimodal(self, scale: float, dist_lo: float = 0.0, dist_hi: float = np.inf):
         """(fraction multimodal, n cells) among cells with mass in a distance band."""
-        rows = [
-            c
-            for c in self.cells
-            if c.scale == scale and c.has_mass and dist_lo <= c.boundary_distance <= dist_hi
-        ]
-        if not rows:
-            return 0.0, 0
-        multi = sum(1 for c in rows if c.n_modes >= 2)
-        return multi / len(rows), len(rows)
+        d, at = self.boundary_distance, self.scales == scale
+        sel = self.has_mass[at] & (dist_lo <= d) & (d <= dist_hi)
+        n = int(sel.sum())
+        return (int((sel & (self.n_modes[at] >= 2)).sum()) / n, n) if n else (0.0, 0)
 
     def table(self) -> list[tuple[float, int, float, int]]:
         """Rows of (scale, distance bin in cells, fraction multimodal, n cells)."""
+        side = self.cell_side
+        finite = self.boundary_distance[np.isfinite(self.boundary_distance)]
+        last = 1 + (int(finite.max() / side) if finite.size else 0)
         out = []
-        scales = sorted({c.scale for c in self.cells})
-        max_bin = 1 + int(
-            max(
-                (c.boundary_distance / self.cell_side)
-                for c in self.cells
-                if np.isfinite(c.boundary_distance)
-            )
-            if any(np.isfinite(c.boundary_distance) for c in self.cells)
-            else 0
-        )
-        for s in scales:
-            for b in range(1, max_bin + 1):
-                frac, n = self.fraction_multimodal(
-                    s, dist_lo=(b - 1) * self.cell_side, dist_hi=b * self.cell_side * (1 - 1e-12)
-                )
+        for s in np.sort(self.scales).tolist():
+            for b in range(1, last + 1):
+                frac, n = self.fraction_multimodal(s, (b - 1) * side, b * side * (1 - 1e-12))
                 if n:
                     out.append((s, b, frac, n))
         return out
@@ -343,23 +352,21 @@ def multimodality_sweep(
     scales: Sequence[float],
     rel_threshold: float = 0.1,
 ) -> SweepResult:
-    """Mode-count every conditional at every scale, keyed by boundary distance."""
+    """Mode-count every conditional at every (distinct) scale, one stack per scale."""
+    scales = np.asarray(scales, dtype=float)
+    if np.unique(scales).size != scales.size:
+        raise ValueError(f"scales must be distinct, got {scales.tolist()}")
     base = rasterize_scene(spec, src, tgt)
+    n_modes = np.zeros((scales.size, src.n_cells), dtype=int)
+    has_mass = np.zeros((scales.size, src.n_cells), dtype=bool)
+    for k, s in enumerate(scales.tolist()):
+        probs = diffuse(base, s).joint.probs
+        mass = probs.sum(axis=1)
+        has_mass[k] = live = mass > 0
+        cond = (probs[live] / mass[live, None]).reshape(-1, tgt.height, tgt.width)
+        n_modes[k, live] = _count_modes_stack(cond, rel_threshold)
     dists = boundary_distances(spec, src).ravel()
-    records: list[SweepCell] = []
-    for s in scales:
-        q = diffuse(base, s)
-        probs = q.joint.probs
-        row_mass = probs.sum(axis=1)
-        for cell in range(src.n_cells):
-            if row_mass[cell] <= 0:
-                records.append(SweepCell(s, cell, float(dists[cell]), 0, False))
-                continue
-            cond = (probs[cell] / row_mass[cell]).reshape(tgt.height, tgt.width)
-            records.append(
-                SweepCell(s, cell, float(dists[cell]), count_modes(cond, rel_threshold), True)
-            )
-    return SweepResult(tuple(records), min(src.cell_width, src.cell_height))
+    return SweepResult(scales, dists, n_modes, has_mass, min(src.cell_width, src.cell_height))
 
 
 def entropy(p: np.ndarray) -> float:
@@ -369,81 +376,74 @@ def entropy(p: np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def _discrete_gaussian(tgt: GridSpec, mu: np.ndarray, sigma: float) -> np.ndarray:
-    cx = tgt.axis_centers_x()
-    cy = tgt.axis_centers_y()
-    gx = np.exp(-0.5 * ((cx - mu[0]) / sigma) ** 2)
-    gy = np.exp(-0.5 * ((cy - mu[1]) / sigma) ** 2)
-    g = np.outer(gy, gx)
-    return g / g.sum()
-
-
-def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    mask = p > 0
-    return float((p[mask] * (np.log(p[mask]) - np.log(np.maximum(q[mask], 1e-300)))).sum())
+def _axis_log_likelihood(
+    marginal: np.ndarray, centers: np.ndarray, mu: np.ndarray, sigma: np.ndarray
+) -> np.ndarray:
+    """``marginal . log g`` per broadcast (mu, sigma) pair, g the normalized
+    sampled 1D Gaussian; the log-sum-exp normalization keeps every term finite."""
+    z = -0.5 * ((centers - mu[..., None]) / sigma[..., None]) ** 2
+    top = z.max(axis=-1, keepdims=True)
+    return (z - top - np.log(np.exp(z - top).sum(axis=-1, keepdims=True))) @ marginal
 
 
 def fit_comparison(cond: np.ndarray, anchor_grid: AnchorGrid) -> tuple[float, float]:
     """KL of a conditional against its best anchor mixture and best Gaussian.
 
     The anchor mixture projects the conditional onto anchor cells (block sums
-    are the exact KL minimizer); the unimodal reference is the best
-    discretized isotropic Gaussian found by grid search over all cell centers
-    and 16 log-spaced sigmas in [0.01, 1], refined by coordinate descent.
-    Returns ``(kl_mixture, kl_unimodal)`` in nats.
+    are the exact KL minimizer); the unimodal reference is the best discretized
+    isotropic Gaussian found by grid search over all cell centers and 16
+    log-spaced sigmas in [0.01, 1], refined by coordinate descent. Returns
+    ``(kl_mixture, kl_unimodal)`` in nats. Entries must be finite and >= 0.
+
+    The Gaussian is separable and normalized per axis, so ``KL(p||g) =
+    sum p log p - sum p_x log g_x - sum p_y log g_y``, each axis in log space.
+    Nothing is clamped: where g underflows under mass of p (only in very poor
+    fits) the KL exceeds that of a direct evaluation flooring g at 1e-300.
     """
-    cond = np.asarray(cond, dtype=float)
+    cond = _checked_grid(cond)
     h, w = cond.shape
     if h % anchor_grid.rows or w % anchor_grid.cols:
         raise ValueError("anchor grid must evenly divide the conditional grid")
     tgt = GridSpec(h, w)
-    total = cond.sum()
-    if total <= 0:
+    if cond.sum() <= 0:
         raise ValueError("conditional has no mass")
-    cond = cond / total
+    cond = cond / cond.sum()
 
+    p = cond[cond > 0]
     fh, fw = h // anchor_grid.rows, w // anchor_grid.cols
     block = cond.reshape(anchor_grid.rows, fh, anchor_grid.cols, fw).sum(axis=(1, 3))
     mix = np.repeat(np.repeat(block / (fh * fw), fh, axis=0), fw, axis=1)
-    kl_mixture = _kl(cond, mix)
+    kl_mixture = float((p * (np.log(p) - np.log(mix[cond > 0]))).sum())
+
+    neg_entropy = float((p * np.log(p)).sum())
+    cx, cy = tgt.axis_centers_x(), tgt.axis_centers_y()
+    px, py = cond.sum(axis=0), cond.sum(axis=1)
+
+    def objective(params: np.ndarray) -> np.ndarray:  # rows of (mu_x, mu_y, log sigma)
+        sigma = np.exp(params[:, 2])
+        ll_x = _axis_log_likelihood(px, cx, params[:, 0], sigma)
+        return neg_entropy - ll_x - _axis_log_likelihood(py, cy, params[:, 1], sigma)
 
     log_sigmas = np.linspace(math.log(0.01), math.log(1.0), 16)
-    centers = tgt.cell_centers()
-    best = (np.inf, None, None)
-    for ls in log_sigmas:
-        sig = math.exp(ls)
-        for mu in centers:
-            kl = _kl(cond, _discrete_gaussian(tgt, mu, sig))
-            if kl < best[0]:
-                best = (kl, mu.copy(), ls)
-    kl_best, mu, ls = best
-    mu = np.asarray(mu, dtype=float)
-
-    def objective(params: np.ndarray) -> float:
-        return _kl(cond, _discrete_gaussian(tgt, params[:2], math.exp(params[2])))
-
-    params = np.array([mu[0], mu[1], ls])
-    steps = np.array(
-        [tgt.cell_width, tgt.cell_height, log_sigmas[1] - log_sigmas[0]]
-    )
-    value = kl_best
-    for _ in range(8):  # coordinate descent with ternary line searches
+    sigmas = np.exp(log_sigmas)[:, None]
+    ll_x = _axis_log_likelihood(px, cx, cx, sigmas)  # (sigma, mu_x)
+    ll_y = _axis_log_likelihood(py, cy, cy, sigmas)
+    grid = neg_entropy - ll_x[:, None, :] - ll_y[:, :, None]  # first minimum wins
+    i, r, c = np.unravel_index(np.argmin(grid), grid.shape)
+    value = float(grid[i, r, c])
+    params = np.array([cx[c], cy[r], log_sigmas[i]])
+    steps = np.array([tgt.cell_width, tgt.cell_height, log_sigmas[1] - log_sigmas[0]])
+    for _ in range(8):  # coordinate descent; both ternary probes in one call
         for axis in range(3):
-            lo = params[axis] - steps[axis]
-            hi = params[axis] + steps[axis]
+            lo, hi = params[axis] - steps[axis], params[axis] + steps[axis]
+            probes = np.tile(params, (2, 1))
             for _ in range(40):
-                m1 = lo + (hi - lo) / 3
-                m2 = hi - (hi - lo) / 3
-                p1, p2 = params.copy(), params.copy()
-                p1[axis], p2[axis] = m1, m2
-                if objective(p1) <= objective(p2):
-                    hi = m2
-                else:
-                    lo = m1
+                probes[:, axis] = (lo + (hi - lo) / 3, hi - (hi - lo) / 3)
+                kl1, kl2 = objective(probes)
+                lo, hi = (lo, probes[1, axis]) if kl1 <= kl2 else (probes[0, axis], hi)
             params[axis] = 0.5 * (lo + hi)
-        new_value = objective(params)
+        new_value = float(objective(params[None])[0])
         if value - new_value < 1e-12:
-            value = min(value, new_value)
             break
         value = new_value
-    return kl_mixture, float(min(kl_best, value))
+    return kl_mixture, min(value, new_value)

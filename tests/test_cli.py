@@ -162,6 +162,14 @@ def test_diffuse_outputs_expected_fractions(tmp_path):
     assert float(near_point2[0][2]) >= 0.8
 
 
+def test_diffuse_rejects_duplicate_and_nonfinite_scales(tmp_path, capsys):
+    for scales, message in (("0.1,0.1", "scales must be distinct"), ("nan", "finite")):
+        assert run("diffuse", "--grid", "8", "--scales", scales, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "multimodality.csv").exists()
+
+
 def test_sample_deterministic_and_readable(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run("sample", "--n-matches", "40", "--seed", "5", "--out", str(out1)) == 0

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from matchkit import (
     GridSpec,
@@ -15,7 +20,17 @@ from matchkit import (
     translation_scene,
     two_translation_scene,
 )
-from matchkit.scalespace import boundary_distances, entropy, find_modes
+from matchkit.scalespace import (
+    Mode,
+    _axis_log_likelihood,
+    _count_modes_stack,
+    boundary_distances,
+    entropy,
+    find_modes,
+)
+
+# Fixed examples, no example database: every run checks the same cases.
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
 
 def test_rasterize_identity_is_diagonal():
@@ -147,6 +162,13 @@ def test_diffuse_rejects_negative_scale():
         diffuse(j, -0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_diffuse_rejects_nonfinite_scale(bad):
+    g = GridSpec(4, 4)
+    with pytest.raises(ValueError, match="scale must be finite and nonnegative"):
+        diffuse(delta_joint(g, g, 0, 0), bad)
+
+
 def test_diffuse_entropy_monotone_in_scale():
     src = GridSpec(16, 16)
     base = rasterize_scene(two_translation_scene(), src, src)
@@ -243,6 +265,118 @@ def test_count_modes_collapses_plateaus():
     assert len(find_modes(grid, 0.5)[0].cells) == 3
 
 
+def loop_find_modes(cond, rel_threshold):
+    """Oracle: per-cell flood fill over every equal-valued plateau of a grid."""
+    cond = np.asarray(cond, dtype=float)
+    h, w = cond.shape
+    peak = float(cond.max())
+    if peak <= 0:
+        return []
+    seen = np.zeros((h, w), dtype=bool)
+    modes = []
+    neighborhood = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+    for r0 in range(h):
+        for c0 in range(w):
+            if seen[r0, c0]:
+                continue
+            value = cond[r0, c0]
+            stack = [(r0, c0)]
+            seen[r0, c0] = True
+            component = []
+            is_max = True
+            while stack:
+                r, c = stack.pop()
+                component.append((r, c))
+                for dr, dc in neighborhood:
+                    rr, cc = r + dr, c + dc
+                    if not (0 <= rr < h and 0 <= cc < w):
+                        continue
+                    if cond[rr, cc] == value:
+                        if not seen[rr, cc]:
+                            seen[rr, cc] = True
+                            stack.append((rr, cc))
+                    elif cond[rr, cc] > value:
+                        is_max = False
+            if is_max and value >= rel_threshold * peak:
+                rows = [rc[0] for rc in component]
+                cols = [rc[1] for rc in component]
+                modes.append(
+                    Mode(
+                        value=float(value),
+                        centroid=(sum(rows) / len(rows), sum(cols) / len(cols)),
+                        cells=tuple(sorted(component)),
+                    )
+                )
+    return modes
+
+
+# Quarter thresholds put plateaus exactly on the cut of an integer grid.
+thresholds = st.sampled_from([0.25, 0.5, 0.75]) | st.floats(0.01, 0.99)
+shapes = st.tuples(st.integers(1, 6), st.integers(1, 6))
+
+
+@PROPERTY
+@given(
+    shapes.flatmap(lambda shape: arrays(float, shape, elements=st.integers(0, 4).map(float))),
+    thresholds,
+)
+def test_find_modes_matches_loop_oracle_on_plateau_grids(grid, rel_threshold):
+    # Small integers force equal-valued plateaus, touching ones included.
+    assert find_modes(grid, rel_threshold) == loop_find_modes(grid, rel_threshold)
+
+
+@PROPERTY
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: shapes.flatmap(
+            lambda shape: arrays(float, (n, *shape), elements=st.floats(0.0, 1.0))
+        )
+    ),
+    thresholds,
+)
+def test_stacked_count_matches_loop_oracle(stack, rel_threshold):
+    want = [len(loop_find_modes(grid, rel_threshold)) for grid in stack]
+    assert _count_modes_stack(stack, rel_threshold).tolist() == want
+
+
+def test_sweep_counts_match_loop_oracle():
+    # Wide offsets push some cells out of the frame: occluded rows at s = 0.
+    g = GridSpec(10, 10)
+    scene = two_translation_scene((-0.45, 0.1), (0.45, 0.0))
+    scales = (0.2, 0.0, 0.05, 0.1, 0.3)
+    sweep = multimodality_sweep(scene, g, g, scales, rel_threshold=0.1)
+    assert sweep.scales.tolist() == list(scales)
+    assert np.array_equal(sweep.boundary_distance, boundary_distances(scene, g).ravel())
+    base = rasterize_scene(scene, g, g)
+    for k, s in enumerate(scales):
+        probs = diffuse(base, s).joint.probs
+        mass = probs.sum(axis=1)
+        assert np.array_equal(sweep.has_mass[k], mass > 0)
+        want = [
+            len(loop_find_modes((row / m).reshape(10, 10), 0.1)) if m > 0 else 0
+            for row, m in zip(probs, mass)
+        ]
+        assert sweep.n_modes[k].tolist() == want
+    assert not sweep.has_mass[scales.index(0.0)].all()
+
+
+def test_sweep_rejects_duplicate_scales():
+    g = GridSpec(8, 8)
+    with pytest.raises(ValueError, match="distinct"):
+        multimodality_sweep(two_translation_scene(), g, g, [0.1, 0.1])
+    with pytest.raises(ValueError, match="distinct"):
+        multimodality_sweep(two_translation_scene(), g, g, [0.0, -0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
+def test_find_modes_rejects_nonfinite_or_negative(bad):
+    grid = np.zeros((4, 4))
+    grid[1, 2] = 1.0  # a clear peak the bad entry must not hide
+    grid[3, 0] = bad
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        find_modes(grid, 0.1)
+
+
 def test_boundary_distances_two_translation():
     g = GridSpec(16, 16)
     d = boundary_distances(two_translation_scene(), g)
@@ -328,3 +462,81 @@ def test_fit_comparison_mixture_never_much_worse():
         cond /= cond.sum()
         kl_mix, kl_uni = fit_comparison(cond, build_anchor_grid(12, 12))
         assert kl_mix <= kl_uni + 0.05
+
+
+def clamped_kl(p, q):
+    mask = p > 0
+    return float((p[mask] * (np.log(p[mask]) - np.log(np.maximum(q[mask], 1e-300)))).sum())
+
+
+def brute_force_fit(cond, anchor_grid):
+    """Oracle: 2D grid search over every (center, sigma) pair of full Gaussian
+    grids, then the same coordinate descent, with q floored at 1e-300.
+
+    Returns ``(kl_mixture, kl_unimodal, (mu, sigma))`` of the best fit."""
+    h, w = cond.shape
+    g = GridSpec(h, w)
+    cond = cond / cond.sum()
+    fh, fw = h // anchor_grid.rows, w // anchor_grid.cols
+    block = cond.reshape(anchor_grid.rows, fh, anchor_grid.cols, fw).sum(axis=(1, 3))
+    kl_mixture = clamped_kl(cond, np.repeat(np.repeat(block / (fh * fw), fh, 0), fw, 1))
+
+    def objective(params):
+        return clamped_kl(cond, gaussian_bump(g, params[:2], math.exp(params[2])))
+
+    log_sigmas = np.linspace(math.log(0.01), math.log(1.0), 16)
+    starts = [np.array([*mu, ls]) for ls in log_sigmas for mu in g.cell_centers()]
+    kl_best, params = min(((objective(x), x) for x in starts), key=lambda pair: pair[0])
+    steps = np.array([g.cell_width, g.cell_height, log_sigmas[1] - log_sigmas[0]])
+    value = kl_best
+    for _ in range(8):
+        for axis in range(3):
+            lo, hi = params[axis] - steps[axis], params[axis] + steps[axis]
+            for _ in range(40):
+                m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+                p1, p2 = params.copy(), params.copy()
+                p1[axis], p2[axis] = m1, m2
+                if objective(p1) <= objective(p2):
+                    hi = m2
+                else:
+                    lo = m1
+            params[axis] = 0.5 * (lo + hi)
+        new_value = objective(params)
+        if value - new_value < 1e-12:
+            value = min(value, new_value)
+            break
+        value = new_value
+    return kl_mixture, min(kl_best, value), (params[:2], math.exp(params[2]))
+
+
+@settings(PROPERTY, max_examples=30)
+@given(
+    st.tuples(st.integers(2, 6), st.integers(2, 6)).flatmap(
+        lambda shape: arrays(float, shape, elements=st.floats(0.02, 1.0))
+    ),
+    st.integers(1, 4),
+)
+def test_separable_fit_matches_brute_force(cond, power):
+    cond = cond**power
+    anchors = build_anchor_grid(*cond.shape)
+    want_mix, want_uni, (mu, sigma) = brute_force_fit(cond, anchors)
+    q = gaussian_bump(GridSpec(*cond.shape), mu, sigma)
+    assume(q.min() > 1e-300)  # the floor never touched the oracle's best fit
+    kl_mix, kl_uni = fit_comparison(cond, anchors)
+    assert kl_mix == want_mix
+    assert abs(kl_uni - want_uni) <= 1e-8
+
+
+def test_axis_log_likelihood_exact_where_gaussian_underflows():
+    # exp(-5000) and exp(-31250) underflow; a floor at 1e-300 would give -690.8.
+    centers = np.array([-0.5, 0.5])
+    mu, sigma = np.array([-0.5, 3.0]), np.array([0.01, 0.01])
+    assert _axis_log_likelihood(np.array([0.0, 1.0]), centers, mu, sigma).tolist() == [-5000.0, 0.0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
+def test_fit_comparison_rejects_nonfinite_or_negative(bad):
+    cond = np.full((4, 4), 1 / 16)
+    cond[0, 3] = bad
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        fit_comparison(cond, build_anchor_grid(4, 4))
