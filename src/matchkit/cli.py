@@ -35,7 +35,6 @@ from . import (
     gaussian_anchor_probs,
     gradient_sweep,
     maa,
-    multimodality_sweep,
     pck,
     robustness,
     run_cascade,
@@ -63,7 +62,8 @@ from .fileio import (
     write_ppm,
     write_steering,
 )
-from .scalespace import AffineRegion, SceneSpec, identity_scene
+from .sampling import _candidates
+from .scalespace import AffineRegion, SceneSpec, _sweep, identity_scene
 from .selftest import run_selftest
 from .steering import (
     DescriptorSet,
@@ -252,19 +252,14 @@ def _cmd_diffuse(a) -> int:
     scene = two_translation_scene((-a.offset, 0.0), (a.offset, 0.0))
     grid = GridSpec(a.grid, a.grid)
     scales = [float(s) for s in a.scales.split(",")]
-    sweep = multimodality_sweep(scene, grid, grid, scales, rel_threshold=a.threshold)
+    mid = (grid.height // 2) * grid.width + grid.width // 2 - 1  # boundary-adjacent cell
+    sweep, rows = _sweep(scene, grid, grid, scales, a.threshold, row=mid)
     _write_csv(
         out / "multimodality.csv",
         "s,boundary_dist_bin,fraction_multimodal,n_cells",
         [(s, b, frac, n) for s, b, frac, n in sweep.table()],
     )
-    from .scalespace import diffuse as diffuse_op, rasterize_scene
-
-    base = rasterize_scene(scene, grid, grid)
-    mid = (grid.height // 2) * grid.width + grid.width // 2 - 1  # boundary-adjacent cell
-    for s in scales:
-        q = diffuse_op(base, s)
-        row = q.joint.probs[mid]
+    for s, row in zip(scales, rows):
         if row.sum() > 0:
             write_grid(
                 out / f"conditional_s{_fmt(s)}.rmgrid",
@@ -371,7 +366,15 @@ def _cmd_sample(a) -> int:
         scene = _scene_from_kind("affine", a.seed)
         grid = GridSpec(a.grid, a.grid)
         warp = scene_true_warp(scene, grid)
-    n = min(a.n_matches, int(np.sum((warp.certainty > 0))))
+    if a.n_matches < 1:
+        raise ValueError(f"--n-matches must be at least 1, got {a.n_matches}")
+    n = min(a.n_matches, len(_candidates(warp)[2]))
+    what = "cells with positive certainty and an in-extent target"
+    if n == 0:
+        raise ValueError(f"the warp has no candidates ({what})")
+    if n < a.n_matches:
+        note = f"note: --n-matches {a.n_matches} capped to the {n} candidates ({what})"
+        print(note, file=sys.stderr)
     cs = balanced_sample(warp, n, h=a.bandwidth, seed=a.seed)
     write_correspondences_csv(out / "matches.csv", cs)
     if a.sensitivity:

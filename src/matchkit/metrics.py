@@ -114,13 +114,12 @@ def auc(errors: np.ndarray, tau: float) -> float:
         raise ValueError("errors must be finite")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    inside = np.unique(errors[(errors > 0) & (errors < tau)])
+    ordered = np.sort(errors)
+    inside = np.unique(ordered[(ordered > 0) & (ordered < tau)])
     breaks = np.concatenate([[0.0], inside, [tau]])
-    n = errors.size
-    area = 0.0
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        # On the open interval (lo, hi) recall is constant: errors <= lo.
-        area += (hi - lo) * (np.sum(errors <= lo) / n)
+    # On the open interval (lo, hi) recall is constant: the share of errors <= lo.
+    below = np.searchsorted(ordered, breaks[:-1], side="right") / errors.size
+    area = np.cumsum(np.diff(breaks) * below)[-1]  # summed left to right
     return float(area / tau)
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .grids import CorrespondenceSet, WarpField, in_extent
 
 WEIGHT_FLOOR = 1e-12
+KDE_BLOCK_ENTRIES = 200_000  # pairwise terms per block: a buffer that stays in cache
 
 
 def kde_density(points: np.ndarray, h: float) -> np.ndarray:
@@ -25,44 +26,56 @@ def kde_density(points: np.ndarray, h: float) -> np.ndarray:
 
     The density is ``sum_j exp(-||p_i - p_j||^2 / (2 h^2)) / (2 pi h^2)^(d/2)``
     over all points, so an isolated point has density ``(2 pi h^2)^(-d/2)``
-    and duplicated points scale it up by their multiplicity.
+    and duplicated points scale it up by their multiplicity. Pairwise terms
+    are formed a row block at a time, in one buffer.
     """
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"bandwidth must be positive and finite, got {h}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     m, d = points.shape
     if m < 1:
         raise ValueError("need at least one point")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite")
     norm = (2.0 * np.pi * h * h) ** (d / 2.0)
     out = np.empty(m)
     sq = (points**2).sum(axis=1)
-    block = max(1, int(2e6 // max(m, 1)))  # cap the pairwise block at ~2e6 entries
-    for start in range(0, m, block):
-        stop = min(start + block, m)
-        d2 = sq[start:stop, None] - 2.0 * points[start:stop] @ points.T + sq[None, :]
-        out[start:stop] = np.exp(-0.5 * np.maximum(d2, 0.0) / (h * h)).sum(axis=1)
+    rows = max(1, KDE_BLOCK_ENTRIES // m)
+    buf = np.empty((min(rows, m), m))
+    for start in range(0, m, rows):
+        blk = slice(start, start + rows)  # the last block may be shorter
+        d2 = np.matmul(2.0 * points[blk], points.T, out=buf[: m - start])
+        np.subtract(sq[blk, None], d2, out=d2)
+        d2 += sq
+        np.maximum(d2, 0.0, out=d2)
+        d2 *= -0.5
+        d2 /= h * h
+        out[blk] = np.exp(d2, out=d2).sum(axis=1)
     return out / norm
 
 
-def _candidates(warp: WarpField):
+def _candidates(warp: WarpField, n: int | None = None):
+    """Coordinates and certainties of the cells that can be sampled; checks ``n``."""
     coords_a = warp.grid.cell_centers()
     coords_b = warp.target_coords.reshape(-1, 2)
     cert = warp.certainty.reshape(-1)
     keep = (cert > 0) & in_extent(coords_b)
+    if n is not None and not 1 <= n <= keep.sum():
+        raise ValueError(f"requested {n} matches; need 1 to {keep.sum()} (the candidates)")
     return coords_a[keep], coords_b[keep], cert[keep]
 
 
 def _draw_without_replacement(rng: np.random.Generator, weights: np.ndarray, n: int) -> np.ndarray:
-    """Sequential weighted draws, renormalizing after each pick."""
-    weights = weights.astype(float).copy()
-    picks = np.empty(n, dtype=int)
-    for i in range(n):
-        total = weights.sum()
-        if total <= 0:
-            raise ValueError("ran out of positive-weight candidates")
-        picks[i] = rng.choice(weights.size, p=weights / total)
-        weights[picks[i]] = 0.0
-    return picks
+    """n successive weighted draws without replacement, in draw order: the n largest
+    Efraimidis-Spirakis keys ``log(u) / w``, u uniform on (0, 1], over positive
+    weights; equal keys go to the lower index."""
+    if n < 1:
+        raise ValueError(f"need at least one draw, got n={n}")
+    eligible = np.flatnonzero(weights > 0)
+    if eligible.size < n:
+        raise ValueError("ran out of positive-weight candidates")
+    keys = np.log(1.0 - rng.random(eligible.size)) / weights[eligible]
+    return eligible[np.argsort(-keys, kind="stable")[:n]]
 
 
 def balanced_sample(
@@ -73,9 +86,7 @@ def balanced_sample(
     Returned weights are the certainties of the chosen cells. Deterministic
     for a fixed seed.
     """
-    coords_a, coords_b, cert = _candidates(warp)
-    if n > coords_a.shape[0]:
-        raise ValueError(f"requested {n} matches but only {coords_a.shape[0]} candidates")
+    coords_a, coords_b, cert = _candidates(warp, n)
     pts = np.concatenate([coords_a, coords_b], axis=1) if joint_coords else coords_a
     dens = kde_density(pts, h)
     weights = cert / np.maximum(dens, WEIGHT_FLOOR)
@@ -85,10 +96,8 @@ def balanced_sample(
 
 def certainty_sample(warp: WarpField, n: int, seed: int = 0) -> CorrespondenceSet:
     """Baseline sampler: weights are the certainties alone (no KDE)."""
-    coords_a, coords_b, cert = _candidates(warp)
-    if n > coords_a.shape[0]:
-        raise ValueError(f"requested {n} matches but only {coords_a.shape[0]} candidates")
-    picks = _draw_without_replacement(np.random.default_rng(seed), cert.copy(), n)
+    coords_a, coords_b, cert = _candidates(warp, n)
+    picks = _draw_without_replacement(np.random.default_rng(seed), cert, n)
     return CorrespondenceSet(coords_a[picks], coords_b[picks], cert[picks])
 
 

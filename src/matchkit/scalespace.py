@@ -353,20 +353,30 @@ def multimodality_sweep(
     rel_threshold: float = 0.1,
 ) -> SweepResult:
     """Mode-count every conditional at every (distinct) scale, one stack per scale."""
+    return _sweep(spec, src, tgt, scales, rel_threshold)[0]
+
+
+def _sweep(
+    spec: SceneSpec, src: GridSpec, tgt: GridSpec, scales, rel_threshold: float, row: int = 0
+) -> tuple[SweepResult, list[np.ndarray]]:
+    """``multimodality_sweep`` and, per scale, row ``row`` of the diffused joint."""
     scales = np.asarray(scales, dtype=float)
     if np.unique(scales).size != scales.size:
         raise ValueError(f"scales must be distinct, got {scales.tolist()}")
     base = rasterize_scene(spec, src, tgt)
     n_modes = np.zeros((scales.size, src.n_cells), dtype=int)
     has_mass = np.zeros((scales.size, src.n_cells), dtype=bool)
+    rows = []
     for k, s in enumerate(scales.tolist()):
         probs = diffuse(base, s).joint.probs
+        rows.append(probs[row].copy())
         mass = probs.sum(axis=1)
         has_mass[k] = live = mass > 0
         cond = (probs[live] / mass[live, None]).reshape(-1, tgt.height, tgt.width)
         n_modes[k, live] = _count_modes_stack(cond, rel_threshold)
     dists = boundary_distances(spec, src).ravel()
-    return SweepResult(scales, dists, n_modes, has_mass, min(src.cell_width, src.cell_height))
+    sweep = SweepResult(scales, dists, n_modes, has_mass, min(src.cell_width, src.cell_height))
+    return sweep, rows
 
 
 def entropy(p: np.ndarray) -> float:
@@ -419,10 +429,9 @@ def fit_comparison(cond: np.ndarray, anchor_grid: AnchorGrid) -> tuple[float, fl
     cx, cy = tgt.axis_centers_x(), tgt.axis_centers_y()
     px, py = cond.sum(axis=0), cond.sum(axis=1)
 
-    def objective(params: np.ndarray) -> np.ndarray:  # rows of (mu_x, mu_y, log sigma)
-        sigma = np.exp(params[:, 2])
-        ll_x = _axis_log_likelihood(px, cx, params[:, 0], sigma)
-        return neg_entropy - ll_x - _axis_log_likelihood(py, cy, params[:, 1], sigma)
+    def axis_term(params: np.ndarray, axis: int) -> np.ndarray:  # rows of (mu_x, mu_y, log sigma)
+        marginal, centers = (px, cx) if axis == 0 else (py, cy)
+        return _axis_log_likelihood(marginal, centers, params[:, axis], np.exp(params[:, 2]))
 
     log_sigmas = np.linspace(math.log(0.01), math.log(1.0), 16)
     sigmas = np.exp(log_sigmas)[:, None]
@@ -437,12 +446,19 @@ def fit_comparison(cond: np.ndarray, anchor_grid: AnchorGrid) -> tuple[float, fl
         for axis in range(3):
             lo, hi = params[axis] - steps[axis], params[axis] + steps[axis]
             probes = np.tile(params, (2, 1))
+            # A mu_x probe changes only the x term, and a mu_y probe only the y term.
+            ll_x, ll_y = axis_term(probes, 0), axis_term(probes, 1)
             for _ in range(40):
                 probes[:, axis] = (lo + (hi - lo) / 3, hi - (hi - lo) / 3)
-                kl1, kl2 = objective(probes)
+                if axis != 1:
+                    ll_x = axis_term(probes, 0)
+                if axis != 0:
+                    ll_y = axis_term(probes, 1)
+                kl1, kl2 = neg_entropy - ll_x - ll_y
                 lo, hi = (lo, probes[1, axis]) if kl1 <= kl2 else (probes[0, axis], hi)
             params[axis] = 0.5 * (lo + hi)
-        new_value = float(objective(params[None])[0])
+        row = params[None]
+        new_value = float((neg_entropy - axis_term(row, 0) - axis_term(row, 1))[0])
         if value - new_value < 1e-12:
             break
         value = new_value

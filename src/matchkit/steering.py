@@ -23,6 +23,7 @@ import numpy as np
 from .grids import CorrespondenceSet, _readonly
 
 R90 = np.array([[0.0, -1.0], [1.0, 0.0]])
+MNN_BLOCK_ROWS = 128  # similarity rows per block in mutual nearest-neighbour search
 
 
 @dataclass(frozen=True)
@@ -170,28 +171,19 @@ def fit_steering_lsq(
 
 
 def multi_k_l1_loss(w: np.ndarray, pairs: dict[int, tuple[DescriptorSet, DescriptorSet]]) -> float:
-    """Sum over rotation multiples of the L1 steering residual."""
-    total = 0.0
+    """Sum over rotation multiples (from {1, 2, 3}) of the L1 steering residual."""
+    return _l1_terms(w, pairs)[2]
+
+
+def _l1_terms(w: np.ndarray, pairs: dict[int, tuple[DescriptorSet, DescriptorSet]]):
+    """W^0..W^3, the residual of each k-step term and the summed L1 loss."""
+    w2 = w @ w
+    powers = (np.eye(w.shape[0]), w, w2, w2 @ w)  # as np.linalg.matrix_power forms them
+    residuals, total = {}, 0.0
     for k, (base, rotated) in pairs.items():
-        wk = np.linalg.matrix_power(w, k)
-        total += float(np.abs(rotated.descs - base.descs @ wk.T).sum())
-    return total
-
-
-def _l1_term_gradient(
-    w: np.ndarray, k: int, base: DescriptorSet, rotated: DescriptorSet
-) -> tuple[float, np.ndarray]:
-    """Loss and subgradient of the k-step term via the matrix-power product rule."""
-    wk = np.linalg.matrix_power(w, k)
-    residual = rotated.descs - base.descs @ wk.T
-    loss = float(np.abs(residual).sum())
-    g_m = -np.sign(residual).T @ base.descs  # d loss / d (W^k)
-    grad = np.zeros_like(w)
-    for j in range(k):
-        left = np.linalg.matrix_power(w, j).T
-        right = np.linalg.matrix_power(w, k - 1 - j).T
-        grad += left @ g_m @ right
-    return loss, grad
+        residuals[k] = rotated.descs - base.descs @ powers[k].T
+        total += float(np.abs(residuals[k]).sum())
+    return powers, residuals, total
 
 
 @dataclass(frozen=True)
@@ -240,29 +232,36 @@ def fit_steering_l1(
     rng = np.random.default_rng(seed)
     ks = sorted(pairs)
 
-    initial = multi_k_l1_loss(w, pairs)
+    terms = _l1_terms(w, pairs)
+    initial = terms[2]
     # Loss of the zero matrix: any sane iterate sits below this scale.
     zero_scale = float(sum(np.abs(rot.descs).sum() for _, rot in pairs.values()))
     divergence_ref = divergence_factor * max(initial, zero_scale)
     best_loss = initial
-    best_w = w.copy()
+    best_w, best_terms = w.copy(), terms
     since_improvement = 0
     diverged_streak = 0
     current_step = float(step)
     it = 0
     for it in range(1, iters + 1):
         k = int(rng.choice(ks))
-        _, grad = _l1_term_gradient(w, k, *pairs[k])
+        # The k-step term's subgradient (matrix-power product rule) at the iterate.
+        powers, residuals = terms[:2]
+        g_m = -np.sign(residuals[k]).T @ pairs[k][0].descs  # d loss / d (W^k)
+        grad = np.zeros_like(w)
+        for j in range(k):
+            grad += powers[j].T @ g_m @ powers[k - 1 - j].T
         w = w - current_step * grad
         with np.errstate(over="ignore", invalid="ignore"):
-            loss = multi_k_l1_loss(w, pairs)
+            terms = _l1_terms(w, pairs)
+        loss = terms[2]
         if not np.isfinite(loss):
             raise ValueError(
                 f"L1 fit diverged (non-finite loss); reduce the step size from {step:g}"
             )
         if loss < best_loss - 1e-15:
             best_loss = loss
-            best_w = w.copy()
+            best_w, best_terms = w.copy(), terms
             since_improvement = 0
         else:
             since_improvement += 1
@@ -275,7 +274,8 @@ def fit_steering_l1(
         if since_improvement >= patience:
             current_step *= 0.5
             since_improvement = 0
-            w = best_w.copy()  # restart the stagnated trajectory from the best point
+            # Restart the stagnated trajectory from the best point.
+            w, terms = best_w.copy(), best_terms
             if current_step < 1e-18:
                 break
     return L1FitResult(
@@ -298,18 +298,30 @@ def apply_steering(w: SteeringMatrix, k: int, descs: np.ndarray) -> np.ndarray:
 
 
 def _mutual_nn_indices(descs_a: np.ndarray, descs_b: np.ndarray):
+    """Mutual cosine nearest neighbours (ia, ib, similarity), the first max winning
+    ties. Row blocks update each column's running max, so memory is O(block * m)."""
     na = np.linalg.norm(descs_a, axis=1)
     nb = np.linalg.norm(descs_b, axis=1)
     if np.any(na == 0) or np.any(nb == 0):
         raise ValueError("descriptors must have nonzero norm")
-    sim = (descs_a @ descs_b.T) / np.outer(na, nb)
-    nn_ab = np.argmax(sim, axis=1)  # first max wins on ties
-    nn_ba = np.argmax(sim, axis=0)
-    ids = np.arange(descs_a.shape[0])
+    n, m = descs_a.shape[0], descs_b.shape[0]
+    nn_ab = np.empty(n, dtype=int)
+    col_max, nn_ba = np.full(m, -np.inf), np.zeros(m, dtype=int)
+    cols = np.arange(m)
+    for start in range(0, n, MNN_BLOCK_ROWS):
+        stop = min(start + MNN_BLOCK_ROWS, n)
+        sim = (descs_a[start:stop] @ descs_b.T) / np.outer(na[start:stop], nb)
+        nn_ab[start:stop] = np.argmax(sim, axis=1)
+        top = np.argmax(sim, axis=0)
+        top_sim = sim[top, cols]
+        better = top_sim > col_max  # strict, so an earlier block keeps a tie
+        col_max[better] = top_sim[better]
+        nn_ba[better] = top[better] + start
+    ids = np.arange(n)
     mutual = nn_ba[nn_ab] == ids
     ia = ids[mutual]
     ib = nn_ab[mutual]
-    return ia, ib, sim[ia, ib]
+    return ia, ib, col_max[ib]
 
 
 def mutual_nn_match(a: DescriptorSet, b: DescriptorSet) -> CorrespondenceSet:

@@ -3,7 +3,13 @@ import json
 import numpy as np
 
 from matchkit.cli import main
-from matchkit.fileio import read_correspondences_csv, read_descriptors, read_grid, read_steering
+from matchkit.fileio import (
+    read_correspondences_csv,
+    read_descriptors,
+    read_grid,
+    read_steering,
+    write_grid,
+)
 
 
 def run(*argv):
@@ -177,6 +183,30 @@ def test_sample_deterministic_and_readable(tmp_path):
     assert read_bytes_tree(out1) == read_bytes_tree(out2)
     cs = read_correspondences_csv(out1 / "matches.csv")
     assert len(cs) == 40
+
+
+def test_sample_rejects_nonpositive_match_counts(tmp_path, capsys):
+    for count in ("-3", "0"):
+        assert run("sample", "--n-matches", count, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "--n-matches must be at least 1" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "matches.csv").exists()
+
+
+def test_sample_cap_counts_candidates_and_says_so(tmp_path, capsys):
+    # The default 16x16 affine scene maps 2 of its 256 cells out of view.
+    assert run("sample", "--out", str(tmp_path)) == 0
+    captured = capsys.readouterr()
+    assert "capped to the 254 candidates" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert len(read_correspondences_csv(tmp_path / "matches.csv")) == 254
+    assert run("sample", "--n-matches", "254", "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().err == ""
+    dead = tmp_path / "dead.rmgrid"
+    write_grid(dead, np.zeros((4, 4, 3)))  # certainty 0 everywhere
+    assert run("sample", "--warp", str(dead), "--out", str(tmp_path / "d")) == 2
+    err = capsys.readouterr().err
+    assert "no candidates" in err and len(err.strip().splitlines()) == 1
 
 
 def test_eval_pose_errors_report(tmp_path):

@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchkit import CorrespondenceSet, auc, epe, maa, pck, pose_errors, robustness
+
+
+def loop_auc(errors, tau):
+    """Oracle: the recall step function integrated one breakpoint interval at a time."""
+    errors = np.asarray(errors, dtype=float).ravel()
+    inside = np.unique(errors[(errors > 0) & (errors < tau)])
+    breaks = np.concatenate([[0.0], inside, [tau]])
+    area = 0.0
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        area += (hi - lo) * (np.sum(errors <= lo) / errors.size)
+    return float(area / tau)
 
 
 def aligned_sets(rng, n=40, err_px=None, ref=448.0):
@@ -171,6 +184,28 @@ def test_auc_matches_monte_carlo_recall():
         ts = (np.arange(100000) + 0.5) / 100000 * tau
         recall = (errors[None, :] < ts[:, None]).mean(axis=1)
         assert abs(got - recall.mean()) < 1e-4
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(
+    tau=st.sampled_from([0.5, 5.0, 10.0, 20.0]),
+    # Indices into a small value pool force ties, zeros and errors equal to tau.
+    picks=st.lists(st.integers(0, 7), min_size=1, max_size=40),
+    seed=st.integers(0, 2**16),
+)
+def test_auc_matches_loop_oracle_with_ties_zero_and_tau(tau, picks, seed):
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([[0.0, tau, tau / 2], rng.uniform(0, 1.5 * tau, 5)])
+    errors = pool[picks]
+    assert abs(auc(errors, tau) - loop_auc(errors, tau)) <= 1e-12
+
+
+def test_auc_matches_loop_oracle_on_large_sets():
+    rng = np.random.default_rng(88)
+    for n in (1, 2, 1500, 5000):
+        errors = np.round(rng.gamma(2.0, 2.5, n), 1)
+        for tau in (5.0, 10.0, 20.0):
+            assert abs(auc(errors, tau) - loop_auc(errors, tau)) <= 1e-12
 
 
 def test_auc_rejects_empty():

@@ -1,6 +1,10 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import chi2_contingency, chisquare
 
 from matchkit import (
     GridSpec,
@@ -10,6 +14,31 @@ from matchkit import (
     kde_density,
     spatial_entropy,
 )
+from matchkit.sampling import KDE_BLOCK_ENTRIES, _draw_without_replacement
+
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
+
+
+def single_block_kde(points, h):
+    """Oracle: the whole pairwise matrix in one expression, in the library's order."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    sq = (points**2).sum(axis=1)
+    d2 = sq[:, None] - 2.0 * points @ points.T + sq[None, :]
+    dens = np.exp(-0.5 * np.maximum(d2, 0.0) / (h * h)).sum(axis=1)
+    return dens / (2.0 * np.pi * h * h) ** (points.shape[1] / 2.0)
+
+
+def sequential_draw(rng, weights, n):
+    """Oracle: one weighted pick at a time, renormalizing after each."""
+    weights = weights.astype(float).copy()
+    picks = np.empty(n, dtype=int)
+    for i in range(n):
+        total = weights.sum()
+        if total <= 0:
+            raise ValueError("ran out of positive-weight candidates")
+        picks[i] = rng.choice(weights.size, p=weights / total)
+        weights[picks[i]] = 0.0
+    return picks
 
 
 def test_kde_single_point():
@@ -41,8 +70,90 @@ def test_kde_matches_brute_force_double_loop():
 
 
 def test_kde_rejects_bad_bandwidth():
-    with pytest.raises(ValueError):
-        kde_density(np.zeros((3, 4)), 0.0)
+    for h in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="bandwidth"):
+            kde_density(np.zeros((3, 4)), h)
+
+
+def test_kde_rejects_nonfinite_points():
+    for bad in (np.nan, np.inf):
+        pts = np.zeros((5, 4))
+        pts[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            kde_density(pts, 0.2)
+
+
+def test_kde_blocks_match_single_block_oracle_at_block_boundaries():
+    # KDE_BLOCK_ENTRIES // m rows per block: one block up to m = 447, then a
+    # short last block (446 + 2 rows at m = 448), then several.
+    rng = np.random.default_rng(72)
+    side = int(KDE_BLOCK_ENTRIES**0.5)
+    for m in (1, 2, side - 1, side, side + 1, side + 2, 2 * side + 3):
+        pts = rng.uniform(-1, 1, (m, 4))
+        got, want = kde_density(pts, 0.3), single_block_kde(pts, 0.3)
+        assert np.max(np.abs(got - want) / want) <= 1e-12, m
+
+
+@PROPERTY
+@given(
+    m=st.integers(1, 60),
+    d=st.integers(1, 4),
+    h=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**16),
+)
+def test_kde_matches_single_block_oracle(m, d, h, seed):
+    pts = np.random.default_rng(seed).uniform(-1, 1, (m, d))
+    got, want = kde_density(pts, h), single_block_kde(pts, h)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+def test_draw_matches_sequential_oracle_in_distribution():
+    # 20k seeded draws of 3 from 6 weights by each method: the ordered picks
+    # (which fix the included sets) must be alike by a chi-square test of
+    # homogeneity on the 120 possible orders, and so must the 20 sets.
+    weights = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    orders = {o: i for i, o in enumerate(permutations(range(6), 3))}
+    counts = np.zeros((2, len(orders)))
+    for seed in range(20_000):
+        for row, draw in enumerate((_draw_without_replacement, sequential_draw)):
+            picks = draw(np.random.default_rng(seed), weights, 3)
+            counts[row, orders[tuple(int(i) for i in picks)]] += 1
+    assert chi2_contingency(counts)[1] > 1e-3
+    subsets = sorted({frozenset(o) for o in orders}, key=sorted)
+    by_set = np.zeros((2, len(subsets)))
+    for order, col in orders.items():
+        by_set[:, subsets.index(frozenset(order))] += counts[:, col]
+    assert chi2_contingency(by_set)[1] > 1e-3
+
+
+class FixedRng:
+    """Stands in for a Generator whose uniforms are ``values``."""
+
+    def __init__(self, *values):
+        self.values = np.array(values)
+
+    def random(self, size):
+        assert size == self.values.size
+        return self.values
+
+
+def test_draw_only_positive_weights_and_ties_by_index():
+    weights = np.array([0.0, 1.0, -2.0, 1.0, np.nan, 1.0])
+    for seed in range(50):
+        picks = _draw_without_replacement(np.random.default_rng(seed), weights, 3)
+        assert sorted(picks.tolist()) == [1, 3, 5]
+    with pytest.raises(ValueError, match="ran out"):
+        _draw_without_replacement(np.random.default_rng(0), weights, 4)
+    # Equal uniforms give equal keys to equal weights: the lower index goes
+    # first. A uniform of exactly 0 is taken as u = 1, the largest key.
+    assert _draw_without_replacement(FixedRng(0.5, 0.5, 0.5), weights, 2).tolist() == [1, 3]
+    assert _draw_without_replacement(FixedRng(0.5, 0.5, 0.0), weights, 2).tolist() == [5, 1]
+
+
+def test_draw_rejects_nonpositive_counts():
+    for n in (0, -1, -5):
+        with pytest.raises(ValueError, match="at least one"):
+            _draw_without_replacement(np.random.default_rng(0), np.ones(6), n)
 
 
 def uniform_warp(n=10):
@@ -151,6 +262,15 @@ def test_insufficient_candidates_raise():
     warp = uniform_warp(4)
     with pytest.raises(ValueError, match="candidates"):
         balanced_sample(warp, 17, h=0.2, seed=0)
+
+
+def test_samplers_reject_nonpositive_counts():
+    warp = uniform_warp(4)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="candidates"):
+            balanced_sample(warp, n, h=0.2, seed=0)
+        with pytest.raises(ValueError, match="candidates"):
+            certainty_sample(warp, n, seed=0)
 
 
 def test_weights_always_finite():

@@ -24,6 +24,7 @@ from matchkit.scalespace import (
     Mode,
     _axis_log_likelihood,
     _count_modes_stack,
+    _sweep,
     boundary_distances,
     entropy,
     find_modes,
@@ -347,9 +348,13 @@ def test_sweep_counts_match_loop_oracle():
     sweep = multimodality_sweep(scene, g, g, scales, rel_threshold=0.1)
     assert sweep.scales.tolist() == list(scales)
     assert np.array_equal(sweep.boundary_distance, boundary_distances(scene, g).ravel())
+    # The diffuse command's snapshots come from the same pass.
+    again, rows = _sweep(scene, g, g, scales, 0.1, row=44)
+    assert np.array_equal(again.n_modes, sweep.n_modes)
     base = rasterize_scene(scene, g, g)
     for k, s in enumerate(scales):
         probs = diffuse(base, s).joint.probs
+        assert np.array_equal(rows[k], probs[44])
         mass = probs.sum(axis=1)
         assert np.array_equal(sweep.has_mass[k], mass > 0)
         want = [

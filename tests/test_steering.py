@@ -13,7 +13,95 @@ from matchkit import (
     rotation_matching_eval,
     synth_equivariant,
 )
-from matchkit.steering import DescriptorSet
+from matchkit.steering import MNN_BLOCK_ROWS, DescriptorSet, _mutual_nn_indices
+
+
+def full_matrix_mutual_nn(descs_a, descs_b):
+    """Oracle: the whole similarity matrix, argmax along each axis."""
+    na = np.linalg.norm(descs_a, axis=1)
+    nb = np.linalg.norm(descs_b, axis=1)
+    sim = (descs_a @ descs_b.T) / np.outer(na, nb)
+    nn_ab = np.argmax(sim, axis=1)  # first max wins on ties
+    nn_ba = np.argmax(sim, axis=0)
+    ids = np.arange(descs_a.shape[0])
+    mutual = nn_ba[nn_ab] == ids
+    ia = ids[mutual]
+    ib = nn_ab[mutual]
+    return ia, ib, sim[ia, ib]
+
+
+def loop_l1_term_gradient(w, k, base, rotated):
+    """Oracle: loss and subgradient of the k-step term, every power recomputed."""
+    wk = np.linalg.matrix_power(w, k)
+    residual = rotated.descs - base.descs @ wk.T
+    loss = float(np.abs(residual).sum())
+    g_m = -np.sign(residual).T @ base.descs  # d loss / d (W^k)
+    grad = np.zeros_like(w)
+    for j in range(k):
+        left = np.linalg.matrix_power(w, j).T
+        right = np.linalg.matrix_power(w, k - 1 - j).T
+        grad += left @ g_m @ right
+    return loss, grad
+
+
+def loop_multi_k_l1_loss(w, pairs):
+    total = 0.0
+    for k, (base, rotated) in pairs.items():
+        wk = np.linalg.matrix_power(w, k)
+        total += float(np.abs(rotated.descs - base.descs @ wk.T).sum())
+    return total
+
+
+def loop_fit_steering_l1(pairs, iters, step, seed, init=None, patience=50, divergence_factor=10.0):
+    """Oracle: the L1 fit with each term's powers and residuals recomputed per use.
+
+    Returns (w, initial_loss, final_loss, iterations, final_step).
+    """
+    w = fit_steering_lsq(*pairs[min(pairs)])[0].w.copy() if init is None else np.array(init)
+    rng = np.random.default_rng(seed)
+    ks = sorted(pairs)
+    initial = loop_multi_k_l1_loss(w, pairs)
+    zero_scale = float(sum(np.abs(rot.descs).sum() for _, rot in pairs.values()))
+    divergence_ref = divergence_factor * max(initial, zero_scale)
+    best_loss, best_w = initial, w.copy()
+    since_improvement = diverged_streak = it = 0
+    current_step = float(step)
+    for it in range(1, iters + 1):
+        k = int(rng.choice(ks))
+        _, grad = loop_l1_term_gradient(w, k, *pairs[k])
+        w = w - current_step * grad
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = loop_multi_k_l1_loss(w, pairs)
+        if not np.isfinite(loss):
+            raise ValueError(
+                f"L1 fit diverged (non-finite loss); reduce the step size from {step:g}"
+            )
+        if loss < best_loss - 1e-15:
+            best_loss, best_w, since_improvement = loss, w.copy(), 0
+        else:
+            since_improvement += 1
+        diverged_streak = diverged_streak + 1 if loss > divergence_ref else 0
+        if diverged_streak >= patience:
+            raise ValueError(
+                f"L1 fit diverged (loss {loss:.3g} vs initial {initial:.3g}); "
+                f"reduce the step size from {step:g}"
+            )
+        if since_improvement >= patience:
+            current_step *= 0.5
+            since_improvement = 0
+            w = best_w.copy()
+            if current_step < 1e-18:
+                break
+    return best_w, initial, best_loss, it, current_step
+
+
+def fit_fields(res):
+    return res.w.w, res.initial_loss, res.final_loss, res.iterations, res.final_step
+
+
+def assert_same_fit(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
 
 
 def test_rotate_keypoints_basics():
@@ -212,3 +300,72 @@ def test_steering_rescues_rotated_matching():
         assert acc.with_steering >= acc.without_steering
         assert acc.with_steering >= 0.95
         assert acc.without_steering < 0.5
+
+
+def test_l1_fit_matches_loop_oracle_through_halvings_and_restarts():
+    w_true = random_c4_steering(16, seed=30)
+    sets = synth_equivariant(96, 16, w_true=w_true, noise_sigma=0.05, seed=31)
+    cases = [
+        ({k: (sets[0], sets[k]) for k in (1, 2, 3)}, dict(iters=400, step=2e-3, patience=8)),
+        ({2: (sets[0], sets[2]), 3: (sets[0], sets[3])}, dict(iters=300, step=1e-3, patience=5)),
+        ({1: (sets[0], sets[1])}, dict(iters=60, step=1e-3)),
+    ]
+    for seed, (pairs, kwargs) in enumerate(cases):
+        got = fit_fields(fit_steering_l1(pairs, seed=seed, **kwargs))
+        want = loop_fit_steering_l1(pairs, seed=seed, **kwargs)
+        assert_same_fit(got, want)
+    assert got[4] == 1e-3  # the last case never stagnates
+    # The first two cases halve the step (and so restart) several times.
+    for pairs, kwargs in cases[:2]:
+        assert fit_steering_l1(pairs, seed=0, **kwargs).final_step <= kwargs["step"] / 4
+
+
+def test_l1_fit_matches_loop_oracle_from_random_init():
+    w_true = random_c4_steering(12, seed=32)
+    sets = synth_equivariant(64, 12, w_true=w_true, noise_sigma=0.0, seed=33)
+    pairs = {k: (sets[0], sets[k]) for k in (1, 2, 3)}
+    init = np.random.default_rng(34).normal(0, 1 / np.sqrt(12), (12, 12))
+    got = fit_fields(fit_steering_l1(pairs, iters=500, step=1e-3, seed=4, init=init))
+    assert_same_fit(got, loop_fit_steering_l1(pairs, iters=500, step=1e-3, seed=4, init=init))
+
+
+def test_l1_fit_divergence_matches_loop_oracle():
+    w_true = random_c4_steering(8, seed=16)
+    sets = synth_equivariant(64, 8, w_true=w_true, noise_sigma=0.0, seed=17)
+    pairs = {k: (sets[0], sets[k]) for k in (1, 2, 3)}
+    for step in (50.0, 0.5):
+        with pytest.raises(ValueError, match="diverged") as want:
+            loop_fit_steering_l1(pairs, iters=2000, step=step, seed=0)
+        with pytest.raises(ValueError, match="diverged") as got:
+            fit_steering_l1(pairs, iters=2000, step=step, seed=0)
+        assert str(got.value) == str(want.value)
+
+
+def assert_same_mutual_nn(a, b):
+    got, want = _mutual_nn_indices(a, b), full_matrix_mutual_nn(a, b)
+    for g, w in zip(got, want):
+        assert g.dtype.kind == w.dtype.kind and np.array_equal(g, w)
+
+
+def test_blocked_mutual_nn_matches_full_matrix_oracle():
+    rng = np.random.default_rng(35)
+    b = MNN_BLOCK_ROWS
+    for n, m in ((1, 1), (5, 300), (b, b), (b + 1, 77), (2 * b + 5, 3 * b - 1), (3 * b, 40)):
+        assert_same_mutual_nn(rng.normal(size=(n, 8)), rng.normal(size=(m, 8)))
+
+
+def test_blocked_mutual_nn_keeps_first_max_on_ties():
+    # Small-integer descriptors give exactly equal similarities. Duplicate
+    # rows of a (one pair straddling a block boundary) tie within a column;
+    # duplicate rows of b tie within a row.
+    rng = np.random.default_rng(36)
+    b = MNN_BLOCK_ROWS
+    descs_a = rng.integers(-2, 3, (2 * b + 9, 4)).astype(float)
+    descs_a[np.all(descs_a == 0, axis=1)] = 1.0
+    descs_a[b + 3] = descs_a[2]
+    descs_a[2 * b + 1] = descs_a[b - 1]
+    descs_b = np.concatenate([descs_a[[2, b - 1, 7]], descs_a[[7, 2]], descs_a[:60]])
+    ia, ib, _ = _mutual_nn_indices(descs_a, descs_b)
+    assert 2 in ia and b + 3 not in ia  # the earlier of two equal rows wins
+    assert_same_mutual_nn(descs_a, descs_b)
+    assert_same_mutual_nn(descs_b, descs_a)
