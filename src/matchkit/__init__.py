@@ -7,7 +7,6 @@ from .anchors import (
     closest_anchor,
     gaussian_anchor_probs,
     mixture_density,
-    regression_passthrough,
     to_warp,
 )
 from .cascade import (
@@ -16,8 +15,8 @@ from .cascade import (
     FeaturePyramid,
     RefinerSpec,
     analytic_refiner,
+    correlation_windows,
     default_refiners,
-    local_correlation,
     matchable_mask,
     run_cascade,
     scene_true_warp,
@@ -29,7 +28,6 @@ from .gp import (
     KernelSpec,
     PreparedGP,
     SupportSet,
-    embed_coords,
     exp_cos_kernel,
     gp_posterior_mean,
     kernel_matrix,
@@ -56,13 +54,13 @@ from .losses import (
     coarse_loss,
     fine_loss,
     gradient_sweep,
-    total_loss,
 )
 from .metrics import auc, epe, maa, pck, pose_errors, robustness
 from .sampling import balanced_sample, certainty_sample, kde_density, spatial_entropy
 from .scalespace import (
     DiffusedJoint,
     SceneSpec,
+    affine_scene,
     conditional_of,
     count_modes,
     diffuse,

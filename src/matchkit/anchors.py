@@ -158,21 +158,6 @@ def to_warp(probs: AnchorProbs, grid: AnchorGrid) -> WarpField:
     )
 
 
-def regression_passthrough(
-    source: GridSpec, coords: np.ndarray, matchability: np.ndarray
-) -> WarpField:
-    """Two-channel regression mode: predicted coordinates pass through unchanged."""
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape != (source.n_cells, 2):
-        raise ValueError("regression output must have shape (source cells, 2)")
-    m = np.asarray(matchability, dtype=float)
-    return WarpField(
-        source,
-        coords.reshape(source.height, source.width, 2),
-        m.reshape(source.height, source.width),
-    )
-
-
 _erf = np.frompyfunc(math.erf, 1, 1)
 
 

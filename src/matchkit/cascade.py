@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .grids import GridSpec, WarpField, bilinear_weights, in_extent
+from .grids import EXTENT_MIN, GridSpec, WarpField, bilinear_weights, containing_cells, in_extent
 from .scalespace import SceneSpec
 
 REFINER_STRIDES = (14, 8, 4, 2, 1)
@@ -143,41 +143,48 @@ def synth_pyramid(
     return FeaturePyramid(levels_a), FeaturePyramid(levels_b)
 
 
-def local_correlation(
-    f_a: np.ndarray, tgt_grid: GridSpec, tgt_feats: np.ndarray, center: np.ndarray, window: int
-) -> np.ndarray:
-    """Cosine similarity of one descriptor against a window of target cells.
+def correlation_windows(
+    feats_a: np.ndarray,
+    tgt_grid: GridSpec,
+    feats_b: np.ndarray,
+    coords: np.ndarray,
+    window: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cosine similarity of each query descriptor against a window of target cells.
 
-    The window is centered on the cell containing ``center``; positions that
-    fall outside the extent carry similarity -1.
+    Query ``i`` (row ``i`` of the ``(n, d)`` ``feats_a``) is compared with the
+    ``window x window`` target cells centred on the cell containing
+    ``coords[i]``; ``feats_b`` holds one descriptor per ``tgt_grid`` cell in
+    row-major order. Returns the ``(n, w, w)`` similarities, -1 where a window
+    cell falls outside the extent, and the x and y centres of the window
+    cells, virtual out-of-extent ones included, shaped ``(n, 1, w)`` and
+    ``(n, w, 1)`` so that they broadcast against the similarities.
     """
     if window < 1 or window % 2 == 0:
         raise ValueError("window must be odd and >= 1")
-    f_a = np.asarray(f_a, dtype=float)
-    na = np.linalg.norm(f_a)
-    if na == 0:
-        raise ValueError("query feature has zero norm")
-    flat = tgt_feats.reshape(-1, tgt_feats.shape[-1])
-    norms = np.linalg.norm(flat, axis=1)
-    if np.any(norms == 0):
-        raise ValueError("target features contain a zero-norm cell")
-    r0, c0 = (
-        int(np.clip(np.floor((center[1] + 1.0) / tgt_grid.cell_height), 0, tgt_grid.height - 1)),
-        int(np.clip(np.floor((center[0] + 1.0) / tgt_grid.cell_width), 0, tgt_grid.width - 1)),
+    feats_a = np.atleast_2d(np.asarray(feats_a, dtype=float))
+    feats_b = np.asarray(feats_b, dtype=float).reshape(tgt_grid.n_cells, -1)
+    coords = np.asarray(coords, dtype=float).reshape(-1, 2)
+    if feats_b.shape[1] != feats_a.shape[1] or coords.shape[0] != feats_a.shape[0]:
+        raise ValueError("need one coordinate per query and features of one width")
+    norm_a = np.linalg.norm(feats_a, axis=1)
+    norm_b = np.linalg.norm(feats_b, axis=1)
+    if np.any(norm_a == 0) or np.any(norm_b == 0):
+        raise ValueError("pyramid features contain a zero-norm cell")
+
+    r0, c0 = containing_cells(coords, tgt_grid)
+    offs = np.arange(-(window // 2), window // 2 + 1)
+    rr = r0[:, None, None] + offs[None, :, None]  # (n, w, 1)
+    cc = c0[:, None, None] + offs[None, None, :]  # (n, 1, w)
+    valid = (rr >= 0) & (rr < tgt_grid.height) & (cc >= 0) & (cc < tgt_grid.width)
+    flat_idx = np.where(valid, rr * tgt_grid.width + cc, 0)
+
+    sims = np.einsum("nd,nijd->nij", feats_a, feats_b[flat_idx]) / (
+        norm_a[:, None, None] * norm_b[flat_idx]
     )
-    half = window // 2
-    out = np.full((window, window), -1.0)
-    for i in range(window):
-        rr = r0 - half + i
-        if not (0 <= rr < tgt_grid.height):
-            continue
-        for j in range(window):
-            cc = c0 - half + j
-            if not (0 <= cc < tgt_grid.width):
-                continue
-            f_b = flat[rr * tgt_grid.width + cc]
-            out[i, j] = float(f_a @ f_b) / (na * norms[rr * tgt_grid.width + cc])
-    return out
+    win_x = EXTENT_MIN + (cc + 0.5) * tgt_grid.cell_width
+    win_y = EXTENT_MIN + (rr + 0.5) * tgt_grid.cell_height
+    return np.where(valid, sims, -1.0), win_x, win_y
 
 
 def _logit(p: np.ndarray) -> np.ndarray:
@@ -235,39 +242,14 @@ def analytic_refiner(
         return state
     if temperature <= 0:
         raise ValueError("softargmax temperature must be positive")
-    tgt_grid = pyr_b.grid(spec.stride)
-    feats_a = pyr_a.features(spec.stride).reshape(-1, pyr_a.features(spec.stride).shape[-1])
-    feats_b = pyr_b.features(spec.stride).reshape(-1, feats_a.shape[-1])
-    norm_a = np.linalg.norm(feats_a, axis=1)
-    norm_b = np.linalg.norm(feats_b, axis=1)
-    if np.any(norm_a == 0) or np.any(norm_b == 0):
-        raise ValueError("pyramid features contain a zero-norm cell")
-
-    coords = state.target_coords.reshape(-1, 2)
-    half = spec.corr_window // 2
-    n = coords.shape[0]
-
-    c0 = np.clip(
-        np.floor((coords[:, 0] + 1.0) / tgt_grid.cell_width), 0, tgt_grid.width - 1
-    ).astype(int)
-    r0 = np.clip(
-        np.floor((coords[:, 1] + 1.0) / tgt_grid.cell_height), 0, tgt_grid.height - 1
-    ).astype(int)
-    offs = np.arange(-half, half + 1)
-    rr = r0[:, None, None] + offs[None, :, None]  # (n, w, w)
-    cc = c0[:, None, None] + offs[None, None, :]
-    valid = (rr >= 0) & (rr < tgt_grid.height) & (cc >= 0) & (cc < tgt_grid.width)
-    flat_idx = np.where(valid, rr * tgt_grid.width + cc, 0)
-
-    sims = np.einsum("nd,nijd->nij", feats_a, feats_b[flat_idx]) / (
-        norm_a[:, None, None] * norm_b[flat_idx]
+    sims, win_x, win_y = correlation_windows(
+        pyr_a.features(spec.stride).reshape(grid.n_cells, -1),
+        pyr_b.grid(spec.stride),
+        pyr_b.features(spec.stride),
+        state.target_coords.reshape(-1, 2),
+        spec.corr_window,
     )
-    sims = np.where(valid, sims, -1.0)
-
-    # Lattice coordinates of every window cell, including virtual ones.
-    win_x = -1.0 + (cc + 0.5) * tgt_grid.cell_width
-    win_y = -1.0 + (rr + 0.5) * tgt_grid.cell_height
-
+    n = sims.shape[0]
     peak = sims.reshape(n, -1).max(axis=1)
     soft = np.exp((sims - peak[:, None, None]) / temperature)
     soft /= soft.reshape(n, -1).sum(axis=1)[:, None, None]

@@ -63,7 +63,7 @@ from .fileio import (
     write_steering,
 )
 from .sampling import _candidates
-from .scalespace import AffineRegion, SceneSpec, _sweep, identity_scene
+from .scalespace import SceneSpec, _sweep, affine_scene, identity_scene
 from .selftest import run_selftest
 from .steering import (
     DescriptorSet,
@@ -102,11 +102,18 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _out_dir(a) -> Path:
+    out = Path(a.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _parse_grid_size(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise UsageError(f"expected ROWSxCOLS, got {text!r}")
-    return int(parts[0]), int(parts[1])
+    try:
+        rows, cols = (int(p) for p in text.lower().split("x"))
+    except ValueError:  # not two parts, or a part that is not an integer
+        raise UsageError(f"expected ROWSxCOLS, got {text!r}") from None
+    return rows, cols
 
 
 def _scene_from_kind(kind: str, seed: int, offset=None) -> SceneSpec:
@@ -121,8 +128,7 @@ def _scene_from_kind(kind: str, seed: int, offset=None) -> SceneSpec:
         ang = rng.uniform(-0.05, 0.05)
         scale = 1.0 + rng.uniform(-0.04, 0.04)
         c, s = np.cos(ang), np.sin(ang)
-        lin = scale * np.array([[c, -s], [s, c]])
-        return SceneSpec((AffineRegion(lambda p: np.ones(len(p), bool), lin, off),))
+        return affine_scene(scale * np.array([[c, -s], [s, c]]), off)
     if kind == "two-translation":
         mag = 0.3 if offset is None else float(np.linalg.norm(offset))
         return two_translation_scene((-mag, 0.0), (mag, 0.0))
@@ -143,15 +149,20 @@ def _load_warp(path) -> WarpField:
     return WarpField(grid, data[..., :2], np.clip(data[..., 2], 0.0, 1.0))
 
 
+def _synth_descriptors(a, out: Path) -> list[DescriptorSet]:
+    """Write rot0..rot3.rmdesc and w_true.rmsteer for a random C4 steering."""
+    w_true = random_c4_steering(a.dim, seed=a.seed)
+    sets = synth_equivariant(a.n, a.dim, w_true=w_true, noise_sigma=a.noise, seed=a.seed)
+    for k, ds in enumerate(sets):
+        write_descriptors(out / f"rot{k}.rmdesc", ds.coords, ds.descs)
+    write_steering(out / "w_true.rmsteer", w_true.w)
+    return sets
+
+
 def _cmd_synth(a) -> int:
-    out = Path(a.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(a)
     if a.kind == "descriptors":
-        w_true = random_c4_steering(a.dim, seed=a.seed)
-        sets = synth_equivariant(a.n, a.dim, w_true=w_true, noise_sigma=a.noise, seed=a.seed)
-        for k, ds in enumerate(sets):
-            write_descriptors(out / f"rot{k}.rmdesc", ds.coords, ds.descs)
-        write_steering(out / "w_true.rmsteer", w_true.w)
+        _synth_descriptors(a, out)
         print(f"wrote rot0..rot3.rmdesc and w_true.rmsteer to {out}")
         return 0
     if a.kind in ("identity", "translation", "affine", "two-translation"):
@@ -201,8 +212,7 @@ def _cmd_synth(a) -> int:
 
 
 def _cmd_decode(a) -> int:
-    out = Path(a.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(a)
     rows, cols = _parse_grid_size(a.anchors)
     gh, gw = _parse_grid_size(a.grid)
     data = read_grid(a.probs)
@@ -238,8 +248,7 @@ def _cmd_decode(a) -> int:
 
 
 def _cmd_loss_sweep(a) -> int:
-    out = Path(a.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(a)
     rows = gradient_sweep(c=a.c, rmin=a.rmin, rmax=a.rmax, steps=a.steps)
     _write_csv(out / "loss_sweep.csv", "r,loss,grad_magnitude", rows.tolist())
     print(f"wrote {out / 'loss_sweep.csv'} ({rows.shape[0]} rows)")
@@ -247,8 +256,7 @@ def _cmd_loss_sweep(a) -> int:
 
 
 def _cmd_diffuse(a) -> int:
-    out = Path(a.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(a)
     scene = two_translation_scene((-a.offset, 0.0), (a.offset, 0.0))
     grid = GridSpec(a.grid, a.grid)
     scales = [float(s) for s in a.scales.split(",")]
@@ -270,8 +278,7 @@ def _cmd_diffuse(a) -> int:
 
 
 def _cmd_cascade(a) -> int:
-    out = Path(a.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(a)
     scene = _scene_from_kind(a.kind, a.seed, a.offset)
     base = GridSpec(a.base, a.base)
     pyr_a, pyr_b = synth_pyramid(scene, base, seed=a.seed)
@@ -296,14 +303,9 @@ def _cmd_cascade(a) -> int:
 
 
 def _cmd_steer_fit(a) -> int:
-    out = Path(a.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(a)
     if a.synthetic:
-        w_true = random_c4_steering(a.dim, seed=a.seed)
-        sets = synth_equivariant(a.n, a.dim, w_true=w_true, noise_sigma=a.noise, seed=a.seed)
-        for k, ds in enumerate(sets):
-            write_descriptors(out / f"rot{k}.rmdesc", ds.coords, ds.descs)
-        write_steering(out / "w_true.rmsteer", w_true.w)
+        sets = _synth_descriptors(a, out)
     else:
         sets = []
         for k in range(4):
@@ -327,8 +329,7 @@ def _cmd_steer_fit(a) -> int:
 
 
 def _cmd_steer_apply(a) -> int:
-    out = Path(a.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(a)
     coords, descs = read_descriptors(a.desc)
     w = SteeringMatrix(read_steering(a.w))
     from .steering import apply_steering
@@ -340,8 +341,7 @@ def _cmd_steer_apply(a) -> int:
 
 
 def _cmd_steer_eval(a) -> int:
-    out = Path(a.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(a)
     ca, da = read_descriptors(a.base)
     cb, db = read_descriptors(a.rotated)
     w = SteeringMatrix(read_steering(a.w))
@@ -358,8 +358,7 @@ def _cmd_steer_eval(a) -> int:
 
 
 def _cmd_sample(a) -> int:
-    out = Path(a.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(a)
     if a.warp:
         warp = _load_warp(a.warp)
     else:
@@ -388,8 +387,7 @@ def _cmd_sample(a) -> int:
 
 
 def _cmd_eval(a) -> int:
-    out = Path(a.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(a)
     report: dict = {}
     if a.pose_errors:
         rows = [

@@ -13,6 +13,8 @@ visualization dependency-free.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -24,29 +26,64 @@ GRID_MAGIC = b"RMGRID1"
 DESC_MAGIC = b"RMDESC1"
 STEER_MAGIC = b"RMSTEER1"
 
+# Highest RMGRID1 rank a reader accepts, far above the rank-3 tensors written
+# here; it bounds the dims a header can make a reader parse.
+MAX_GRID_RANK = 8
+
+
+def _write_record(path, magic: bytes, fields, payload: np.ndarray) -> None:
+    """Magic, then each header field as a u32 LE, then the float32 LE payload."""
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack(f"<{len(fields)}I", *fields))
+        fh.write(np.asarray(payload, dtype="<f4").tobytes(order="C"))
+
+
+def _read_fields(fh, path, count: int) -> tuple[int, ...]:
+    raw = fh.read(4 * count)
+    if len(raw) != 4 * count:
+        raise ValueError(f"{path}: truncated header")
+    return struct.unpack(f"<{count}I", raw)
+
+
+def _read_record(path, magic: bytes, n_fields: int | None, shape_of) -> np.ndarray:
+    """Read a :func:`_write_record` file into a float64 array.
+
+    ``n_fields`` is the number of u32 header fields, or None when a leading
+    u32 rank gives it (capped at ``MAX_GRID_RANK``); ``shape_of`` maps the
+    fields to the payload shape. The payload size is checked against the file
+    length, in Python ints, before any of it is read, so a header claiming a
+    huge payload never sizes a buffer, and bytes after the payload are refused.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        found = fh.read(len(magic))
+        if found != magic:
+            raise ValueError(f"{path}: bad magic {found!r}, expected {magic!r}")
+        if n_fields is None:
+            (n_fields,) = _read_fields(fh, path, 1)
+            if n_fields > MAX_GRID_RANK:
+                raise ValueError(f"{path}: rank {n_fields} exceeds the limit of {MAX_GRID_RANK}")
+        shape = shape_of(_read_fields(fh, path, n_fields))
+        nbytes = 4 * math.prod(shape)
+        left = size - fh.tell()
+        if left < nbytes:
+            raise ValueError(f"{path}: truncated payload ({left} of {nbytes} bytes)")
+        if left > nbytes:
+            raise ValueError(f"{path}: {left - nbytes} trailing bytes after the payload")
+        payload = fh.read(nbytes)
+    return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(float)
+
 
 def write_grid(path, array: np.ndarray) -> None:
     array = np.asarray(array, dtype=np.float32)
-    with open(path, "wb") as fh:
-        fh.write(GRID_MAGIC)
-        fh.write(struct.pack("<I", array.ndim))
-        for d in array.shape:
-            fh.write(struct.pack("<I", d))
-        fh.write(array.astype("<f4").tobytes(order="C"))
+    if array.ndim > MAX_GRID_RANK:
+        raise ValueError(f"grid rank {array.ndim} exceeds the limit of {MAX_GRID_RANK}")
+    _write_record(path, GRID_MAGIC, (array.ndim, *array.shape), array)
 
 
 def read_grid(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(GRID_MAGIC))
-        if magic != GRID_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {GRID_MAGIC!r}")
-        (rank,) = struct.unpack("<I", fh.read(4))
-        dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-        count = int(np.prod(dims)) if rank else 1
-        payload = fh.read(4 * count)
-        if len(payload) != 4 * count:
-            raise ValueError(f"{path}: truncated payload")
-        return np.frombuffer(payload, dtype="<f4").reshape(dims).astype(float)
+    return _read_record(path, GRID_MAGIC, None, lambda dims: dims)
 
 
 def write_descriptors(path, coords: np.ndarray, descs: np.ndarray) -> None:
@@ -56,24 +93,11 @@ def write_descriptors(path, coords: np.ndarray, descs: np.ndarray) -> None:
         raise ValueError("coords must have shape (N, 2)")
     if descs.ndim != 2 or descs.shape[0] != coords.shape[0]:
         raise ValueError("descs must have shape (N, D) matching coords")
-    n, d = descs.shape
-    rows = np.concatenate([coords, descs], axis=1).astype("<f4")
-    with open(path, "wb") as fh:
-        fh.write(DESC_MAGIC)
-        fh.write(struct.pack("<II", n, d))
-        fh.write(rows.tobytes(order="C"))
+    _write_record(path, DESC_MAGIC, descs.shape, np.concatenate([coords, descs], axis=1))
 
 
 def read_descriptors(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(DESC_MAGIC))
-        if magic != DESC_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {DESC_MAGIC!r}")
-        n, d = struct.unpack("<II", fh.read(8))
-        payload = fh.read(4 * n * (2 + d))
-        if len(payload) != 4 * n * (2 + d):
-            raise ValueError(f"{path}: truncated payload")
-        rows = np.frombuffer(payload, dtype="<f4").reshape(n, 2 + d).astype(float)
+    rows = _read_record(path, DESC_MAGIC, 2, lambda nd: (nd[0], 2 + nd[1]))
     return rows[:, :2], rows[:, 2:]
 
 
@@ -94,22 +118,11 @@ def write_steering(path, w: np.ndarray) -> None:
     w = np.asarray(w, dtype=np.float32)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("steering matrix must be square")
-    with open(path, "wb") as fh:
-        fh.write(STEER_MAGIC)
-        fh.write(struct.pack("<I", w.shape[0]))
-        fh.write(w.astype("<f4").tobytes(order="C"))
+    _write_record(path, STEER_MAGIC, w.shape[:1], w)
 
 
 def read_steering(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(STEER_MAGIC))
-        if magic != STEER_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {STEER_MAGIC!r}")
-        (d,) = struct.unpack("<I", fh.read(4))
-        payload = fh.read(4 * d * d)
-        if len(payload) != 4 * d * d:
-            raise ValueError(f"{path}: truncated payload")
-        return np.frombuffer(payload, dtype="<f4").reshape(d, d).astype(float)
+    return _read_record(path, STEER_MAGIC, 1, lambda d: (d[0], d[0]))
 
 
 def write_correspondences_csv(path, cs: CorrespondenceSet) -> None:

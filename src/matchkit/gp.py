@@ -4,11 +4,6 @@ Source descriptors are regressed onto embedded target coordinates through an
 exponential cosine kernel. The posterior mean ``K_*X (K_XX + sigma^2 I)^-1 E``
 is computed with a Cholesky factorization (never an explicit inverse), and a
 prepared solver caches the factorization for repeated queries.
-
-Coordinate embeddings default to the identity (the posterior is then directly
-a coordinate estimate); a random Fourier embedding is available for
-experiments with higher-dimensional embedding spaces, decoded by nearest
-neighbor against embedded anchor centers.
 """
 
 from __future__ import annotations
@@ -101,7 +96,9 @@ class PreparedGP:
                 "kernel system is ill-conditioned (pivot ratio below 1e-14); "
                 "add noise variance or remove duplicate support features"
             )
-        # (K_XX + sigma^2 I)^-1 E via two triangular solves.
+        # (K_XX + sigma^2 I)^-1 E = L^-T (L^-1 E), each factor applied with a
+        # general LU solve: numpy has no triangular solver, and any other
+        # solve would change the posterior means in their last bits.
         self._weights = np.linalg.solve(chol.T, np.linalg.solve(chol, support.embeddings))
 
     def posterior_mean(self, queries: np.ndarray) -> np.ndarray:
@@ -115,46 +112,3 @@ def gp_posterior_mean(
     """Posterior mean of embedded coordinates at each query descriptor."""
     return PreparedGP(support, spec).posterior_mean(queries)
 
-
-def fourier_frequencies(dim: int, seed: int, scale: float = np.pi) -> np.ndarray:
-    """Random fixed 2D frequencies for a [sin | cos] coordinate embedding."""
-    if dim < 2 or dim % 2 != 0:
-        raise ValueError("fourier embedding dimension must be even and >= 2")
-    rng = np.random.default_rng(seed)
-    return rng.normal(0.0, scale, size=(dim // 2, 2))
-
-
-def fourier_embed(coords: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """[sin(coords @ F^T) | cos(coords @ F^T)] feature map."""
-    phases = np.atleast_2d(np.asarray(coords, dtype=float)) @ np.asarray(freqs).T
-    return np.concatenate([np.sin(phases), np.cos(phases)], axis=1)
-
-
-def embed_coords(
-    coords: np.ndarray, mode: str = "identity", dim: int = 512, seed: int = 0
-) -> np.ndarray:
-    """Embed 2D coordinates; ``identity`` returns them unchanged.
-
-    ``fourier`` mode uses ``dim // 2`` random frequencies fixed by ``seed``,
-    so repeated calls with the same seed are bitwise identical.
-    """
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    if mode == "identity":
-        return coords.copy()
-    if mode == "fourier":
-        return fourier_embed(coords, fourier_frequencies(dim, seed))
-    raise ValueError(f"unknown embedding mode {mode!r}")
-
-
-def decode_embedding(
-    embedded: np.ndarray, candidate_coords: np.ndarray, candidate_embeddings: np.ndarray
-) -> np.ndarray:
-    """Map embedded vectors back to coordinates by nearest candidate embedding."""
-    embedded = np.atleast_2d(np.asarray(embedded, dtype=float))
-    cand = np.atleast_2d(np.asarray(candidate_embeddings, dtype=float))
-    d2 = (
-        (embedded**2).sum(axis=1)[:, None]
-        - 2.0 * embedded @ cand.T
-        + (cand**2).sum(axis=1)[None, :]
-    )
-    return np.asarray(candidate_coords)[np.argmin(d2, axis=1)]

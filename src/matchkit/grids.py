@@ -77,12 +77,6 @@ class GridSpec:
         xx, yy = np.meshgrid(self.axis_centers_x(), self.axis_centers_y())
         return np.stack([xx.ravel(), yy.ravel()], axis=-1)
 
-    def flat_index(self, row: np.ndarray | int, col: np.ndarray | int) -> np.ndarray | int:
-        return row * self.width + col
-
-    def unflatten(self, idx: np.ndarray | int) -> tuple:
-        return idx // self.width, idx % self.width
-
 
 def pixel_to_normalized(p: Sequence[int], grid: GridSpec) -> np.ndarray:
     """Center of cell ``p = (row, col)`` in extent coordinates ``(x, y)``."""
@@ -105,9 +99,8 @@ def normalized_to_pixel(coord: np.ndarray, grid: GridSpec) -> tuple[int, int]:
         raise ValueError("coordinate must be finite")
     if not in_extent(coord):
         raise ValueError(f"coordinate {coord} outside extent")
-    col = int(np.clip(np.floor((coord[0] - EXTENT_MIN) / grid.cell_width), 0, grid.width - 1))
-    row = int(np.clip(np.floor((coord[1] - EXTENT_MIN) / grid.cell_height), 0, grid.height - 1))
-    return row, col
+    row, col = containing_cells(coord, grid)
+    return int(row), int(col)
 
 
 def containing_cells(coords: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -205,10 +198,6 @@ class ConditionalMatchDistribution:
             worst = float(np.max(np.abs(rows - 1.0)))
             raise ValueError(f"conditional rows must sum to 1 (worst deviation {worst:g})")
         object.__setattr__(self, "probs", p)
-
-    def row_grid(self, s: int) -> np.ndarray:
-        """Row ``s`` reshaped to the target grid (H_t, W_t)."""
-        return self.probs[s].reshape(self.target.height, self.target.width)
 
 
 @dataclass(frozen=True)

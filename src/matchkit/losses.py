@@ -234,11 +234,6 @@ def fine_loss(
     return FineLossResult(value=total, scales=results)
 
 
-def total_loss(coarse: float, fine: float) -> float:
-    """Combined objective: the stages are decoupled, so no cross-weighting."""
-    return float(coarse) + float(fine)
-
-
 def gradient_sweep(
     c: float = 0.03, rmin: float = 1e-4, rmax: float = 100.0, steps: int = 200
 ) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import CorrespondenceSet, WarpField, in_extent
+from .grids import CorrespondenceSet, GridSpec, WarpField, containing_cells, in_extent
 
 WEIGHT_FLOOR = 1e-12
 KDE_BLOCK_ENTRIES = 200_000  # pairwise terms per block: a buffer that stays in cache
@@ -103,9 +103,8 @@ def certainty_sample(warp: WarpField, n: int, seed: int = 0) -> CorrespondenceSe
 
 def spatial_entropy(cs: CorrespondenceSet, bins: int = 4) -> float:
     """Shannon entropy (nats) of sampled source points over a bins x bins grid."""
-    ix = np.clip(((cs.xa[:, 0] + 1.0) / 2.0 * bins).astype(int), 0, bins - 1)
-    iy = np.clip(((cs.xa[:, 1] + 1.0) / 2.0 * bins).astype(int), 0, bins - 1)
-    counts = np.bincount(iy * bins + ix, minlength=bins * bins).astype(float)
+    rows, cols = containing_cells(cs.xa, GridSpec(bins, bins))
+    counts = np.bincount(rows * bins + cols, minlength=bins * bins).astype(float)
     p = counts / counts.sum()
     nz = p[p > 0]
     return float(-(nz * np.log(nz)).sum())

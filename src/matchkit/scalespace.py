@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .anchors import AnchorGrid
-from .grids import GridSpec, JointMatchDistribution, in_extent, normalize_joint
+from .grids import GridSpec, JointMatchDistribution, containing_cells, in_extent, normalize_joint
 
 
 @dataclass(frozen=True)
@@ -73,25 +73,19 @@ class SceneSpec:
         return out
 
 
+def affine_scene(linear: np.ndarray, offset: Sequence[float]) -> SceneSpec:
+    """One region covering the whole source extent, moved by ``x -> A x + t``."""
+    linear = np.asarray(linear, dtype=float)
+    offset = np.asarray(offset, dtype=float)
+    return SceneSpec((AffineRegion(lambda p: np.ones(len(p), bool), linear, offset),))
+
+
 def identity_scene() -> SceneSpec:
-    return SceneSpec((AffineRegion(lambda p: np.ones(len(p), bool), np.eye(2), np.zeros(2)),))
+    return affine_scene(np.eye(2), np.zeros(2))
 
 
 def translation_scene(offset: Sequence[float]) -> SceneSpec:
-    off = np.asarray(offset, dtype=float)
-    return SceneSpec((AffineRegion(lambda p: np.ones(len(p), bool), np.eye(2), off),))
-
-
-def affine_scene(linear: np.ndarray, offset: Sequence[float]) -> SceneSpec:
-    return SceneSpec(
-        (
-            AffineRegion(
-                lambda p: np.ones(len(p), bool),
-                np.asarray(linear, dtype=float),
-                np.asarray(offset, dtype=float),
-            ),
-        )
-    )
+    return affine_scene(np.eye(2), offset)
 
 
 def two_translation_scene(
@@ -118,12 +112,7 @@ def rasterize_scene(spec: SceneSpec, src: GridSpec, tgt: GridSpec) -> JointMatch
     if not np.any(visible):
         raise ValueError("scene maps every source cell outside the target extent")
     joint = np.zeros((src.n_cells, tgt.n_cells))
-    tcols = np.clip(
-        np.floor((mapped[visible, 0] + 1.0) / tgt.cell_width), 0, tgt.width - 1
-    ).astype(int)
-    trows = np.clip(
-        np.floor((mapped[visible, 1] + 1.0) / tgt.cell_height), 0, tgt.height - 1
-    ).astype(int)
+    trows, tcols = containing_cells(mapped[visible], tgt)
     joint[np.flatnonzero(visible), trows * tgt.width + tcols] = 1.0
     return normalize_joint(joint, src, tgt)
 

@@ -68,13 +68,10 @@ class SteeringMatrix:
         return self.w.shape[0]
 
     def power(self, k: int) -> np.ndarray:
-        """W^k by repeated multiplication; k = 0 gives the identity."""
-        if k < 0:
+        """W^k; k = 0 gives the identity, k = 1 the read-only ``w`` itself."""
+        if k < 0:  # matrix_power would invert W instead
             raise ValueError("k must be nonnegative")
-        out = np.eye(self.dim)
-        for _ in range(k):
-            out = out @ self.w
-        return out
+        return np.linalg.matrix_power(self.w, k)
 
 
 @dataclass(frozen=True)
@@ -168,11 +165,6 @@ def fit_steering_lsq(
     w = wt.T
     residual = float(np.sqrt(np.mean((gr - g @ w.T) ** 2)))
     return SteeringMatrix(w), residual
-
-
-def multi_k_l1_loss(w: np.ndarray, pairs: dict[int, tuple[DescriptorSet, DescriptorSet]]) -> float:
-    """Sum over rotation multiples (from {1, 2, 3}) of the L1 steering residual."""
-    return _l1_terms(w, pairs)[2]
 
 
 def _l1_terms(w: np.ndarray, pairs: dict[int, tuple[DescriptorSet, DescriptorSet]]):

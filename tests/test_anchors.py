@@ -8,7 +8,6 @@ from matchkit import (
     closest_anchor,
     gaussian_anchor_probs,
     mixture_density,
-    regression_passthrough,
     to_warp,
 )
 
@@ -209,12 +208,3 @@ def test_gaussian_discretization_decodes_within_one_cell():
 def test_anchor_probs_rejects_zero_row():
     with pytest.raises(ValueError):
         AnchorProbs(GridSpec(1, 1), np.zeros((1, 4)), np.array([1.0]))
-
-
-def test_regression_passthrough_identity():
-    src = GridSpec(2, 2)
-    coords = np.array([[0.1, 0.2], [-0.3, 0.4], [0.5, -0.6], [0.0, 0.0]])
-    m = np.array([0.1, 0.2, 0.3, 0.4])
-    w = regression_passthrough(src, coords, m)
-    assert np.allclose(w.target_coords.reshape(-1, 2), coords)
-    assert np.allclose(w.certainty.reshape(-1), m)

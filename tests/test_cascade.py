@@ -5,8 +5,8 @@ from matchkit import (
     GridSpec,
     WarpField,
     analytic_refiner,
+    correlation_windows,
     default_refiners,
-    local_correlation,
     run_cascade,
     scene_true_warp,
     synth_pyramid,
@@ -14,7 +14,7 @@ from matchkit import (
     warp_epe,
 )
 from matchkit.cascade import RefinerSpec, stage_epes, validate_base
-from matchkit.scalespace import AffineRegion, SceneSpec, identity_scene, translation_scene
+from matchkit.scalespace import affine_scene, identity_scene, translation_scene
 
 BASE = GridSpec(56, 56)
 FINE = 2 / 56
@@ -25,8 +25,7 @@ def random_affine_scene(rng, max_offset=0.2, max_angle=0.05, max_log_scale=0.04)
     ang = rng.uniform(-max_angle, max_angle)
     scale = 1.0 + rng.uniform(-max_log_scale, max_log_scale)
     c, s = np.cos(ang), np.sin(ang)
-    linear = scale * np.array([[c, -s], [s, c]])
-    return SceneSpec((AffineRegion(lambda p: np.ones(len(p), bool), linear, offset),))
+    return affine_scene(scale * np.array([[c, -s], [s, c]]), offset)
 
 
 def random_translation_scene(rng, max_offset=0.2):
@@ -76,6 +75,26 @@ def test_synth_pooling_consistency():
     assert np.allclose(lvl14[0, 0], lvl1[:14, :14].mean(axis=(0, 1)), atol=1e-12)
 
 
+def local_correlation(f_a, tgt_grid, tgt_feats, center, window):
+    """Loop oracle for one row of ``correlation_windows``.
+
+    Cosine similarity of one descriptor against the ``window x window``
+    target cells centred on the cell containing ``center``; positions outside
+    the extent carry -1.
+    """
+    r0 = int(np.clip(np.floor((center[1] + 1.0) / tgt_grid.cell_height), 0, tgt_grid.height - 1))
+    c0 = int(np.clip(np.floor((center[0] + 1.0) / tgt_grid.cell_width), 0, tgt_grid.width - 1))
+    half = window // 2
+    out = np.full((window, window), -1.0)
+    for i in range(window):
+        for j in range(window):
+            rr, cc = r0 - half + i, c0 - half + j
+            if 0 <= rr < tgt_grid.height and 0 <= cc < tgt_grid.width:
+                f_b = tgt_feats[rr, cc]
+                out[i, j] = float(f_a @ f_b) / (np.linalg.norm(f_a) * np.linalg.norm(f_b))
+    return out
+
+
 def test_local_correlation_window_one():
     pyrA, pyrB = synth_pyramid(identity_scene(), BASE, seed=4)
     grid = pyrB.grid(4)
@@ -84,43 +103,57 @@ def test_local_correlation_window_one():
     center = np.array(
         [-1 + (5 + 0.5) * grid.cell_width, -1 + (3 + 0.5) * grid.cell_height]
     )
-    out = local_correlation(f, grid, feats, center, 1)
-    assert out.shape == (1, 1)
-    assert np.isclose(out[0, 0], 1.0)
+    sims, win_x, win_y = correlation_windows(f[None], grid, feats, center[None], 1)
+    assert sims.shape == (1, 1, 1)
+    assert np.isclose(sims[0, 0, 0], 1.0)
+    assert np.allclose([win_x[0, 0, 0], win_y[0, 0, 0]], center)
 
 
 def test_local_correlation_orthogonal_construction():
     grid = GridSpec(2, 2)
     feats = np.eye(4).reshape(2, 2, 4)
-    out = local_correlation(np.eye(4)[0], grid, feats, np.array([-0.5, -0.5]), 3)
+    center = np.array([[-0.5, -0.5]])
+    sims, win_x, win_y = correlation_windows(np.eye(4)[:1], grid, feats, center, 3)
+    out = sims[0]
     # Window centered on cell (0, 0): out-of-extent ring is -1, matching cell
     # is 1, other in-grid cells are orthogonal.
     assert out[1, 1] == 1.0
     assert out[1, 2] == 0.0 and out[2, 1] == 0.0 and out[2, 2] == 0.0
     assert np.all(out[0, :] == -1.0) and np.all(out[:, 0] == -1.0)
+    # The lattice keeps going past the extent: the corner is a virtual cell.
+    assert win_x.shape == (1, 1, 3) and win_y.shape == (1, 3, 1)
+    assert np.allclose(win_x[0, 0], [-1.5, -0.5, 0.5])
+    assert np.allclose(win_y[0, :, 0], [-1.5, -0.5, 0.5])
 
 
 def test_local_correlation_matches_brute_loop():
     rng = np.random.default_rng(50)
     pyrA, pyrB = synth_pyramid(identity_scene(), BASE, seed=5)
-    grid = pyrB.grid(4)
-    feats = pyrB.features(4)
-    for _ in range(20):
-        f = rng.normal(size=feats.shape[-1])
-        center = rng.uniform(-1, 1, 2)
-        window = 5
-        got = local_correlation(f, grid, feats, center, window)
-        c0 = int(np.floor((center[0] + 1) / grid.cell_width))
-        r0 = int(np.floor((center[1] + 1) / grid.cell_height))
-        for i in range(window):
-            for j in range(window):
-                rr, cc = r0 - 2 + i, c0 - 2 + j
-                if 0 <= rr < grid.height and 0 <= cc < grid.width:
-                    fb = feats[rr, cc]
-                    want = float(f @ fb / (np.linalg.norm(f) * np.linalg.norm(fb)))
-                else:
-                    want = -1.0
-                assert np.isclose(got[i, j], want, atol=1e-12)
+    for stride, window in ((14, 15), (8, 7), (4, 5)):
+        grid = pyrB.grid(stride)
+        feats = pyrB.features(stride)
+        # Random centres plus the four corner cells and points on the extent
+        # boundary, where most of a window falls outside the grid.
+        centers = np.concatenate(
+            [
+                rng.uniform(-1, 1, (20, 2)),
+                [[-1, -1], [1, 1], [-1, 1], [1, -1], [0.999, -0.999], [0.0, 1.0]],
+            ]
+        )
+        queries = rng.normal(size=(len(centers), feats.shape[-1]))
+        sims, win_x, win_y = correlation_windows(queries, grid, feats, centers, window)
+        assert sims.shape == (len(centers), window, window)
+        offs = np.arange(window) - window // 2
+        for f, center, got, xs, ys in zip(queries, centers, sims, win_x[:, 0], win_y[..., 0]):
+            assert np.allclose(got, local_correlation(f, grid, feats, center, window), atol=1e-12)
+            # The lattice is one cell apart, centred on the cell holding `center`.
+            mid_x, mid_y = xs[window // 2], ys[window // 2]
+            assert abs(mid_x - center[0]) <= grid.cell_width / 2 + 1e-12
+            assert abs(mid_y - center[1]) <= grid.cell_height / 2 + 1e-12
+            assert np.allclose(xs - mid_x, offs * grid.cell_width)
+            assert np.allclose(ys - mid_y, offs * grid.cell_height)
+    with pytest.raises(ValueError, match="odd"):
+        correlation_windows(queries, grid, feats, centers, 4)
 
 
 def test_refiner_window_zero_is_passthrough():

@@ -270,3 +270,56 @@ def test_seeded_subcommands_byte_identical(tmp_path):
         assert run(*args, "--out", str(a)) == 0
         assert run(*args, "--out", str(b)) == 0
         assert read_bytes_tree(a) == read_bytes_tree(b)
+
+
+def test_malformed_grid_sizes_are_usage_errors(tmp_path, capsys):
+    for flag in ("--anchors", "--grid"):
+        for bad in ("8xq", "8", "8x8x8", "x"):
+            argv = ["synth", "probs", flag, bad, "--out", str(tmp_path)]
+            assert run(*argv) == 1, argv
+            err = capsys.readouterr().err
+            assert f"expected ROWSxCOLS, got {bad!r}" in err
+            assert len(err.strip().splitlines()) == 1
+    probs = tmp_path / "probs.rmgrid"
+    assert run("synth", "probs", "--out", str(tmp_path)) == 0
+    assert run("decode", "--probs", str(probs), "--anchors", "8xq", "--out", str(tmp_path)) == 1
+    assert run("decode", "--probs", str(probs), "--grid", "6xq", "--out", str(tmp_path)) == 1
+
+
+def _u32(*values):
+    return b"".join(v.to_bytes(4, "little") for v in values)
+
+
+def test_hostile_binary_headers_are_one_line_data_errors(tmp_path, capsys):
+    from matchkit.fileio import DESC_MAGIC, GRID_MAGIC, MAX_GRID_RANK, STEER_MAGIC
+
+    assert run("synth", "descriptors", "--n", "8", "--dim", "4", "--out", str(tmp_path)) == 0
+    desc, w = str(tmp_path / "rot0.rmdesc"), str(tmp_path / "w_true.rmsteer")
+    capsys.readouterr()
+    cases = [
+        ("grid", GRID_MAGIC),
+        ("grid", GRID_MAGIC + _u32(MAX_GRID_RANK + 1)),
+        ("grid", GRID_MAGIC + _u32(3, 2**31, 2**31, 2**31)),
+        ("grid", GRID_MAGIC + _u32(3, 2, 2, 3) + b"\x00" * 47),
+        ("grid", GRID_MAGIC + _u32(3, 2, 2, 3) + b"\x00" * 49),
+        ("desc", DESC_MAGIC + _u32(5)),
+        ("desc", DESC_MAGIC + _u32(2**32 - 1, 2**32 - 1)),
+        ("desc", DESC_MAGIC + _u32(1, 4) + b"\x00" * 23),
+        ("desc", DESC_MAGIC + _u32(1, 4) + b"\x00" * 25),
+        ("steer", STEER_MAGIC + b"\x04"),
+        ("steer", STEER_MAGIC + _u32(2**32 - 1)),
+        ("steer", STEER_MAGIC + _u32(4) + b"\x00" * 63),
+        ("steer", STEER_MAGIC + _u32(4) + b"\x00" * 65),
+    ]
+    for i, (kind, raw) in enumerate(cases):
+        bad = tmp_path / f"bad{i}.bin"
+        bad.write_bytes(raw)
+        if kind == "grid":
+            argv = ["sample", "--warp", str(bad)]
+        elif kind == "desc":
+            argv = ["steer", "apply", "--desc", str(bad), "--w", w]
+        else:
+            argv = ["steer", "apply", "--desc", desc, "--w", str(bad)]
+        assert run(*argv, "--out", str(tmp_path / "o")) == 2, raw
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and len(err.strip().splitlines()) == 1, err

@@ -1,10 +1,18 @@
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchkit import CorrespondenceSet
 from matchkit.fileio import (
     DESC_MAGIC,
     GRID_MAGIC,
+    MAX_GRID_RANK,
+    STEER_MAGIC,
     read_correspondences_csv,
     read_descriptors,
     read_grid,
@@ -136,3 +144,163 @@ def test_warp_to_rgb_ranges():
     assert rgb.min() >= 0.0 and rgb.max() <= 1.0
     assert np.allclose(rgb[0, 0], [0, 0, 0])
     assert np.allclose(rgb[0, 1], [1, 1, 1])
+
+
+# --- header codec: round trips and hostile headers ---------------------------
+
+# Payload values at least 0.5 in magnitude: their float32 bit patterns read
+# as u32 are all >= 0x3F000000, so a flipped rank that pulls payload words
+# into the dims always declares a payload the file cannot hold.
+VALUES = st.floats(0.5, 1000.0, width=32) | st.floats(-1000.0, -0.5, width=32)
+CODEC = settings(deadline=None, derandomize=True, database=None, max_examples=40)
+
+
+@st.composite
+def records(draw):
+    """(kind, float32 payload) for one of the three binary formats."""
+    kind = draw(st.sampled_from(["grid", "desc", "steer"]))
+    if kind == "grid":
+        shape = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    elif kind == "desc":
+        shape = (draw(st.integers(1, 4)), 2 + draw(st.integers(0, 3)))
+    else:
+        d = draw(st.integers(1, 4))
+        shape = (d, d)
+    count = int(np.prod(shape))
+    values = draw(st.lists(VALUES, min_size=count, max_size=count))
+    return kind, np.array(values, dtype=np.float32).reshape(shape)
+
+
+def _write(kind, path, data):
+    if kind == "grid":
+        write_grid(path, data)
+    elif kind == "desc":
+        write_descriptors(path, data[:, :2], data[:, 2:])
+    else:
+        write_steering(path, data)
+
+
+def _read(kind, path):
+    if kind == "grid":
+        return read_grid(path)
+    if kind == "desc":
+        return np.concatenate(read_descriptors(path), axis=1)
+    return read_steering(path)
+
+
+def _header_fields(kind, data):
+    """Byte offset of each u32 header field."""
+    if kind == "grid":
+        return [7 + 4 * i for i in range(1 + data.ndim)]
+    if kind == "desc":
+        return [7, 11]
+    return [8]
+
+
+def _read_error(kind, path, raw):
+    """Read ``raw`` back as ``kind``; return the one-line error it must raise."""
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as exc:
+        _read(kind, path)
+    message = str(exc.value)
+    assert message.startswith(f"{path}: ") and "\n" not in message
+    return message
+
+
+@CODEC
+@given(records())
+def test_codec_round_trip_and_layout(rec):
+    kind, data = rec
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "r.bin"
+        _write(kind, path, data)
+        raw = path.read_bytes()
+        header = _header_fields(kind, data)[-1] + 4
+        assert len(raw) == header + 4 * data.size
+        assert raw[header:] == data.astype("<f4").tobytes()
+        back = _read(kind, path)
+        assert back.dtype == np.float64 and back.shape == data.shape
+        assert np.array_equal(back.astype(np.float32), data)
+
+
+@CODEC
+@given(records())
+def test_codec_rejects_every_truncation_and_trailing_bytes(rec):
+    kind, data = rec
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "r.bin"
+        _write(kind, path, data)
+        raw = path.read_bytes()
+        header = _header_fields(kind, data)[-1] + 4
+        magic_len = 7 if kind != "steer" else 8
+        for cut in range(len(raw)):
+            message = _read_error(kind, path, raw[:cut])
+            if cut < magic_len:
+                assert "bad magic" in message
+            elif cut < header:
+                assert "truncated header" in message
+            else:
+                assert "truncated payload" in message
+        for extra in (b"\x00", b"\x00" * 4, raw[-4:]):
+            assert "trailing bytes" in _read_error(kind, path, raw + extra)
+
+
+@CODEC
+@given(records(), st.data())
+def test_codec_rejects_flipped_header_field(rec, data):
+    kind, payload = rec
+    offset = data.draw(st.sampled_from(_header_fields(kind, payload)))
+    bit = data.draw(st.integers(0, 31))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "r.bin"
+        _write(kind, path, payload)
+        raw = bytearray(path.read_bytes())
+        field = int.from_bytes(raw[offset : offset + 4], "little") ^ (1 << bit)
+        raw[offset : offset + 4] = field.to_bytes(4, "little")
+        _read_error(kind, path, bytes(raw))
+
+
+def _u32(*values):
+    return b"".join(v.to_bytes(4, "little") for v in values)
+
+
+HOSTILE_HEADERS = [
+    ("grid", GRID_MAGIC, "truncated header"),
+    ("grid", GRID_MAGIC + _u32(3), "truncated header"),
+    ("grid", GRID_MAGIC + _u32(2**32 - 1), "exceeds the limit"),
+    ("grid", GRID_MAGIC + _u32(MAX_GRID_RANK + 1), "exceeds the limit"),
+    ("grid", GRID_MAGIC + _u32(3, 2**31, 2**31, 2**31), "truncated payload"),
+    ("grid", GRID_MAGIC + _u32(2, 2**32 - 1, 2**32 - 1) + b"\x00" * 64, "truncated payload"),
+    ("grid", GRID_MAGIC + _u32(1, 4) + b"\x00" * 15, "truncated payload"),
+    ("grid", GRID_MAGIC + _u32(1, 4) + b"\x00" * 17, "trailing bytes"),
+    ("grid", GRID_MAGIC + _u32(0) + b"\x00" * 5, "trailing bytes"),
+    ("desc", DESC_MAGIC + _u32(7), "truncated header"),
+    ("desc", DESC_MAGIC + _u32(2**32 - 1, 2**32 - 1), "truncated payload"),
+    ("desc", DESC_MAGIC + _u32(1, 1) + b"\x00" * 11, "truncated payload"),
+    ("desc", DESC_MAGIC + _u32(1, 1) + b"\x00" * 13, "trailing bytes"),
+    ("steer", STEER_MAGIC, "truncated header"),
+    ("steer", STEER_MAGIC + _u32(2**32 - 1), "truncated payload"),
+    ("steer", STEER_MAGIC + _u32(2) + b"\x00" * 15, "truncated payload"),
+    ("steer", STEER_MAGIC + _u32(2) + b"\x00" * 17, "trailing bytes"),
+]
+
+
+@pytest.mark.parametrize("kind,raw,expected", HOSTILE_HEADERS)
+def test_codec_hostile_headers_allocate_nothing(tmp_path, kind, raw, expected):
+    # Headers that claim up to 2**93 bytes: the reader must refuse them from
+    # the file length alone, without a buffer sized by the header.
+    tracemalloc.start()
+    try:
+        message = _read_error(kind, tmp_path / "h.bin", raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert expected in message
+    assert peak < 1 << 20
+
+
+def test_write_grid_refuses_rank_the_reader_would_refuse(tmp_path):
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        write_grid(tmp_path / "g.rmgrid", np.zeros((1,) * (MAX_GRID_RANK + 1)))
+    write_grid(tmp_path / "g.rmgrid", np.zeros((1,) * MAX_GRID_RANK))
+    assert read_grid(tmp_path / "g.rmgrid").shape == (1,) * MAX_GRID_RANK

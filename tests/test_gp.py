@@ -6,12 +6,10 @@ import pytest
 from matchkit import (
     KernelSpec,
     SupportSet,
-    embed_coords,
     exp_cos_kernel,
     gp_posterior_mean,
     kernel_matrix,
 )
-from matchkit.gp import decode_embedding, fourier_embed, fourier_frequencies
 
 
 def test_kernel_equal_inputs_is_exp_beta():
@@ -108,27 +106,6 @@ def test_gp_duplicate_supports_at_zero_noise_raise():
         gp_posterior_mean(feats, SupportSet(feats, emb), KernelSpec(10.0, 0.0))
 
 
-def test_embed_identity():
-    pts = np.array([[0.3, -0.5]])
-    assert np.allclose(embed_coords(pts, "identity"), pts)
-
-
-def test_fourier_zero_frequencies_constant_pattern():
-    pts = np.random.default_rng(25).uniform(-1, 1, (10, 2))
-    emb = fourier_embed(pts, np.zeros((3, 2)))
-    assert np.allclose(emb[:, :3], 0.0)
-    assert np.allclose(emb[:, 3:], 1.0)
-
-
-def test_fourier_deterministic_per_seed():
-    pts = np.random.default_rng(26).uniform(-1, 1, (10, 2))
-    a = embed_coords(pts, "fourier", dim=16, seed=7)
-    b = embed_coords(pts, "fourier", dim=16, seed=7)
-    assert np.array_equal(a, b)
-    c = embed_coords(pts, "fourier", dim=16, seed=8)
-    assert not np.array_equal(a, c)
-
-
 def test_prepared_gp_caches_factorization():
     from matchkit import PreparedGP
 
@@ -140,15 +117,3 @@ def test_prepared_gp_caches_factorization():
     q2 = rng.normal(size=(6, 5))
     assert np.allclose(prepared.posterior_mean(q1), gp_posterior_mean(q1, support, spec))
     assert np.allclose(prepared.posterior_mean(q2), gp_posterior_mean(q2, support, spec))
-
-
-def test_fourier_roundtrip_through_nearest_anchor():
-    # Embed anchor centers, regress a query onto them, decode by nearest
-    # embedding; landing on the original coordinate closes the loop.
-    freqs = fourier_frequencies(32, seed=3)
-    grid_pts = np.stack(
-        np.meshgrid(np.linspace(-0.9, 0.9, 7), np.linspace(-0.9, 0.9, 7)), axis=-1
-    ).reshape(-1, 2)
-    emb = fourier_embed(grid_pts, freqs)
-    decoded = decode_embedding(emb, grid_pts, emb)
-    assert np.allclose(decoded, grid_pts)

@@ -16,7 +16,6 @@ from matchkit import (
     coarse_loss,
     fine_loss,
     gradient_sweep,
-    total_loss,
 )
 from matchkit.losses import coarse_loss_raw
 
@@ -266,14 +265,6 @@ def test_fine_loss_gradients_are_per_scale_isolated():
     for i in (0, 1, 2):
         assert res.scales[i].value == res2.scales[i].value
         assert np.array_equal(res.scales[i].d_coords, res2.scales[i].d_coords)
-
-
-def test_total_loss_addition():
-    assert total_loss(0.0, 0.0) == 0.0
-    assert total_loss(1.5, 2.25) == 3.75
-    rng = np.random.default_rng(39)
-    a, b = rng.uniform(0, 5, 2)
-    assert total_loss(a, b) == a + b
 
 
 def test_gradient_sweep_row_zero():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, chisquare
 
 from matchkit import (
+    CorrespondenceSet,
     GridSpec,
     WarpField,
     balanced_sample,
@@ -281,3 +282,26 @@ def test_weights_always_finite():
     warp = WarpField(g, coords, np.full((8, 8), 0.9))
     cs = balanced_sample(warp, 20, h=0.05, seed=5)
     assert np.all(np.isfinite(cs.weights))
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+        | st.sampled_from([(-1.0, -1.0), (1.0, 1.0), (-0.5, 0.0), (0.5, -0.5), (0.0, 0.25)]),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_spatial_entropy_bins_match_truncation_oracle(points):
+    # At power-of-two bin counts, including the default 4, the cell lookup
+    # floor((x + 1) / (2 / bins)) equals the truncation (x + 1) / 2 * bins
+    # bit for bit, so every point lands in the same bin as before.
+    xa = np.array(points, dtype=float)
+    cs = CorrespondenceSet(xa, xa, np.ones(len(xa)))
+    for bins in (1, 2, 4, 8):
+        ix = np.clip(((xa[:, 0] + 1.0) / 2.0 * bins).astype(int), 0, bins - 1)
+        iy = np.clip(((xa[:, 1] + 1.0) / 2.0 * bins).astype(int), 0, bins - 1)
+        p = np.bincount(iy * bins + ix, minlength=bins * bins) / len(xa)
+        nz = p[p > 0]
+        assert spatial_entropy(cs, bins) == float(-(nz * np.log(nz)).sum())

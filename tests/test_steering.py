@@ -133,6 +133,20 @@ def test_random_c4_steering_is_involution_root():
         assert np.max(np.abs(w.power(2) @ w.power(2) - np.eye(32))) == 0.0
 
 
+def test_power_matches_repeated_products_bit_for_bit():
+    # synth_equivariant and apply_steering only use k <= 3, where
+    # np.linalg.matrix_power forms exactly the loop's products.
+    rng = np.random.default_rng(60)
+    for _ in range(20):
+        w = SteeringMatrix(rng.normal(size=(16, 16)))
+        loop = np.eye(16)
+        for k in range(4):
+            assert np.array_equal(w.power(k), loop)
+            loop = loop @ w.w
+    with pytest.raises(ValueError, match="nonnegative"):
+        w.power(-1)
+
+
 def test_synth_equivariant_construction():
     w = random_c4_steering(16, seed=1)
     sets = synth_equivariant(40, 16, w_true=w, noise_sigma=0.0, seed=2)
