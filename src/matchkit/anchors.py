@@ -172,9 +172,11 @@ def gaussian_anchor_probs(grid: AnchorGrid, means: np.ndarray, sigma: float) -> 
     and renormalizes the in-extent mass to one. Useful for building synthetic
     AnchorProbs whose decoding error can be bounded.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < np.inf:  # also refuses NaN
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     means = np.atleast_2d(np.asarray(means, dtype=float))
+    if not np.all(np.isfinite(means)):
+        raise ValueError("means must be finite")
     edges_x = EXTENT_MIN + np.arange(grid.cols + 1) * (2.0 / grid.cols)
     edges_y = EXTENT_MIN + np.arange(grid.rows + 1) * (2.0 / grid.rows)
     cdf_x = _gauss_cdf(edges_x[None, :], means[:, 0:1], sigma)  # (N, cols+1)

@@ -12,7 +12,8 @@ Subcommands:
   selftest    run the built-in oracle suite
 
 Every subcommand accepts --seed, --out and --config. The config file is JSON
-with one object per subcommand; command-line flags override config values.
+with one object of option values per subcommand ("steer fit" and so on), read
+as the flags it stands for, placed before the command line's own flags.
 Exit codes: 0 success, 1 usage error, 2 data error. Seeded subcommands are
 deterministic: identical invocations produce byte-identical outputs.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -48,26 +50,32 @@ from . import (
 )
 from . import auc as auc_metric
 from . import epe as epe_metric
-from .cascade import stage_epes
+from .cascade import FeatureField, stage_epes
 from .fileio import (
     read_correspondences_csv,
+    read_csv,
     read_descriptors,
     read_grid,
     read_steering,
     warp_to_rgb,
     write_correspondences_csv,
+    write_csv,
     write_descriptors,
     write_grid,
     write_pgm,
     write_ppm,
     write_steering,
+    write_support_set,
 )
+from .gp import KernelSpec, SupportSet, gp_posterior_mean
+from .losses import CoarseLossConfig, coarse_loss
 from .sampling import _candidates
 from .scalespace import SceneSpec, _sweep, affine_scene, identity_scene
 from .selftest import run_selftest
 from .steering import (
     DescriptorSet,
     SteeringMatrix,
+    apply_steering,
     fit_steering_l1,
     fit_steering_lsq,
     random_c4_steering,
@@ -82,20 +90,33 @@ class UsageError(Exception):
     pass
 
 
+class _ArgumentError(UsageError):
+    """A usage error found by argparse; reported with the usage line."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
-        raise UsageError(message)
+        raise _ArgumentError(message)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _floats(count: int | None, what: str, finite: bool = True):
+    """An argparse ``type``: ``count`` comma-separated floats (any number if
+    None), finite unless told otherwise; one comes back as a float, several as a list."""
+
+    def parse(text: str):
+        try:
+            values = [float(part) for part in text.split(",")]
+            if count not in (None, len(values)) or (finite and not all(map(math.isfinite, values))):
+                raise ValueError
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+        return values[0] if count == 1 else values
+
+    return parse
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+FLOAT = _floats(1, "a finite number")
+FLOATS = _floats(None, "finite numbers a,b,...")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -108,7 +129,9 @@ def _out_dir(a) -> Path:
     return out
 
 
-def _parse_grid_size(text: str) -> tuple[int, int]:
+def _grid_size(text: str) -> tuple[int, int]:
+    """The argparse ``type`` of ROWSxCOLS options. It raises UsageError, which
+    argparse passes on without adding its usage line."""
     try:
         rows, cols = (int(p) for p in text.lower().split("x"))
     except ValueError:  # not two parts, or a part that is not an integer
@@ -129,10 +152,8 @@ def _scene_from_kind(kind: str, seed: int, offset=None) -> SceneSpec:
         scale = 1.0 + rng.uniform(-0.04, 0.04)
         c, s = np.cos(ang), np.sin(ang)
         return affine_scene(scale * np.array([[c, -s], [s, c]]), off)
-    if kind == "two-translation":
-        mag = 0.3 if offset is None else float(np.linalg.norm(offset))
-        return two_translation_scene((-mag, 0.0), (mag, 0.0))
-    raise UsageError(f"unknown scene kind {kind!r}")
+    mag = 0.3 if offset is None else float(np.linalg.norm(offset))  # two-translation
+    return two_translation_scene((-mag, 0.0), (mag, 0.0))
 
 
 def _save_warp(out: Path, stem: str, warp: WarpField) -> None:
@@ -165,7 +186,7 @@ def _cmd_synth(a) -> int:
         _synth_descriptors(a, out)
         print(f"wrote rot0..rot3.rmdesc and w_true.rmsteer to {out}")
         return 0
-    if a.kind in ("identity", "translation", "affine", "two-translation"):
+    if a.kind != "probs":
         scene = _scene_from_kind(a.kind, a.seed, a.offset)
         base = GridSpec(a.base, a.base)
         _save_warp(out, "truth", scene_true_warp(scene, base))
@@ -175,62 +196,50 @@ def _cmd_synth(a) -> int:
             write_grid(out / f"target_stride{stride}.rmgrid", pyr_b.features(stride))
         print(f"wrote truth warp and pyramid levels to {out}")
         return 0
-    if a.kind == "probs":
-        rows, cols = _parse_grid_size(a.anchors)
-        gh, gw = _parse_grid_size(a.grid)
-        grid = build_anchor_grid(rows, cols)
-        source = GridSpec(gh, gw)
-        rng = np.random.default_rng(a.seed)
-        scene = _scene_from_kind("affine", a.seed)
-        true_targets = np.clip(scene.map_points(source.cell_centers()), -0.999, 0.999)
-        if a.via_gp:
-            # Regress target coordinates from descriptors with the GP encoder,
-            # then discretize the predicted coordinates over the anchors.
-            from .cascade import FeatureField
-            from .fileio import write_support_set
-            from .gp import KernelSpec, SupportSet, gp_posterior_mean
-
-            field = FeatureField(32, a.seed)
-            tgt_grid = grid.as_grid_spec()
-            support = SupportSet(field(tgt_grid.cell_centers()), tgt_grid.cell_centers())
-            queries = field(true_targets)
-            targets = gp_posterior_mean(queries, support, KernelSpec(a.beta, 1e-4))
-            targets = np.clip(targets, -0.999, 0.999)
-            write_support_set(out / "support", support.features, support.embeddings)
-        else:
-            targets = true_targets
-        pi = gaussian_anchor_probs(grid, targets, sigma=a.sigma)
-        match = rng.uniform(0.5, 1.0, source.n_cells)
-        write_grid(out / "probs.rmgrid", np.concatenate([pi, match[:, None]], axis=1))
-        _write_json(
-            out / "probs.json",
-            {"anchors": {"rows": rows, "cols": cols}, "grid": {"height": gh, "width": gw}},
-        )
-        print(f"wrote probs.rmgrid ({source.n_cells} x {grid.count}+1) to {out}")
-        return 0
-    raise UsageError(f"unknown synth kind {a.kind!r}")
+    grid = build_anchor_grid(*a.anchors)
+    source = GridSpec(*a.grid)
+    rng = np.random.default_rng(a.seed)
+    scene = _scene_from_kind("affine", a.seed)
+    targets = np.clip(scene.map_points(source.cell_centers()), -0.999, 0.999)
+    if a.via_gp:
+        # Regress target coordinates from descriptors with the GP encoder,
+        # then discretize the predicted coordinates over the anchors.
+        field = FeatureField(32, a.seed)
+        tgt_grid = grid.as_grid_spec()
+        support = SupportSet(field(tgt_grid.cell_centers()), tgt_grid.cell_centers())
+        targets = gp_posterior_mean(field(targets), support, KernelSpec(a.beta, 1e-4))
+        targets = np.clip(targets, -0.999, 0.999)
+        write_support_set(out / "support", support.features, support.embeddings)
+    pi = gaussian_anchor_probs(grid, targets, sigma=a.sigma)
+    match = rng.uniform(0.5, 1.0, source.n_cells)
+    write_grid(out / "probs.rmgrid", np.concatenate([pi, match[:, None]], axis=1))
+    _write_json(
+        out / "probs.json",
+        {"anchors": {"rows": grid.rows, "cols": grid.cols}, "grid": {"height": source.height, "width": source.width}},
+    )
+    print(f"wrote probs.rmgrid ({source.n_cells} x {grid.count}+1) to {out}")
+    return 0
 
 
 def _cmd_decode(a) -> int:
     out = _out_dir(a)
-    rows, cols = _parse_grid_size(a.anchors)
-    gh, gw = _parse_grid_size(a.grid)
     data = read_grid(a.probs)
-    grid = build_anchor_grid(rows, cols)
-    source = GridSpec(gh, gw)
+    grid = build_anchor_grid(*a.anchors)
+    source = GridSpec(*a.grid)
     if data.shape != (source.n_cells, grid.count + 1):
         raise ValueError(
-            f"probs tensor shape {data.shape} does not match grid {gh}x{gw} "
+            f"probs tensor shape {data.shape} does not match grid {source.height}x{source.width} "
             f"with {grid.count} anchors (+1 matchability column)"
         )
-    pi = data[:, :-1]
-    pi = pi / pi.sum(axis=1, keepdims=True)
+    sums = data[:, :-1].sum(axis=1)
+    bad = np.flatnonzero(~((sums > 0) & (sums < np.inf)))
+    if bad.size:
+        raise ValueError(f"{a.probs}: anchor probability row {bad[0]} sums to {sums[bad[0]]}")
+    pi = data[:, :-1] / sums[:, None]
     probs = AnchorProbs(source, pi, np.clip(data[:, -1], 0.0, 1.0))
     warp = to_warp(probs, grid)
     _save_warp(out, "warp", warp)
     if a.corr:
-        from .losses import CoarseLossConfig, coarse_loss
-
         corr = read_correspondences_csv(a.corr)
         cfg = CoarseLossConfig(a.marginal_weight, grid)
         res = coarse_loss(probs, np.ones(source.n_cells, bool), corr, cfg)
@@ -250,7 +259,7 @@ def _cmd_decode(a) -> int:
 def _cmd_loss_sweep(a) -> int:
     out = _out_dir(a)
     rows = gradient_sweep(c=a.c, rmin=a.rmin, rmax=a.rmax, steps=a.steps)
-    _write_csv(out / "loss_sweep.csv", "r,loss,grad_magnitude", rows.tolist())
+    write_csv(out / "loss_sweep.csv", "r,loss,grad_magnitude", rows.tolist())
     print(f"wrote {out / 'loss_sweep.csv'} ({rows.shape[0]} rows)")
     return 0
 
@@ -259,18 +268,17 @@ def _cmd_diffuse(a) -> int:
     out = _out_dir(a)
     scene = two_translation_scene((-a.offset, 0.0), (a.offset, 0.0))
     grid = GridSpec(a.grid, a.grid)
-    scales = [float(s) for s in a.scales.split(",")]
     mid = (grid.height // 2) * grid.width + grid.width // 2 - 1  # boundary-adjacent cell
-    sweep, rows = _sweep(scene, grid, grid, scales, a.threshold, row=mid)
-    _write_csv(
+    sweep, rows = _sweep(scene, grid, grid, a.scales, a.threshold, row=mid)
+    write_csv(
         out / "multimodality.csv",
         "s,boundary_dist_bin,fraction_multimodal,n_cells",
         [(s, b, frac, n) for s, b, frac, n in sweep.table()],
     )
-    for s, row in zip(scales, rows):
+    for s, row in zip(a.scales, rows):
         if row.sum() > 0:
             write_grid(
-                out / f"conditional_s{_fmt(s)}.rmgrid",
+                out / f"conditional_s{s!r}.rmgrid",
                 (row / row.sum()).reshape(grid.height, grid.width),
             )
     print(f"wrote {out / 'multimodality.csv'} and conditional snapshots")
@@ -278,6 +286,8 @@ def _cmd_diffuse(a) -> int:
 
 
 def _cmd_cascade(a) -> int:
+    if a.perturb < 0:
+        raise ValueError(f"--perturb must be nonnegative, got {a.perturb}")
     out = _out_dir(a)
     scene = _scene_from_kind(a.kind, a.seed, a.offset)
     base = GridSpec(a.base, a.base)
@@ -295,7 +305,7 @@ def _cmd_cascade(a) -> int:
     rows = [
         (stride, e, e / fine_cell) for stride, e in stage_epes(stages, scene)
     ]
-    _write_csv(out / "stage_epe.csv", "stride,epe_extent,epe_fine_cells", rows)
+    write_csv(out / "stage_epe.csv", "stride,epe_extent,epe_fine_cells", rows)
     _save_warp(out, "final", final)
     write_pgm(out / "certainty.pgm", final.certainty)
     print(f"wrote per-stage EPE and final warp to {out}")
@@ -303,6 +313,8 @@ def _cmd_cascade(a) -> int:
 
 
 def _cmd_steer_fit(a) -> int:
+    if not (a.synthetic or a.dir):
+        raise UsageError("steer fit needs --synthetic or --dir")
     out = _out_dir(a)
     if a.synthetic:
         sets = _synth_descriptors(a, out)
@@ -332,8 +344,6 @@ def _cmd_steer_apply(a) -> int:
     out = _out_dir(a)
     coords, descs = read_descriptors(a.desc)
     w = SteeringMatrix(read_steering(a.w))
-    from .steering import apply_steering
-
     steered = apply_steering(w, a.k, descs)
     write_descriptors(out / "steered.rmdesc", coords, steered)
     print(f"wrote steered descriptors to {out / 'steered.rmdesc'}")
@@ -378,10 +388,10 @@ def _cmd_sample(a) -> int:
     write_correspondences_csv(out / "matches.csv", cs)
     if a.sensitivity:
         rows = []
-        for h in (float(x) for x in a.sensitivity.split(",")):
+        for h in a.sensitivity:
             cs_h = balanced_sample(warp, n, h=h, seed=a.seed)
             rows.append((h, spatial_entropy(cs_h)))
-        _write_csv(out / "bandwidth_sensitivity.csv", "bandwidth,spatial_entropy", rows)
+        write_csv(out / "bandwidth_sensitivity.csv", "bandwidth,spatial_entropy", rows)
     print(f"wrote {n} matches to {out / 'matches.csv'}")
     return 0
 
@@ -390,17 +400,7 @@ def _cmd_eval(a) -> int:
     out = _out_dir(a)
     report: dict = {}
     if a.pose_errors:
-        rows = [
-            [float(v) for v in line.split(",")]
-            for line in Path(a.pose_errors).read_text().strip().splitlines()[1:]
-            if line.strip()
-        ]
-        if not rows:
-            raise ValueError(f"{a.pose_errors}: no error rows")
-        arr = np.array(rows)
-        if arr.shape[1] != 2:
-            raise ValueError("pose error CSV needs columns rot_deg,trans_deg")
-        rot, trans = arr[:, 0], arr[:, 1]
+        rot, trans = read_csv(a.pose_errors, "rot_deg,trans_deg").T
         combined = np.maximum(rot, trans)
         report["auc"] = {
             str(int(t)): auc_metric(combined, float(t)) for t in (5.0, 10.0, 20.0)
@@ -434,176 +434,143 @@ def _cmd_selftest(_a) -> int:
 
 def build_parser() -> _Parser:
     p = _Parser(prog="matchkit", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.sections = {}  # config section name -> its subcommand's parser
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--config", default=None)
+    # Options that several subcommands share, each declared once in a parent parser.
+    common = _Parser(add_help=False)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out", default="out")
+    common.add_argument("--config", help="JSON file with option values per subcommand")
+    descriptors = _Parser(add_help=False)
+    descriptors.add_argument("--n", type=int, default=256)
+    descriptors.add_argument("--dim", type=int, default=32)
+    descriptors.add_argument("--noise", type=FLOAT, default=0.0)
+    scene = _Parser(add_help=False)
+    scene.add_argument("--base", type=int, default=56)
+    scene.add_argument("--offset", type=_floats(2, "two finite numbers x,y"), help="default: drawn from the seed")
+    anchors = _Parser(add_help=False)
+    anchors.add_argument("--anchors", type=_grid_size, default="8x8")
+    anchors.add_argument("--grid", type=_grid_size, default="6x6")
+    steering = _Parser(add_help=False)
+    steering.add_argument("--w", required=True)
+    steering.add_argument("--k", type=int, default=1)
 
-    sp = sub.add_parser("synth", help="generate synthetic data")
+    def command(parent, name, handler, shared=(), section=None, **kw) -> _Parser:
+        sp = parent.add_parser(name, parents=[*shared, common], **kw)
+        p.sections[section or name] = sp
+        sp.set_defaults(handler=handler)
+        return sp
+
+    sp = command(sub, "synth", _cmd_synth, [descriptors, scene, anchors], help="generate synthetic data")
     sp.add_argument("kind", choices=["descriptors", "identity", "translation", "affine", "two-translation", "probs"])
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--noise", type=float, default=None)
-    sp.add_argument("--base", type=int, default=None)
-    sp.add_argument("--offset", type=_parse_offset, default=None)
-    sp.add_argument("--anchors", default=None)
-    sp.add_argument("--grid", default=None)
-    sp.add_argument("--sigma", type=float, default=None)
+    sp.add_argument("--sigma", type=FLOAT, default=0.08)
     sp.add_argument("--via-gp", action="store_true", help="regress targets with the GP encoder")
-    sp.add_argument("--beta", type=float, default=None)
-    common(sp)
+    sp.add_argument("--beta", type=FLOAT, default=10.0)
 
-    sp = sub.add_parser("decode", help="anchor probabilities -> warp")
+    sp = command(sub, "decode", _cmd_decode, [anchors], help="anchor probabilities -> warp")
     sp.add_argument("--probs", required=True)
-    sp.add_argument("--anchors", default=None)
-    sp.add_argument("--grid", default=None)
-    sp.add_argument("--corr", default=None, help="correspondence CSV for a coarse-loss report")
-    sp.add_argument("--lambda", dest="marginal_weight", type=float, default=None)
-    common(sp)
+    sp.add_argument("--corr", help="correspondence CSV for a coarse-loss report")
+    sp.add_argument("--lambda", dest="marginal_weight", type=FLOAT, default=1.0)
 
-    sp = sub.add_parser("loss-sweep", help="robust loss curve CSV")
-    sp.add_argument("--c", type=float, default=None)
-    sp.add_argument("--rmin", type=float, default=None)
-    sp.add_argument("--rmax", type=float, default=None)
-    sp.add_argument("--steps", type=int, default=None)
-    common(sp)
+    sp = command(sub, "loss-sweep", _cmd_loss_sweep, help="robust loss curve CSV")
+    sp.add_argument("--c", type=FLOAT, default=0.03)
+    sp.add_argument("--rmin", type=FLOAT, default=1e-4)
+    sp.add_argument("--rmax", type=FLOAT, default=100.0)
+    sp.add_argument("--steps", type=int, default=200)
 
-    sp = sub.add_parser("diffuse", help="multimodality sweep CSV")
-    sp.add_argument("--grid", type=int, default=None)
-    sp.add_argument("--scales", default=None)
-    sp.add_argument("--threshold", type=float, default=None)
-    sp.add_argument("--offset", type=float, default=None)
-    common(sp)
+    sp = command(sub, "diffuse", _cmd_diffuse, help="multimodality sweep CSV")
+    sp.add_argument("--grid", type=int, default=16)
+    # diffuse itself refuses a non-finite scale, as a data error (exit 2).
+    sp.add_argument("--scales", type=_floats(None, "numbers a,b,...", finite=False), default=[0.0, 0.05, 0.1, 0.2])
+    sp.add_argument("--threshold", type=FLOAT, default=0.1)
+    sp.add_argument("--offset", type=FLOAT, default=0.3)
 
-    sp = sub.add_parser("cascade", help="run coarse-to-fine refinement")
-    sp.add_argument("--base", type=int, default=None)
-    sp.add_argument("--kind", default=None, choices=[None, "identity", "translation", "affine"])
-    sp.add_argument("--perturb", type=float, default=None, help="coarse perturbation in stride-14 cells")
-    sp.add_argument("--temperature", type=float, default=None)
-    sp.add_argument("--offset", type=_parse_offset, default=None)
-    common(sp)
+    sp = command(sub, "cascade", _cmd_cascade, [scene], help="run coarse-to-fine refinement")
+    sp.add_argument("--kind", choices=["identity", "translation", "affine"], default="translation")
+    sp.add_argument("--perturb", type=FLOAT, default=1.0, help="coarse perturbation in stride-14 cells")
+    sp.add_argument("--temperature", type=FLOAT, default=0.05)
 
     steer = sub.add_parser("steer", help="descriptor steering")
     steer_sub = steer.add_subparsers(dest="steer_command", required=True)
 
-    sp = steer_sub.add_parser("fit")
+    sp = command(steer_sub, "fit", _cmd_steer_fit, [descriptors], section="steer fit")
     sp.add_argument("--synthetic", action="store_true")
-    sp.add_argument("--dir", default=None, help="directory with rot0..rot3.rmdesc")
-    sp.add_argument("--method", choices=["l1", "lsq"], default=None)
-    sp.add_argument("--iters", type=int, default=None)
-    sp.add_argument("--step", type=float, default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--noise", type=float, default=None)
-    common(sp)
+    sp.add_argument("--dir", help="directory with rot0..rot3.rmdesc")
+    sp.add_argument("--method", choices=["l1", "lsq"], default="l1")
+    sp.add_argument("--iters", type=int, default=2000)
+    sp.add_argument("--step", type=FLOAT, default=1e-3)
 
-    sp = steer_sub.add_parser("apply")
+    sp = command(steer_sub, "apply", _cmd_steer_apply, [steering], section="steer apply")
     sp.add_argument("--desc", required=True)
-    sp.add_argument("--w", required=True)
-    sp.add_argument("--k", type=int, default=None)
-    common(sp)
 
-    sp = steer_sub.add_parser("eval")
+    sp = command(steer_sub, "eval", _cmd_steer_eval, [steering], section="steer eval")
     sp.add_argument("--base", required=True)
     sp.add_argument("--rotated", required=True)
-    sp.add_argument("--w", required=True)
-    sp.add_argument("--k", type=int, default=None)
-    common(sp)
 
-    sp = sub.add_parser("sample", help="balanced match sampling")
-    sp.add_argument("--warp", default=None, help="RMGRID1 (H, W, 3) warp file")
-    sp.add_argument("--grid", type=int, default=None)
-    sp.add_argument("--n-matches", type=int, default=None)
-    sp.add_argument("--bandwidth", type=float, default=None)
-    sp.add_argument("--sensitivity", default=None, help="comma-separated bandwidths")
-    common(sp)
+    sp = command(sub, "sample", _cmd_sample, help="balanced match sampling")
+    sp.add_argument("--warp", help="RMGRID1 (H, W, 3) warp file")
+    sp.add_argument("--grid", type=int, default=16)
+    sp.add_argument("--n-matches", type=int, default=10000)
+    sp.add_argument("--bandwidth", type=FLOAT, default=0.15)
+    sp.add_argument("--sensitivity", type=FLOATS, help="comma-separated bandwidths")
 
-    sp = sub.add_parser("eval", help="metrics report")
-    sp.add_argument("--pose-errors", default=None, help="CSV with header rot_deg,trans_deg")
-    sp.add_argument("--pred", default=None)
-    sp.add_argument("--gt", default=None)
-    sp.add_argument("--ref-res", type=float, default=None)
-    common(sp)
+    sp = command(sub, "eval", _cmd_eval, help="metrics report")
+    sp.add_argument("--pose-errors", help="CSV with header rot_deg,trans_deg")
+    sp.add_argument("--pred")
+    sp.add_argument("--gt")
+    sp.add_argument("--ref-res", type=FLOAT, default=448.0)
 
-    sp = sub.add_parser("selftest", help="run the oracle suite")
-    common(sp)
-
+    command(sub, "selftest", _cmd_selftest, help="run the oracle suite")
     return p
 
 
-def _parse_offset(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("offset must be 'x,y'")
-    return np.array([float(parts[0]), float(parts[1])])
+def _config_flags(sp: _Parser, path: str, section: str) -> list[str]:
+    """The ``--flag=value`` words that section ``section`` of config file ``path`` stands for.
 
-
-DEFAULTS = {
-    "synth": {"n": 256, "dim": 32, "noise": 0.0, "base": 56, "anchors": "8x8", "grid": "6x6", "sigma": 0.08, "beta": 10.0, "seed": 0, "out": "out"},
-    "decode": {"anchors": "8x8", "grid": "6x6", "marginal_weight": 1.0, "seed": 0, "out": "out"},
-    "loss-sweep": {"c": 0.03, "rmin": 1e-4, "rmax": 100.0, "steps": 200, "seed": 0, "out": "out"},
-    "diffuse": {"grid": 16, "scales": "0,0.05,0.1,0.2", "threshold": 0.1, "offset": 0.3, "seed": 0, "out": "out"},
-    "cascade": {"base": 56, "kind": "translation", "perturb": 1.0, "temperature": 0.05, "seed": 0, "out": "out"},
-    "steer fit": {"method": "l1", "iters": 2000, "step": 1e-3, "n": 256, "dim": 32, "noise": 0.0, "seed": 0, "out": "out"},
-    "steer apply": {"k": 1, "seed": 0, "out": "out"},
-    "steer eval": {"k": 1, "seed": 0, "out": "out"},
-    "sample": {"grid": 16, "n_matches": 10000, "bandwidth": 0.15, "seed": 0, "out": "out"},
-    "eval": {"ref_res": 448.0, "seed": 0, "out": "out"},
-    "selftest": {"seed": 0, "out": "out"},
-}
-
-HANDLERS = {
-    "synth": _cmd_synth,
-    "decode": _cmd_decode,
-    "loss-sweep": _cmd_loss_sweep,
-    "diffuse": _cmd_diffuse,
-    "cascade": _cmd_cascade,
-    "steer fit": _cmd_steer_fit,
-    "steer apply": _cmd_steer_apply,
-    "steer eval": _cmd_steer_eval,
-    "sample": _cmd_sample,
-    "eval": _cmd_eval,
-    "selftest": _cmd_selftest,
-}
-
-
-def _apply_defaults(args: argparse.Namespace, key: str) -> None:
-    config = {}
-    if getattr(args, "config", None):
-        loaded = json.loads(Path(args.config).read_text())
-        if not isinstance(loaded, dict):
-            raise ValueError("config file must hold a JSON object")
-        config = loaded.get(key, {})
-        if not isinstance(config, dict):
-            raise ValueError(f"config section {key!r} must be an object")
-    merged = dict(DEFAULTS.get(key, {}))
-    merged.update(config)
-    for name, value in merged.items():
-        attr = name.replace("-", "_")
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
+    Keys are option dests, written with ``-`` or ``_``. JSON ``true`` sets a
+    switch and ``false`` leaves it off; an array is joined with commas.
+    """
+    config = json.loads(Path(path).read_text())
+    values = config.get(section, {}) if isinstance(config, dict) else None
+    if not isinstance(values, dict):
+        raise ValueError(f"{path}: config section {section!r} must be a JSON object")
+    options = {a.dest: a for a in sp._actions if a.option_strings and a.dest != argparse.SUPPRESS}
+    flags = []
+    for key, value in values.items():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise UsageError(f"{path}: unknown key {key!r} in config section {section!r}")
+        flag = action.option_strings[0]
+        if isinstance(value, bool) and action.nargs == 0:  # a switch
+            flags += [flag] if value else []
+        else:
+            items = value if isinstance(value, list) else [value]
+            flags.append(flag + "=" + ",".join(v if isinstance(v, str) else json.dumps(v) for v in items))
+    return flags
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # Config flags go between the subcommand words and the user's own
+            # flags; argparse keeps the last value it sees, so flags override.
+            section = args.command if args.command != "steer" else f"steer {args.steer_command}"
+            words = len(section.split())
+            flags = _config_flags(parser.sections[section], args.config, section)
+            args = parser.parse_args([*argv[:words], *flags, *argv[words:]])
+        return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        if isinstance(exc, _ArgumentError):
+            parser.print_usage(sys.stderr)
         return USAGE_EXIT
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    key = args.command if args.command != "steer" else f"steer {args.steer_command}"
-    try:
-        _apply_defaults(args, key)
-        return HANDLERS[key](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
 

@@ -4,8 +4,8 @@ Grid tensors travel as "RMGRID1" files: a 7-byte ASCII magic, a little-endian
 u32 rank, ``rank`` little-endian u32 dims, then the float32 payload in
 row-major order. Descriptor sets use "RMDESC1" (magic, u32 N, u32 D, then N
 rows of 2 + D float32: coordinates first, then the descriptor). Steering
-matrices use "RMSTEER1" (magic, u32 D, D*D float32). Correspondences are
-plain CSV with header ``xa,ya,xb,yb,weight``.
+matrices use "RMSTEER1" (magic, u32 D, D*D float32). Tables of numbers are
+plain CSV with a fixed header line; correspondences use ``xa,ya,xb,yb,weight``.
 
 Images are emitted as binary PGM (P5) / PPM (P6) with maxval 255, which keeps
 visualization dependency-free.
@@ -125,29 +125,40 @@ def read_steering(path) -> np.ndarray:
     return _read_record(path, STEER_MAGIC, 1, lambda d: (d[0], d[0]))
 
 
-def write_correspondences_csv(path, cs: CorrespondenceSet) -> None:
-    lines = ["xa,ya,xb,yb,weight"]
-    for i in range(len(cs)):
-        vals = (cs.xa[i, 0], cs.xa[i, 1], cs.xb[i, 0], cs.xb[i, 1], cs.weights[i])
-        lines.append(",".join(repr(float(v)) for v in vals))
+def write_csv(path, header: str, rows) -> None:
+    """``header``, then one line per row; floats by ``repr``, so they read back exactly."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def read_csv(path, header: str) -> np.ndarray:
+    """Read a :func:`write_csv` table: the line ``header``, then one or more
+    non-blank lines of one finite number per header column."""
+    lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
+    if not lines or lines[0].strip() != header:
+        raise ValueError(f"{path}: expected header {header!r}")
+    if len(lines) == 1:
+        raise ValueError(f"{path}: no rows after the header")
+    width = header.count(",") + 1
+    bad = ValueError(f"{path}: every row must hold {width} finite numbers")
+    try:
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    except ValueError:  # a value that is not a number, or rows of different lengths
+        raise bad from None
+    if table.shape[1:] != (width,) or not np.all(np.isfinite(table)):
+        raise bad
+    return table
+
+
+def write_correspondences_csv(path, cs: CorrespondenceSet) -> None:
+    rows = np.column_stack([cs.xa, cs.xb, cs.weights]).tolist()
+    write_csv(path, "xa,ya,xb,yb,weight", rows)
+
+
 def read_correspondences_csv(path) -> CorrespondenceSet:
-    text = Path(path).read_text().strip().splitlines()
-    if not text or text[0].strip() != "xa,ya,xb,yb,weight":
-        raise ValueError(f"{path}: expected header 'xa,ya,xb,yb,weight'")
-    vals = []
-    for line in text[1:]:
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"{path}: malformed row {line!r}")
-        vals.append([float(p) for p in parts])
-    if not vals:
-        raise ValueError(f"{path}: no correspondences")
-    arr = np.array(vals)
+    arr = read_csv(path, "xa,ya,xb,yb,weight")
     return CorrespondenceSet(arr[:, 0:2], arr[:, 2:4], arr[:, 4])
 
 

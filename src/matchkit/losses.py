@@ -57,8 +57,8 @@ class FineLossConfig:
 
 def charbonnier_nll(mu: np.ndarray, x: np.ndarray, s: float) -> np.ndarray:
     """Generalized Charbonnier penalty (||mu - x||^2 + s)^(1/4)."""
-    if s <= 0:
-        raise ValueError("scale s must be positive")
+    if not 0 < s < np.inf:  # also refuses NaN
+        raise ValueError(f"scale s must be positive and finite, got {s}")
     mu = np.asarray(mu, dtype=float)
     x = np.asarray(x, dtype=float)
     r2 = ((mu - x) ** 2).sum(axis=-1)
@@ -71,8 +71,8 @@ def charbonnier_grad(mu: np.ndarray, x: np.ndarray, s: float) -> np.ndarray:
     Equals ``0.5 * (||mu - x||^2 + s)^(-3/4) * (mu - x)``: linear in the
     residual near zero, decaying like ``0.5 * r^(-1/2)`` far away.
     """
-    if s <= 0:
-        raise ValueError("scale s must be positive")
+    if not 0 < s < np.inf:  # also refuses NaN
+        raise ValueError(f"scale s must be positive and finite, got {s}")
     mu = np.asarray(mu, dtype=float)
     x = np.asarray(x, dtype=float)
     diff = mu - x
@@ -237,14 +237,14 @@ def fine_loss(
 def gradient_sweep(
     c: float = 0.03, rmin: float = 1e-4, rmax: float = 100.0, steps: int = 200
 ) -> np.ndarray:
-    """Rows of ``(r, loss, grad_magnitude)`` for the scale-``c`` penalty.
+    """Rows of ``(r, charbonnier_nll, |charbonnier_grad|)`` for the scale-``c`` penalty.
 
     Starts at r = 0 and continues log-spaced from ``rmin`` to ``rmax``; used
     by the CLI to emit robustness curves.
     """
-    if rmin <= 0 or rmax <= rmin or steps < 2:
-        raise ValueError("need 0 < rmin < rmax and steps >= 2")
+    if not (0 < rmin < rmax < np.inf) or steps < 2:
+        raise ValueError(f"need 0 < rmin < rmax < inf and steps >= 2; got {rmin}, {rmax}, {steps}")
     r = np.concatenate([[0.0], np.geomspace(rmin, rmax, steps)])
-    loss = (r**2 + c) ** 0.25
-    grad = 0.5 * r * (r**2 + c) ** -0.75
+    loss = charbonnier_nll(r[:, None], 0.0, c)
+    grad = np.linalg.norm(charbonnier_grad(r[:, None], 0.0, c), axis=-1)
     return np.stack([r, loss, grad], axis=1)

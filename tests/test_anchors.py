@@ -208,3 +208,16 @@ def test_gaussian_discretization_decodes_within_one_cell():
 def test_anchor_probs_rejects_zero_row():
     with pytest.raises(ValueError):
         AnchorProbs(GridSpec(1, 1), np.zeros((1, 4)), np.array([1.0]))
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.1, float("nan"), float("inf")])
+def test_gaussian_anchor_probs_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        gaussian_anchor_probs(build_anchor_grid(4, 4), np.zeros(2), sigma)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_gaussian_anchor_probs_rejects_nonfinite_means(bad):
+    means = np.array([[0.1, 0.2], [0.0, bad]])
+    with pytest.raises(ValueError, match="means must be finite"):
+        gaussian_anchor_probs(build_anchor_grid(4, 4), means, 0.1)

@@ -1,6 +1,8 @@
 import json
+import warnings
 
 import numpy as np
+import pytest
 
 from matchkit.cli import main
 from matchkit.fileio import (
@@ -323,3 +325,259 @@ def test_hostile_binary_headers_are_one_line_data_errors(tmp_path, capsys):
         assert run(*argv, "--out", str(tmp_path / "o")) == 2, raw
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and len(err.strip().splitlines()) == 1, err
+
+
+def error_lines(err):
+    return [line for line in err.splitlines() if "error:" in line]
+
+
+def assert_one_error(err, argparse_error=False):
+    """One ``error:`` line; argparse errors add the usage line after it."""
+    assert err.startswith("error: ") and len(error_lines(err)) == 1, err
+    if argparse_error:
+        assert "usage: matchkit" in err, err
+    else:
+        assert len(err.strip().splitlines()) == 1, err
+
+
+def run_with_config(tmp_path, argv, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return run(*argv, "--config", str(cfg))
+
+
+@pytest.mark.parametrize(
+    "command, section, values, message",
+    [
+        (["cascade"], "cascade", {"base": "x"}, "argument --base: invalid int value: 'x'"),
+        (["loss-sweep"], "loss-sweep", {"steps": 2.5}, "argument --steps: invalid int value: '2.5'"),
+        (["diffuse"], "diffuse", {"grid": None}, "argument --grid: invalid int value: 'null'"),
+        (["cascade"], "cascade", {"kind": "two-translation"}, "argument --kind: invalid choice"),
+        (["cascade"], "cascade", {"offset": [0.1, 0.2, 0.3]}, "argument --offset: expected two"),
+        (["loss-sweep"], "loss-sweep", {"c": float("nan")}, "argument --c: expected a finite number"),
+        (["steer", "fit"], "steer fit", {"synthetic": "yes"}, "argument --synthetic: ignored explicit"),
+    ],
+)
+def test_config_values_are_checked_like_flags(tmp_path, capsys, command, section, values, message):
+    out = tmp_path / "out"
+    assert run_with_config(tmp_path, command, {section: {**values, "out": str(out)}}) == 1
+    err = capsys.readouterr().err
+    assert_one_error(err, argparse_error=True)
+    assert err.startswith(f"error: {message}"), err
+    assert not out.exists()
+
+
+def test_config_unknown_key_names_key_and_section(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_with_config(tmp_path, ["cascade"], {"cascade": {"bse": 112, "out": str(out)}}) == 1
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert "unknown key 'bse' in config section 'cascade'" in err
+    assert not out.exists()
+    # Positional words and other sections' options are not keys either.
+    assert run_with_config(tmp_path, ["synth", "identity"], {"synth": {"kind": "affine"}}) == 1
+    assert "unknown key 'kind' in config section 'synth'" in capsys.readouterr().err
+    assert run_with_config(tmp_path, ["steer", "fit", "--synthetic"], {"steer fit": {"k": 2}}) == 1
+    assert "unknown key 'k' in config section 'steer fit'" in capsys.readouterr().err
+
+
+def test_config_grid_size_is_checked_like_the_flag(tmp_path, capsys):
+    assert run_with_config(tmp_path, ["synth", "probs"], {"synth": {"anchors": "8xq"}}) == 1
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert "expected ROWSxCOLS, got '8xq'" in err
+
+
+def test_config_switches_follow_json_booleans(tmp_path, capsys):
+    flags = ["--iters", "20", "--n", "32", "--dim", "8"]
+    assert run("steer", "fit", "--synthetic", *flags, "--out", str(tmp_path / "flag")) == 0
+    config = {"steer fit": {"synthetic": True, "out": str(tmp_path / "cfg")}}
+    assert run_with_config(tmp_path, ["steer", "fit", *flags], config) == 0
+    assert read_bytes_tree(tmp_path / "flag") == read_bytes_tree(tmp_path / "cfg")
+    capsys.readouterr()
+    config = {"steer fit": {"synthetic": False, "out": str(tmp_path / "off")}}
+    assert run_with_config(tmp_path, ["steer", "fit", *flags], config) == 1
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert "steer fit needs --synthetic or --dir" in err
+
+
+def test_config_arrays_are_joined_with_commas(tmp_path):
+    assert run("diffuse", "--grid", "8", "--scales", "0,0.1", "--out", str(tmp_path / "f")) == 0
+    config = {"diffuse": {"grid": 8, "scales": [0, 0.1], "out": str(tmp_path / "c")}}
+    assert run_with_config(tmp_path, ["diffuse"], config) == 0
+    assert read_bytes_tree(tmp_path / "f") == read_bytes_tree(tmp_path / "c")
+    # A value may start with "-": each config flag is passed as --name=value.
+    assert run("synth", "translation", "--offset=-0.1,0.05", "--out", str(tmp_path / "g")) == 0
+    config = {"synth": {"offset": [-0.1, 0.05], "out": str(tmp_path / "d")}}
+    assert run_with_config(tmp_path, ["synth", "translation"], config) == 0
+    assert read_bytes_tree(tmp_path / "g") == read_bytes_tree(tmp_path / "d")
+
+
+def test_config_keys_are_dests_written_with_dash_or_underscore(tmp_path):
+    pr, dec, sm = tmp_path / "probs", tmp_path / "dec", tmp_path / "matches"
+    assert run("synth", "probs", "--out", str(pr)) == 0
+    assert run("decode", "--probs", str(pr / "probs.rmgrid"), "--out", str(dec)) == 0
+    config = {"sample": {"n-matches": 10, "warp": str(dec / "warp.rmgrid"), "out": str(sm)}}
+    assert run_with_config(tmp_path, ["sample"], config) == 0
+    assert len(read_correspondences_csv(sm / "matches.csv")) == 10
+    for key in ("marginal_weight", "marginal-weight"):
+        rep = tmp_path / key
+        config = {"decode": {key: 0.5, "corr": str(sm / "matches.csv"), "out": str(rep)}}
+        assert run_with_config(tmp_path, ["decode", "--probs", str(pr / "probs.rmgrid")], config) == 0
+        assert json.loads((rep / "coarse_loss.json").read_text())["marginal_weight"] == 0.5
+
+
+def flags_to_config(argv):
+    """Split ``argv`` into its subcommand words and a config section of its flags."""
+    words = []
+    while argv and not argv[0].startswith("--"):
+        words.append(argv.pop(0))
+    section = {}
+    while argv:
+        key = argv.pop(0)[2:]
+        if argv and not argv[0].startswith("--"):
+            value = argv.pop(0)
+            try:
+                section[key] = json.loads(value)
+            except json.JSONDecodeError:
+                section[key] = value
+        else:
+            section[key] = True
+    return words, section
+
+
+CRITERION_11 = (
+    ["synth", "descriptors", "--n", "64", "--dim", "16", "--seed", "3"],
+    ["synth", "probs", "--seed", "4"],
+    ["cascade", "--kind", "affine", "--seed", "5"],
+    ["diffuse", "--scales", "0,0.1", "--seed", "6"],
+    ["loss-sweep", "--seed", "7"],
+    ["steer", "fit", "--synthetic", "--iters", "40", "--n", "64", "--dim", "8", "--seed", "8"],
+    ["sample", "--n-matches", "30", "--seed", "9"],
+)
+
+
+@pytest.mark.parametrize("argv", CRITERION_11, ids=lambda argv: " ".join(argv[:2]))
+def test_config_file_gives_the_same_outputs_as_flags(tmp_path, argv):
+    words, values = flags_to_config(list(argv))
+    section = " ".join(words[:2]) if words[0] == "steer" else words[0]
+    assert run(*argv, "--out", str(tmp_path / "flags")) == 0
+    config = {section: {**values, "out": str(tmp_path / "config")}}
+    assert run_with_config(tmp_path, words, config) == 0
+    assert read_bytes_tree(tmp_path / "flags") == read_bytes_tree(tmp_path / "config")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["loss-sweep", "--c", "nan"],
+        ["loss-sweep", "--rmax", "nan"],
+        ["loss-sweep", "--rmin", "inf"],
+        ["synth", "probs", "--sigma", "nan"],
+        ["synth", "probs", "--via-gp", "--beta", "nan"],
+        ["synth", "descriptors", "--noise", "nan"],
+        ["synth", "affine", "--offset", "0.1,inf"],
+        ["cascade", "--perturb", "nan"],
+        ["cascade", "--temperature", "-inf"],
+        ["cascade", "--offset", "0.1"],
+        ["cascade", "--offset", "0.1,0.2,0.3"],
+        ["diffuse", "--scales", "0,abc"],
+        ["diffuse", "--threshold", "nan"],
+        ["sample", "--sensitivity", "0.1,abc"],
+        ["sample", "--sensitivity", "0.1,nan"],
+        ["sample", "--bandwidth", "nan"],
+        ["steer", "fit", "--synthetic", "--step", "nan"],
+        ["eval", "--pose-errors", "x.csv", "--ref-res", "inf"],
+        ["decode", "--probs", "x.rmgrid", "--lambda", "nan"],
+    ],
+)
+def test_nonfinite_and_malformed_numbers_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert_one_error(err, argparse_error=True)
+    assert err.startswith(f"error: argument {argv[-2]}: expected "), err
+    assert not out.exists()
+
+
+def test_negative_perturb_is_a_data_error_naming_the_flag(tmp_path, capsys):
+    assert run("cascade", "--perturb", "-1", "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert "--perturb must be nonnegative, got -1.0" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--c", "-1"], ["--c", "0"], ["--rmin", "0"], ["--rmin", "-1"], ["--rmin", "10", "--rmax", "1"]],
+)
+def test_loss_sweep_bad_scale_or_range_is_a_data_error(tmp_path, capsys, flags):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would escape as an exception
+        assert run("loss-sweep", *flags, "--out", str(tmp_path)) == 2
+    assert_one_error(capsys.readouterr().err)
+    assert not (tmp_path / "loss_sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1.0,0.5\n12.0,0.1\n", "expected header 'rot_deg,trans_deg'"),
+        ("rot,trans\n1.0,0.5\n", "expected header 'rot_deg,trans_deg'"),
+        ("rot_deg,trans_deg\n1.0,0.5\n2.0\n", "every row must hold 2 finite numbers"),
+        ("rot_deg,trans_deg\n1.0,nan\n", "every row must hold 2 finite numbers"),
+        ("rot_deg,trans_deg\n", "no rows after the header"),
+    ],
+)
+def test_eval_pose_error_csv_is_checked(tmp_path, capsys, text, message):
+    csv = tmp_path / "errs.csv"
+    csv.write_text(text)
+    assert run("eval", "--pose-errors", str(csv), "--out", str(tmp_path / "rep")) == 2
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert err.strip() == f"error: {csv}: {message}"
+    assert not (tmp_path / "rep" / "metrics.json").exists()
+
+
+def test_eval_correspondence_csvs_are_checked(tmp_path, capsys):
+    gt = tmp_path / "gt.csv"
+    gt.write_text("xa,ya,xb,yb,weight\n0.0,0.0,0.1,0.1,1.0\n")
+    for text in (
+        "0.0,0.0,0.1,0.1,1.0\n",
+        "xa,ya,xb,yb\n0.0,0.0,0.1,0.1\n",
+        "xa,ya,xb,yb,weight\n0.0,0.0,0.1,0.1\n",
+        "xa,ya,xb,yb,weight\n0.0,0.0,0.1,inf,1.0\n",
+    ):
+        pred = tmp_path / "pred.csv"
+        pred.write_text(text)
+        assert run("eval", "--pred", str(pred), "--gt", str(gt), "--out", str(tmp_path / "rep")) == 2
+        err = capsys.readouterr().err
+        assert_one_error(err)
+        assert err.startswith(f"error: {pred}: ")
+
+
+def test_decode_zero_row_is_a_data_error_naming_the_row(tmp_path, capsys):
+    assert run("synth", "probs", "--out", str(tmp_path)) == 0
+    data = read_grid(tmp_path / "probs.rmgrid")
+    data[4, :-1] = 0.0
+    data[9, :-1] = 0.0
+    bad = tmp_path / "zero.rmgrid"
+    write_grid(bad, data)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from dividing by zero
+        assert run("decode", "--probs", str(bad), "--out", str(tmp_path / "dec")) == 2
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert err.strip() == f"error: {bad}: anchor probability row 4 sums to 0.0"
+    assert not (tmp_path / "dec" / "warp.rmgrid").exists()
+
+
+def test_steer_fit_needs_a_source(tmp_path, capsys):
+    assert run("steer", "fit", "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert "steer fit needs --synthetic or --dir" in err
+

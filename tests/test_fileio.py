@@ -14,11 +14,13 @@ from matchkit.fileio import (
     MAX_GRID_RANK,
     STEER_MAGIC,
     read_correspondences_csv,
+    read_csv,
     read_descriptors,
     read_grid,
     read_steering,
     warp_to_rgb,
     write_correspondences_csv,
+    write_csv,
     write_descriptors,
     write_grid,
     write_pgm,
@@ -120,6 +122,64 @@ def test_correspondence_csv_rejects_bad_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="header"):
         read_correspondences_csv(path)
+
+
+def loop_correspondences_csv(cs):
+    """The text write_correspondences_csv produced before it used write_csv."""
+    lines = ["xa,ya,xb,yb,weight"]
+    for i in range(len(cs)):
+        vals = (cs.xa[i, 0], cs.xa[i, 1], cs.xb[i, 0], cs.xb[i, 1], cs.weights[i])
+        lines.append(",".join(repr(float(v)) for v in vals))
+    return "\n".join(lines) + "\n"
+
+
+def test_correspondence_csv_bytes_match_loop_oracle(tmp_path):
+    rng = np.random.default_rng(94)
+    for n in (1, 7, 300):
+        cs = CorrespondenceSet(
+            rng.uniform(-1, 1, (n, 2)), rng.uniform(-1, 1, (n, 2)), rng.uniform(0, 2, n)
+        )
+        path = tmp_path / "m.csv"
+        write_correspondences_csv(path, cs)
+        assert path.read_text() == loop_correspondences_csv(cs)
+
+
+def test_write_csv_formats_floats_by_repr_and_others_by_str(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, "s,bin,frac", [(0.1, 3, 1 / 3), (np.float64(2.0), np.int64(0), 0.0)])
+    assert path.read_text() == "s,bin,frac\n0.1,3,0.3333333333333333\n2.0,0,0.0\n"
+    assert np.array_equal(read_csv(path, "s,bin,frac"), [[0.1, 3, 1 / 3], [2.0, 0, 0.0]])
+
+
+def test_read_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n\n1,2\n  \n3,4\n\n")
+    assert np.array_equal(read_csv(path, "a,b"), [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "expected header 'a,b'"),
+        ("1.0,0.5\n12.0,0.1\n", "expected header 'a,b'"),  # no header: not a silent row loss
+        ("a,c\n1,2\n", "expected header 'a,b'"),
+        ("a,b,c\n1,2,3\n", "expected header 'a,b'"),
+        ("a,b\n", "no rows after the header"),
+        ("a,b\n\n\n", "no rows after the header"),
+        ("a,b\n1,2\n3\n", "every row must hold 2 finite numbers"),  # ragged
+        ("a,b\n1,2,3\n4,5,6\n", "every row must hold 2 finite numbers"),
+        ("a,b\n1,x\n", "every row must hold 2 finite numbers"),
+        ("a,b\n1,\n", "every row must hold 2 finite numbers"),
+        ("a,b\n1,nan\n", "every row must hold 2 finite numbers"),
+        ("a,b\n-inf,2\n", "every row must hold 2 finite numbers"),
+    ],
+)
+def test_read_csv_rejects_bad_tables_naming_the_file(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        read_csv(path, "a,b")
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_pgm_ppm_headers(tmp_path):

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchkit import (
     AnchorProbs,
@@ -272,3 +275,60 @@ def test_gradient_sweep_row_zero():
     assert rows[0, 0] == 0.0
     assert np.isclose(rows[0, 1], 0.03**0.25)
     assert rows[0, 2] == 0.0
+
+
+def inline_gradient_sweep(c, rmin, rmax, steps):
+    """The formula gradient_sweep wrote out inline before it called the penalty."""
+    r = np.concatenate([[0.0], np.geomspace(rmin, rmax, steps)])
+    loss = (r**2 + c) ** 0.25
+    grad = 0.5 * r * (r**2 + c) ** -0.75
+    return np.stack([r, loss, grad], axis=1)
+
+
+@pytest.mark.parametrize("c", [0.03, 0.5, 1.7])
+@pytest.mark.parametrize(
+    "rmin, rmax, steps",
+    [(1e-4, 100.0, 200), (1e-6, 1e4, 5000), (100.0, 1000.0, 200), (0.03**0.5 / 1e4, 0.03**0.5 / 100, 200)],
+)
+def test_gradient_sweep_matches_inline_oracle(c, rmin, rmax, steps):
+    got = gradient_sweep(c=c, rmin=rmin, rmax=rmax, steps=steps)
+    assert np.array_equal(got, inline_gradient_sweep(c, rmin, rmax, steps))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    c=st.floats(1e-4, 100.0),
+    rmin=st.floats(1e-6, 10.0),
+    span=st.floats(1.01, 1e6),
+    steps=st.integers(2, 400),
+)
+def test_gradient_sweep_matches_inline_oracle_property(c, rmin, span, steps):
+    got = gradient_sweep(c=c, rmin=rmin, rmax=rmin * span, steps=steps)
+    assert np.array_equal(got, inline_gradient_sweep(c, rmin, rmin * span, steps))
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_charbonnier_rejects_nonfinite_and_nonpositive_scale(s):
+    for fn in (charbonnier_nll, charbonnier_grad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fn(np.zeros(2), np.ones(2), s)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"c": -1.0},
+        {"c": math.nan},
+        {"rmin": 0.0},
+        {"rmin": math.nan},
+        {"rmax": math.inf},
+        {"rmax": math.nan},
+        {"rmin": 10.0, "rmax": 1.0},
+        {"steps": 1},
+    ],
+)
+def test_gradient_sweep_rejects_bad_scale_and_range(kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            gradient_sweep(**kwargs)
