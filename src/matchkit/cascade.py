@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .grids import EXTENT_MIN, GridSpec, WarpField, bilinear_weights, containing_cells, in_extent
+from .grids import EXTENT_MIN, GridSpec, WarpField, _axis_taps, containing_cells, in_extent
 from .scalespace import SceneSpec
 
 REFINER_STRIDES = (14, 8, 4, 2, 1)
@@ -109,6 +109,8 @@ class FeatureField:
 
 
 def _pool(level1: np.ndarray, factor: int) -> np.ndarray:
+    if factor == 1:  # a mean over 1 x 1 blocks is the identity
+        return level1
     h, w, d = level1.shape
     return level1.reshape(h // factor, factor, w // factor, factor, d).mean(axis=(1, 3))
 
@@ -205,17 +207,32 @@ def upsample_warp(field: WarpField, new_grid: GridSpec) -> WarpField:
     interpolation reproduces the linear anchor term exactly); at the clamped
     border it extends the local flow instead of freezing coordinates, so a
     uniform translation stays uniform after upsampling.
+
+    Grid to grid, the interpolation is separable: the taps and fractions are
+    computed once per new row and once per new column, each corner is one
+    outer-indexed gather of the flow and certainty planes, and its weight is
+    an outer product. The corners are summed in the order of the 4-tap
+    :func:`bilinear_weights` form, so the result is bit-identical to it.
     """
     old = field.grid
-    flow = field.target_coords - old.cell_centers().reshape(old.height, old.width, 2)
-    centers = new_grid.cell_centers()
-    rows, cols, w = bilinear_weights(old, centers)
-    flow_vals = (w[..., None] * flow[rows, cols]).sum(axis=-2)
-    cert = (w * field.certainty[rows, cols]).sum(axis=-1)
+    tc = field.target_coords
+    planes = np.stack(
+        [tc[..., 0] - old.axis_centers_x(), tc[..., 1] - old.axis_centers_y()[:, None], field.certainty]
+    ).reshape(3, -1)
+    new_x, new_y = new_grid.axis_centers_x(), new_grid.axis_centers_y()
+    c0, c1, fx = _axis_taps(new_x, old.width)
+    r0, r1, fy = _axis_taps(new_y, old.height)
+
+    def corner(wy, rows, wx, cols):
+        return np.multiply.outer(wy, wx) * np.take(planes, rows[:, None] * old.width + cols, axis=1)
+
+    vals = (
+        (corner(1 - fy, r0, 1 - fx, c0) + corner(1 - fy, r0, fx, c1)) + corner(fy, r1, 1 - fx, c0)
+    ) + corner(fy, r1, fx, c1)
     return WarpField(
         new_grid,
-        (centers + flow_vals).reshape(new_grid.height, new_grid.width, 2),
-        np.clip(cert, 0.0, 1.0).reshape(new_grid.height, new_grid.width),
+        np.stack([vals[0] + new_x, vals[1] + new_y[:, None]], axis=-1),
+        np.clip(vals[2], 0.0, 1.0),
     )
 
 
@@ -309,15 +326,7 @@ def matchable_mask(scene: SceneSpec, grid: GridSpec) -> np.ndarray:
 
 def warp_epe(pred: WarpField, scene: SceneSpec, matchable_only: bool = True) -> float:
     """Mean end-point error against the scene warp, in extent units."""
-    centers = pred.grid.cell_centers()
-    true = scene.map_points(centers)
-    err = np.linalg.norm(pred.target_coords.reshape(-1, 2) - true, axis=1)
-    if matchable_only:
-        mask = in_extent(true)
-        if not np.any(mask):
-            raise ValueError("no matchable cells to evaluate")
-        err = err[mask]
-    return float(err.mean())
+    return stage_epes([(1, pred)], scene, matchable_only=matchable_only)[0][1]
 
 
 def stage_epes(
@@ -329,12 +338,20 @@ def stage_epes(
     stage's output is first carried to the finest grid through the same
     bilinear upsampling chain the cascade itself uses. A window-0 stage
     leaves the upsampled warp untouched and therefore preserves this EPE
-    exactly.
+    exactly. Every stage ends on the last stage's grid, so the scene's truth
+    and matchable mask are mapped once, there.
     """
+    if not stages:
+        return []
     grids = [w.grid for _, w in stages]
+    true = scene.map_points(grids[-1].cell_centers())
+    keep = in_extent(true) if matchable_only else np.ones(len(true), dtype=bool)
+    if not np.any(keep):
+        raise ValueError("no matchable cells to evaluate")
     out = []
     for i, (stride, field) in enumerate(stages):
         for grid in grids[i + 1 :]:
             field = upsample_warp(field, grid)
-        out.append((stride, warp_epe(field, scene, matchable_only=matchable_only)))
+        err = np.linalg.norm(field.target_coords.reshape(-1, 2) - true, axis=1)
+        out.append((stride, float(err[keep].mean())))
     return out

@@ -315,6 +315,8 @@ def _cmd_cascade(a) -> int:
 def _cmd_steer_fit(a) -> int:
     if not (a.synthetic or a.dir):
         raise UsageError("steer fit needs --synthetic or --dir")
+    if a.method == "l1" and a.step <= 0:
+        raise ValueError(f"--step must be positive, got {a.step}")
     out = _out_dir(a)
     if a.synthetic:
         sets = _synth_descriptors(a, out)
@@ -531,7 +533,10 @@ def _config_flags(sp: _Parser, path: str, section: str) -> list[str]:
     Keys are option dests, written with ``-`` or ``_``. JSON ``true`` sets a
     switch and ``false`` leaves it off; an array is joined with commas.
     """
-    config = json.loads(Path(path).read_text())
+    try:
+        config = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
     values = config.get(section, {}) if isinstance(config, dict) else None
     if not isinstance(values, dict):
         raise ValueError(f"{path}: config section {section!r} must be a JSON object")

@@ -111,6 +111,15 @@ def containing_cells(coords: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np
     return rows.astype(int), cols.astype(int)
 
 
+def _axis_taps(coord: np.ndarray, n: int):
+    """Per-axis bilinear taps ``(i0, i1, f)``: clamped neighbour cells and the fraction from ``i0`` to ``i1``."""
+    # Continuous cell coordinate: centers sit at integers 0 .. n-1.
+    u = (coord - EXTENT_MIN) / (2.0 / n) - 0.5
+    i0 = np.clip(np.floor(u), 0, max(n - 2, 0)).astype(int)
+    f = np.clip(u - i0, 0.0, 1.0) if n > 1 else np.zeros_like(u)
+    return i0, np.minimum(i0 + 1, n - 1), f
+
+
 def bilinear_weights(grid: GridSpec, coords: np.ndarray):
     """Corner indices and weights for bilinear interpolation on cell centers.
 
@@ -121,15 +130,8 @@ def bilinear_weights(grid: GridSpec, coords: np.ndarray):
     coords = np.asarray(coords, dtype=float)
     if not np.all(np.isfinite(coords)):
         raise ValueError("bilinear query coordinates must be finite")
-    # Continuous cell coordinates: centers sit at integers 0 .. n-1.
-    u = (coords[..., 0] - EXTENT_MIN) / grid.cell_width - 0.5
-    v = (coords[..., 1] - EXTENT_MIN) / grid.cell_height - 0.5
-    c0 = np.clip(np.floor(u), 0, max(grid.width - 2, 0)).astype(int)
-    r0 = np.clip(np.floor(v), 0, max(grid.height - 2, 0)).astype(int)
-    fx = np.clip(u - c0, 0.0, 1.0) if grid.width > 1 else np.zeros_like(u)
-    fy = np.clip(v - r0, 0.0, 1.0) if grid.height > 1 else np.zeros_like(v)
-    c1 = np.minimum(c0 + 1, grid.width - 1)
-    r1 = np.minimum(r0 + 1, grid.height - 1)
+    c0, c1, fx = _axis_taps(coords[..., 0], grid.width)
+    r0, r1, fy = _axis_taps(coords[..., 1], grid.height)
     rows = np.stack([r0, r0, r1, r1], axis=-1)
     cols = np.stack([c0, c1, c0, c1], axis=-1)
     weights = np.stack(

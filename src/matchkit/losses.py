@@ -26,6 +26,8 @@ from .anchors import AnchorGrid, AnchorProbs, closest_anchor
 from .grids import CorrespondenceSet, GridSpec, WarpField, bilinear_weights, containing_cells
 
 LOG_EPS = 1e-12
+# Largest number of log-spaced radii gradient_sweep emits.
+MAX_SWEEP_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -240,10 +242,14 @@ def gradient_sweep(
     """Rows of ``(r, charbonnier_nll, |charbonnier_grad|)`` for the scale-``c`` penalty.
 
     Starts at r = 0 and continues log-spaced from ``rmin`` to ``rmax``; used
-    by the CLI to emit robustness curves.
+    by the CLI to emit robustness curves. ``rmax**2 + c`` must not overflow.
     """
-    if not (0 < rmin < rmax < np.inf) or steps < 2:
-        raise ValueError(f"need 0 < rmin < rmax < inf and steps >= 2; got {rmin}, {rmax}, {steps}")
+    if not (0 < rmin < rmax < np.inf) or not 2 <= steps <= MAX_SWEEP_STEPS:
+        raise ValueError(
+            f"need 0 < rmin < rmax < inf and 2 <= steps <= {MAX_SWEEP_STEPS}; got {rmin}, {rmax}, {steps}"
+        )
+    if not np.isfinite(rmax * rmax + c):
+        raise ValueError(f"rmax**2 + c must be finite; got rmax={rmax:g}, c={c:g}")
     r = np.concatenate([[0.0], np.geomspace(rmin, rmax, steps)])
     loss = charbonnier_nll(r[:, None], 0.0, c)
     grad = np.linalg.norm(charbonnier_grad(r[:, None], 0.0, c), axis=-1)

@@ -210,6 +210,8 @@ def fit_steering_l1(
     """
     if not pairs:
         raise ValueError("no descriptor pairs supplied")
+    if not 0 < step < np.inf:  # also refuses NaN
+        raise ValueError(f"step must be positive and finite, got {step}")
     for k in pairs:
         if k not in (1, 2, 3):
             raise ValueError("rotation multiples must come from {1, 2, 3}")

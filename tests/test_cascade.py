@@ -2,19 +2,22 @@ import numpy as np
 import pytest
 
 from matchkit import (
+    REFINER_STRIDES,
     GridSpec,
     WarpField,
     analytic_refiner,
+    bilinear_weights,
     correlation_windows,
     default_refiners,
+    in_extent,
     run_cascade,
     scene_true_warp,
     synth_pyramid,
     upsample_warp,
     warp_epe,
 )
-from matchkit.cascade import RefinerSpec, stage_epes, validate_base
-from matchkit.scalespace import affine_scene, identity_scene, translation_scene
+from matchkit.cascade import FeatureField, RefinerSpec, stage_epes, validate_base
+from matchkit.scalespace import affine_scene, identity_scene, translation_scene, two_translation_scene
 
 BASE = GridSpec(56, 56)
 FINE = 2 / 56
@@ -73,6 +76,20 @@ def test_synth_pooling_consistency():
     assert np.allclose(lvl2[0, 0], children, atol=1e-12)
     lvl14 = pyrA.features(14)
     assert np.allclose(lvl14[0, 0], lvl1[:14, :14].mean(axis=(0, 1)), atol=1e-12)
+
+
+def test_synth_pyramid_matches_pooling_oracle():
+    # Every level, stride 1 included, is the mean over stride x stride blocks
+    # of the field sampled at the base cell centers.
+    scene = random_affine_scene(np.random.default_rng(4))
+    pyrA, pyrB = synth_pyramid(scene, BASE, feature_dim=8, seed=4)
+    field = FeatureField(8, 4)
+    centers = BASE.cell_centers()
+    for pyr, pts in ((pyrA, scene.map_points(centers)), (pyrB, centers)):
+        level1 = field(pts).reshape(56, 56, 8)
+        for s in REFINER_STRIDES:
+            want = level1.reshape(56 // s, s, 56 // s, s, 8).mean(axis=(1, 3))
+            assert np.array_equal(pyr.features(s), want)
 
 
 def local_correlation(f_a, tgt_grid, tgt_feats, center, window):
@@ -207,6 +224,99 @@ def test_upsample_preserves_uniform_translation():
     up = upsample_warp(coarse, GridSpec(28, 28))
     want = scene_true_warp(scene, GridSpec(28, 28))
     assert np.allclose(up.target_coords, want.target_coords, atol=1e-12)
+
+
+def upsample_oracle(field, new_grid):
+    """The 4-tap upsample: ``bilinear_weights`` at every new cell center, one gather."""
+    old = field.grid
+    flow = field.target_coords - old.cell_centers().reshape(old.height, old.width, 2)
+    centers = new_grid.cell_centers()
+    rows, cols, w = bilinear_weights(old, centers)
+    flow_vals = (w[..., None] * flow[rows, cols]).sum(axis=-2)
+    cert = (w * field.certainty[rows, cols]).sum(axis=-1)
+    return WarpField(
+        new_grid,
+        (centers + flow_vals).reshape(new_grid.height, new_grid.width, 2),
+        np.clip(cert, 0.0, 1.0).reshape(new_grid.height, new_grid.width),
+    )
+
+
+@pytest.mark.parametrize(
+    "src, dst",
+    [
+        ((16, 16), (28, 28)),
+        ((28, 28), (56, 56)),
+        ((112, 112), (224, 224)),
+        ((5, 9), (14, 6)),  # non-square
+        ((1, 7), (3, 13)),  # 1 x n
+        ((7, 1), (13, 3)),  # n x 1
+        ((1, 1), (4, 4)),
+        ((30, 30), (10, 10)),  # downsample
+    ],
+)
+def test_upsample_matches_four_tap_oracle(src, dst):
+    rng = np.random.default_rng(src[0] * 1000 + dst[1])
+    # Targets beyond the extent and certainties at both ends of [0, 1].
+    cert = rng.uniform(0.0, 1.0, src)
+    cert.flat[:2] = [0.0, 1.0][: cert.size]
+    field = WarpField(GridSpec(*src), rng.uniform(-1.3, 1.3, (*src, 2)), cert)
+    got = upsample_warp(field, GridSpec(*dst))
+    want = upsample_oracle(field, GridSpec(*dst))
+    assert np.array_equal(got.target_coords, want.target_coords)
+    assert np.array_equal(got.certainty, want.certainty)
+
+
+def stage_epes_oracle(stages, scene, matchable_only):
+    """Per-stage EPE as it was computed: the 4-tap chain, then the truth mapped per stage."""
+    grids = [w.grid for _, w in stages]
+    out = []
+    for i, (stride, field) in enumerate(stages):
+        for grid in grids[i + 1 :]:
+            field = upsample_oracle(field, grid)
+        true = scene.map_points(field.grid.cell_centers())
+        err = np.linalg.norm(field.target_coords.reshape(-1, 2) - true, axis=1)
+        if matchable_only:
+            err = err[in_extent(true)]
+        out.append((stride, float(err.mean())))
+    return out
+
+
+@pytest.mark.parametrize("base", [56, 224])
+@pytest.mark.parametrize("kind", ["affine", "translation", "two-translation"])
+def test_cascade_and_stage_epes_match_four_tap_oracle(base, kind):
+    rng = np.random.default_rng(base + len(kind))
+    scene = {
+        "affine": random_affine_scene(rng),
+        "translation": translation_scene((0.45, -0.3)),  # cells leave the extent
+        "two-translation": two_translation_scene((-0.2, 0.0), (0.2, 0.05)),
+    }[kind]
+    grid = GridSpec(base, base)
+    pyrA, pyrB = synth_pyramid(scene, grid, seed=base)
+    g14 = GridSpec(base // 14, base // 14)
+    true14 = scene_true_warp(scene, g14)
+    pert = rng.uniform(-0.5, 0.5, (g14.height, g14.width, 2)) * g14.cell_width
+    coarse = WarpField(g14, np.clip(true14.target_coords + pert, -1, 1), np.full((g14.height, g14.width), 0.5))
+    _, stages = run_cascade(pyrA, pyrB, coarse)
+    # The cascade chain itself, one stage at a time, with the oracle upsample.
+    state = coarse
+    for (stride, got), spec in zip(stages, default_refiners()):
+        if state.grid != got.grid:
+            state = upsample_oracle(state, got.grid)
+        state = analytic_refiner(state, pyrA, pyrB, spec)
+        assert np.array_equal(got.target_coords, state.target_coords)
+        assert np.array_equal(got.certainty, state.certainty)
+    for matchable_only in (True, False):
+        assert stage_epes(stages, scene, matchable_only) == stage_epes_oracle(stages, scene, matchable_only)
+
+
+def test_stage_epes_without_matchable_cells_is_rejected():
+    scene = translation_scene((3.0, 0.0))  # every target leaves the extent
+    pyrA, pyrB = synth_pyramid(scene, BASE, seed=5)
+    _, stages = run_cascade(pyrA, pyrB, scene_true_warp(scene, GridSpec(4, 4)))
+    with pytest.raises(ValueError, match="no matchable cells"):
+        stage_epes(stages, scene)
+    assert stage_epes([], scene) == []
+    assert len(stage_epes(stages, scene, matchable_only=False)) == len(stages)
 
 
 def test_cascade_identity_scene_identity_warp():

@@ -575,6 +575,49 @@ def test_decode_zero_row_is_a_data_error_naming_the_row(tmp_path, capsys):
     assert not (tmp_path / "dec" / "warp.rmgrid").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--rmax", "1e300"], "rmax**2 + c must be finite; got rmax=1e+300, c=0.03"),
+        (["--rmax", "1.4e154"], "rmax**2 + c must be finite"),
+        (["--steps", "100001"], "2 <= steps <= 100000"),
+        (["--steps", "1000000000000"], "2 <= steps <= 100000"),
+    ],
+)
+def test_loss_sweep_overflowing_rmax_or_huge_steps_is_a_data_error(tmp_path, capsys, flags, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning either
+        assert run("loss-sweep", *flags, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert message in err
+    assert not (tmp_path / "loss_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("step", ["0", "-1"])
+def test_steer_fit_non_positive_step_is_a_data_error_naming_the_flag(tmp_path, capsys, step):
+    out = tmp_path / "out"
+    flags = ["--synthetic", "--n", "16", "--dim", "4", "--iters", "5", "--step", step]
+    assert run("steer", "fit", *flags, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert f"--step must be positive, got {float(step)}" in err
+    assert not out.exists()
+    # The least-squares fit takes no step, so the flag does not matter there.
+    assert run("steer", "fit", *flags, "--method", "lsq", "--out", str(out)) == 0
+
+
+def test_config_that_is_not_json_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{bad json")
+    out = tmp_path / "out"
+    assert run("cascade", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert err.startswith(f"error: {cfg}: not valid JSON: Expecting property name"), err
+    assert not out.exists()
+
+
 def test_steer_fit_needs_a_source(tmp_path, capsys):
     assert run("steer", "fit", "--out", str(tmp_path)) == 1
     err = capsys.readouterr().err

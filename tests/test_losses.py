@@ -20,7 +20,7 @@ from matchkit import (
     fine_loss,
     gradient_sweep,
 )
-from matchkit.losses import coarse_loss_raw
+from matchkit.losses import MAX_SWEEP_STEPS, coarse_loss_raw
 
 
 def test_charbonnier_closed_forms():
@@ -305,6 +305,24 @@ def test_gradient_sweep_matches_inline_oracle(c, rmin, rmax, steps):
 def test_gradient_sweep_matches_inline_oracle_property(c, rmin, span, steps):
     got = gradient_sweep(c=c, rmin=rmin, rmax=rmin * span, steps=steps)
     assert np.array_equal(got, inline_gradient_sweep(c, rmin, rmin * span, steps))
+
+
+def test_gradient_sweep_bounds_rmax_and_steps():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # The largest rmax whose square is finite still sweeps without overflow.
+        rmax = math.sqrt(np.finfo(float).max)
+        while not math.isfinite(rmax * rmax + 0.03):
+            rmax = math.nextafter(rmax, 0.0)
+        rows = gradient_sweep(c=0.03, rmax=rmax, steps=3)
+        assert np.all(np.isfinite(rows))
+        with pytest.raises(ValueError, match=r"rmax\*\*2 \+ c must be finite"):
+            gradient_sweep(c=0.03, rmax=1e155)
+        with pytest.raises(ValueError, match=r"rmax\*\*2 \+ c must be finite"):
+            gradient_sweep(c=1e308, rmax=1e154)
+    assert gradient_sweep(steps=MAX_SWEEP_STEPS).shape == (MAX_SWEEP_STEPS + 1, 3)
+    with pytest.raises(ValueError, match="steps"):
+        gradient_sweep(steps=MAX_SWEEP_STEPS + 1)
 
 
 @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, 0.0, -1.0])

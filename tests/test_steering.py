@@ -242,6 +242,13 @@ def test_l1_fit_divergence_reports_step():
         fit_steering_l1(pairs, iters=2000, step=50.0, seed=0)
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
+def test_l1_fit_rejects_non_positive_step(step):
+    sets = synth_equivariant(16, 4, noise_sigma=0.0, seed=19)
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        fit_steering_l1({1: (sets[0], sets[1])}, iters=5, step=step)
+
+
 def test_apply_steering_power_rules():
     rng = np.random.default_rng(18)
     w = SteeringMatrix(rng.normal(size=(8, 8)))
