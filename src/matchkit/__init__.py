@@ -11,12 +11,9 @@ from .anchors import (
 )
 from .cascade import (
     CORR_WINDOWS,
-    REFINER_STRIDES,
     FeaturePyramid,
-    RefinerSpec,
     analytic_refiner,
     correlation_windows,
-    default_refiners,
     matchable_mask,
     run_cascade,
     scene_true_warp,
@@ -55,7 +52,7 @@ from .losses import (
     fine_loss,
     gradient_sweep,
 )
-from .metrics import auc, epe, maa, pck, pose_errors, robustness
+from .metrics import auc, entropy, epe, maa, pck, pose_errors, robustness
 from .sampling import balanced_sample, certainty_sample, kde_density, spatial_entropy
 from .scalespace import (
     DiffusedJoint,

@@ -1,11 +1,13 @@
 """Coarse-to-fine warp refinement over a feature pyramid.
 
 A coarse warp estimated on the stride-14 grid is refined through strides
-14 -> 8 -> 4 -> 2 -> 1. Between stages the warp is upsampled bilinearly to
-the finer grid; each stage then looks up a local correlation patch around the
-current target estimate and applies a temperature softargmax to produce a
-residual coordinate offset plus a certainty logit increment (the window
-maximum). Strides 1 and 2 use window 0 and pass the upsampled warp through.
+14 -> 8 -> 4 -> 2 -> 1. ``CORR_WINDOWS`` is the one table of those strides
+and their correlation windows. Between stages the warp is upsampled
+bilinearly to the finer grid; each stage then looks up a local correlation
+patch around the current target estimate and applies a temperature
+softargmax to produce a residual coordinate offset plus a certainty logit
+increment (the window maximum). Strides 1 and 2 use window 0 and pass the
+upsampled warp through.
 
 Stages are strictly isolated: each consumes the previous stage's output as a
 fixed input, so recomputing one stage never changes an earlier one.
@@ -25,52 +27,30 @@ import numpy as np
 from .grids import EXTENT_MIN, GridSpec, WarpField, _axis_taps, containing_cells, in_extent
 from .scalespace import SceneSpec
 
-REFINER_STRIDES = (14, 8, 4, 2, 1)
+# Refiner strides, coarse to fine, each with its correlation window (0: pass-through).
 CORR_WINDOWS = {14: 15, 8: 7, 4: 5, 2: 0, 1: 0}
+FREQ_SCALE = 3.2  # std of the feature field's frequencies: its inverse correlation length
 
 _LOGIT_EPS = 1e-7
 
 
 @dataclass(frozen=True)
-class RefinerSpec:
-    stride: int
-    corr_window: int
-
-    def __post_init__(self) -> None:
-        if self.stride not in REFINER_STRIDES:
-            raise ValueError(f"stride must be one of {REFINER_STRIDES}")
-        if self.corr_window != 0 and self.corr_window % 2 == 0:
-            raise ValueError("correlation window must be odd or zero")
-
-
-def default_refiners() -> tuple[RefinerSpec, ...]:
-    return tuple(RefinerSpec(s, CORR_WINDOWS[s]) for s in REFINER_STRIDES)
-
-
-@dataclass(frozen=True)
 class FeaturePyramid:
-    """Per-stride feature grids sharing one base resolution."""
+    """Per-stride ``(H, W, D)`` feature arrays sharing one base resolution."""
 
-    levels: Mapping[int, tuple[GridSpec, np.ndarray]]
+    levels: Mapping[int, np.ndarray]
 
     def __post_init__(self) -> None:
-        strides = sorted(self.levels)
-        if not strides:
+        if not self.levels:
             raise ValueError("pyramid has no levels")
-        base_h = {s * self.levels[s][0].height for s in strides}
-        base_w = {s * self.levels[s][0].width for s in strides}
-        if len(base_h) != 1 or len(base_w) != 1:
+        if len({(s * f.shape[0], s * f.shape[1]) for s, f in self.levels.items()}) != 1:
             raise ValueError("pyramid level grids are inconsistent with a common base")
-        for s in strides:
-            grid, feats = self.levels[s]
-            if feats.shape[:2] != (grid.height, grid.width):
-                raise ValueError(f"features at stride {s} do not match their grid")
 
     def grid(self, stride: int) -> GridSpec:
-        return self.levels[stride][0]
+        return GridSpec(*self.levels[stride].shape[:2])
 
     def features(self, stride: int) -> np.ndarray:
-        return self.levels[stride][1]
+        return self.levels[stride]
 
 
 def validate_base(base: GridSpec) -> None:
@@ -87,21 +67,27 @@ class FeatureField:
     constant and the cosine similarity between two locations depends only on
     their displacement: ``sum_j cos(w_j . delta) / n_pairs``. That makes
     local correlation surfaces symmetric around the true match with no
-    location-dependent fluctuations. ``freq_scale`` is the standard deviation
-    of the frequency distribution, i.e. the inverse correlation length.
+    location-dependent fluctuations. The frequencies are drawn with standard
+    deviation ``FREQ_SCALE``. Points so far out that a phase ``w.y + psi``
+    overflows are refused.
     """
 
-    def __init__(self, feature_dim: int, seed: int, freq_scale: float = 3.2):
+    def __init__(self, feature_dim: int, seed: int):
         if feature_dim < 4 or feature_dim % 2:
             raise ValueError("feature_dim must be even and at least 4")
         rng = np.random.default_rng(seed)
         pairs = feature_dim // 2
-        self.freqs = rng.normal(0.0, freq_scale, (pairs, 2))
+        self.freqs = rng.normal(0.0, FREQ_SCALE, (pairs, 2))
         self.phases = rng.uniform(0.0, 2.0 * np.pi, pairs)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        theta = pts @ self.freqs.T + self.phases
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = pts @ self.freqs.T + self.phases
+        if not np.all(np.isfinite(theta)):
+            raise ValueError(
+                f"feature field phases are not finite at points of magnitude {np.abs(pts).max():.3g}"
+            )
         out = np.empty((pts.shape[0], 2 * self.freqs.shape[0]))
         out[:, 0::2] = np.cos(theta)
         out[:, 1::2] = np.sin(theta)
@@ -120,7 +106,6 @@ def synth_pyramid(
     base: GridSpec,
     feature_dim: int = 32,
     seed: int = 0,
-    freq_scale: float = 3.2,
 ) -> tuple[FeaturePyramid, FeaturePyramid]:
     """Build matched source/target pyramids from one random feature field.
 
@@ -129,20 +114,15 @@ def synth_pyramid(
     outside the extent, mimicking content that left the frame). Coarser levels
     average-pool the stride-1 level.
     """
-    if feature_dim < 4:
-        raise ValueError("feature_dim must be at least 4")
     validate_base(base)
-    field = FeatureField(feature_dim, seed, freq_scale=freq_scale)
+    field = FeatureField(feature_dim, seed)
     centers = base.cell_centers()
     tgt_level1 = field(centers).reshape(base.height, base.width, feature_dim)
     src_level1 = field(scene.map_points(centers)).reshape(base.height, base.width, feature_dim)
-    levels_a = {}
-    levels_b = {}
-    for stride in REFINER_STRIDES:
-        grid = GridSpec(base.height // stride, base.width // stride)
-        levels_a[stride] = (grid, _pool(src_level1, stride))
-        levels_b[stride] = (grid, _pool(tgt_level1, stride))
-    return FeaturePyramid(levels_a), FeaturePyramid(levels_b)
+    return (
+        FeaturePyramid({s: _pool(src_level1, s) for s in CORR_WINDOWS}),
+        FeaturePyramid({s: _pool(tgt_level1, s) for s in CORR_WINDOWS}),
+    )
 
 
 def correlation_windows(
@@ -240,31 +220,34 @@ def analytic_refiner(
     state: WarpField,
     pyr_a: FeaturePyramid,
     pyr_b: FeaturePyramid,
-    spec: RefinerSpec,
+    stride: int,
     temperature: float = 0.05,
 ) -> WarpField:
-    """One correlation-softargmax refinement stage.
+    """One correlation-softargmax refinement stage at ``stride``.
 
-    ``state`` must already live on the stride's grid. With window 0 the warp
-    passes through unchanged. Otherwise each cell's correlation patch around
-    the current target estimate is softargmax-decoded into a corrected target
-    coordinate (window cells keep their lattice coordinates, including virtual
+    ``state`` must already live on the stride's grid. The stride's window
+    comes from ``CORR_WINDOWS``; with window 0 the warp passes through
+    unchanged. Otherwise each cell's correlation patch around the current
+    target estimate is softargmax-decoded into a corrected target coordinate (window cells keep their lattice coordinates, including virtual
     out-of-extent ones, whose similarity of -1 suppresses them), and the
     certainty logit grows by the window's maximum correlation.
     """
-    grid = pyr_a.grid(spec.stride)
+    if stride not in CORR_WINDOWS:
+        raise ValueError(f"stride must be one of {tuple(CORR_WINDOWS)}, got {stride}")
+    grid = pyr_a.grid(stride)
     if state.grid != grid:
-        raise ValueError(f"state grid {state.grid} does not match stride {spec.stride} grid {grid}")
-    if spec.corr_window == 0:
+        raise ValueError(f"state grid {state.grid} does not match stride {stride} grid {grid}")
+    window = CORR_WINDOWS[stride]
+    if window == 0:
         return state
     if temperature <= 0:
         raise ValueError("softargmax temperature must be positive")
     sims, win_x, win_y = correlation_windows(
-        pyr_a.features(spec.stride).reshape(grid.n_cells, -1),
-        pyr_b.grid(spec.stride),
-        pyr_b.features(spec.stride),
+        pyr_a.features(stride).reshape(grid.n_cells, -1),
+        pyr_b.grid(stride),
+        pyr_b.features(stride),
         state.target_coords.reshape(-1, 2),
-        spec.corr_window,
+        window,
     )
     n = sims.shape[0]
     peak = sims.reshape(n, -1).max(axis=1)
@@ -286,24 +269,21 @@ def run_cascade(
     pyr_b: FeaturePyramid,
     coarse_warp: WarpField,
     temperature: float = 0.05,
-    refiners: tuple[RefinerSpec, ...] | None = None,
 ) -> tuple[WarpField, list[tuple[int, WarpField]]]:
-    """Refine a stride-14 coarse warp down to stride 1.
+    """Refine a stride-14 coarse warp down to stride 1, through ``CORR_WINDOWS``.
 
     Returns the final warp and the per-stage outputs in refinement order.
     """
-    if refiners is None:
-        refiners = default_refiners()
-    if coarse_warp.grid != pyr_a.grid(refiners[0].stride):
+    if coarse_warp.grid != pyr_a.grid(next(iter(CORR_WINDOWS))):
         raise ValueError("coarse warp must live on the first refiner's grid")
     state = coarse_warp
     stages: list[tuple[int, WarpField]] = []
-    for spec in refiners:
-        grid = pyr_a.grid(spec.stride)
+    for stride in CORR_WINDOWS:
+        grid = pyr_a.grid(stride)
         if state.grid != grid:
             state = upsample_warp(state, grid)
-        state = analytic_refiner(state, pyr_a, pyr_b, spec, temperature=temperature)
-        stages.append((spec.stride, state))
+        state = analytic_refiner(state, pyr_a, pyr_b, stride, temperature=temperature)
+        stages.append((stride, state))
     return state, stages
 
 
@@ -324,15 +304,13 @@ def matchable_mask(scene: SceneSpec, grid: GridSpec) -> np.ndarray:
     return in_extent(scene.map_points(grid.cell_centers())).reshape(grid.height, grid.width)
 
 
-def warp_epe(pred: WarpField, scene: SceneSpec, matchable_only: bool = True) -> float:
-    """Mean end-point error against the scene warp, in extent units."""
-    return stage_epes([(1, pred)], scene, matchable_only=matchable_only)[0][1]
+def warp_epe(pred: WarpField, scene: SceneSpec) -> float:
+    """Mean end-point error over the matchable cells, in extent units."""
+    return stage_epes([(1, pred)], scene)[0][1]
 
 
-def stage_epes(
-    stages: list[tuple[int, WarpField]], scene: SceneSpec, matchable_only: bool = True
-) -> list[tuple[int, float]]:
-    """Per-stage EPE at the base resolution, in extent units.
+def stage_epes(stages: list[tuple[int, WarpField]], scene: SceneSpec) -> list[tuple[int, float]]:
+    """Per-stage EPE over the matchable cells at the base resolution, in extent units.
 
     Mean errors over grids of different sizes are not comparable, so each
     stage's output is first carried to the finest grid through the same
@@ -345,7 +323,7 @@ def stage_epes(
         return []
     grids = [w.grid for _, w in stages]
     true = scene.map_points(grids[-1].cell_centers())
-    keep = in_extent(true) if matchable_only else np.ones(len(true), dtype=bool)
+    keep = in_extent(true)
     if not np.any(keep):
         raise ValueError("no matchable cells to evaluate")
     out = []

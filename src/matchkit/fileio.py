@@ -32,11 +32,19 @@ MAX_GRID_RANK = 8
 
 
 def _write_record(path, magic: bytes, fields, payload: np.ndarray) -> None:
-    """Magic, then each header field as a u32 LE, then the float32 LE payload."""
+    """Magic, then each header field as a u32 LE, then the float32 LE payload.
+
+    A value that is not finite as a float32 (NaN, infinite or out of range)
+    is refused before the file is opened.
+    """
+    with np.errstate(over="ignore"):
+        payload = np.asarray(payload, dtype="<f4")
+    if not np.all(np.isfinite(payload)):
+        raise ValueError(f"{path}: values must be finite and fit in float32")
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack(f"<{len(fields)}I", *fields))
-        fh.write(np.asarray(payload, dtype="<f4").tobytes(order="C"))
+        fh.write(payload.tobytes(order="C"))
 
 
 def _read_fields(fh, path, count: int) -> tuple[int, ...]:
@@ -76,7 +84,7 @@ def _read_record(path, magic: bytes, n_fields: int | None, shape_of) -> np.ndarr
 
 
 def write_grid(path, array: np.ndarray) -> None:
-    array = np.asarray(array, dtype=np.float32)
+    array = np.asarray(array, dtype=float)
     if array.ndim > MAX_GRID_RANK:
         raise ValueError(f"grid rank {array.ndim} exceeds the limit of {MAX_GRID_RANK}")
     _write_record(path, GRID_MAGIC, (array.ndim, *array.shape), array)
@@ -87,8 +95,8 @@ def read_grid(path) -> np.ndarray:
 
 
 def write_descriptors(path, coords: np.ndarray, descs: np.ndarray) -> None:
-    coords = np.asarray(coords, dtype=np.float32)
-    descs = np.asarray(descs, dtype=np.float32)
+    coords = np.asarray(coords, dtype=float)
+    descs = np.asarray(descs, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise ValueError("coords must have shape (N, 2)")
     if descs.ndim != 2 or descs.shape[0] != coords.shape[0]:
@@ -115,7 +123,7 @@ def read_support_set(prefix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_steering(path, w: np.ndarray) -> None:
-    w = np.asarray(w, dtype=np.float32)
+    w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("steering matrix must be square")
     _write_record(path, STEER_MAGIC, w.shape[:1], w)

@@ -22,6 +22,13 @@ DEFAULT_REF_RESOLUTION = 448.0
 ORTHONORMAL_TOL = 1e-6
 
 
+def entropy(p: np.ndarray) -> float:
+    """Shannon entropy in nats; zero entries contribute nothing."""
+    p = np.asarray(p, dtype=float).ravel()
+    nz = p[p > 0]
+    return float(-(nz * np.log(nz)).sum())
+
+
 def _aligned_pixel_errors(
     pred: CorrespondenceSet, gt: CorrespondenceSet, ref_resolution: float
 ) -> np.ndarray:

@@ -7,8 +7,7 @@ estimate over match coordinates evens the draw out: candidates in crowded
 parts of match space are discounted, under-represented ones boosted.
 
 Candidates are the warp cells with positive certainty and an in-extent
-target; the KDE runs over their joint 4D coordinates (source, target) by
-default, or source-only 2D coordinates with ``joint_coords=False``.
+target; the KDE runs over their joint 4D coordinates (source, target).
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import CorrespondenceSet, GridSpec, WarpField, containing_cells, in_extent
+from .metrics import entropy
 
 WEIGHT_FLOOR = 1e-12
 KDE_BLOCK_ENTRIES = 200_000  # pairwise terms per block: a buffer that stays in cache
@@ -78,17 +78,14 @@ def _draw_without_replacement(rng: np.random.Generator, weights: np.ndarray, n: 
     return eligible[np.argsort(-keys, kind="stable")[:n]]
 
 
-def balanced_sample(
-    warp: WarpField, n: int, h: float = 0.15, seed: int = 0, joint_coords: bool = True
-) -> CorrespondenceSet:
+def balanced_sample(warp: WarpField, n: int, h: float = 0.15, seed: int = 0) -> CorrespondenceSet:
     """Sample n matches with certainty / KDE weighting, without replacement.
 
     Returned weights are the certainties of the chosen cells. Deterministic
     for a fixed seed.
     """
     coords_a, coords_b, cert = _candidates(warp, n)
-    pts = np.concatenate([coords_a, coords_b], axis=1) if joint_coords else coords_a
-    dens = kde_density(pts, h)
+    dens = kde_density(np.concatenate([coords_a, coords_b], axis=1), h)
     weights = cert / np.maximum(dens, WEIGHT_FLOOR)
     picks = _draw_without_replacement(np.random.default_rng(seed), weights, n)
     return CorrespondenceSet(coords_a[picks], coords_b[picks], cert[picks])
@@ -104,7 +101,5 @@ def certainty_sample(warp: WarpField, n: int, seed: int = 0) -> CorrespondenceSe
 def spatial_entropy(cs: CorrespondenceSet, bins: int = 4) -> float:
     """Shannon entropy (nats) of sampled source points over a bins x bins grid."""
     rows, cols = containing_cells(cs.xa, GridSpec(bins, bins))
-    counts = np.bincount(rows * bins + cols, minlength=bins * bins).astype(float)
-    p = counts / counts.sum()
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+    counts = np.bincount(rows * bins + cols, minlength=bins * bins)
+    return entropy(counts / counts.sum())

@@ -152,18 +152,15 @@ def _convolve_axis(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def diffuse(j: JointMatchDistribution, s: float, axes: str = "joint") -> DiffusedJoint:
+def diffuse(j: JointMatchDistribution, s: float) -> DiffusedJoint:
     """Convolve the joint with an isotropic Gaussian of std ``s``.
 
-    The default blurs all four coordinates (two source, two target) with
-    separable 1D passes; ``axes="source"`` or ``axes="target"`` restrict the
-    blur for exploration. Kernels are truncated at radius ``4 s`` and the
-    result is renormalized, so mass stays exactly one.
+    All four coordinates (two source, two target) are blurred with separable
+    1D passes. Kernels are truncated at radius ``4 s`` and the result is
+    renormalized, so mass stays exactly one.
     """
     if not (math.isfinite(s) and s >= 0):
         raise ValueError(f"scale must be finite and nonnegative, got {s}")
-    if axes not in ("joint", "source", "target"):
-        raise ValueError(f"unknown diffusion axes {axes!r}")
     if s == 0:
         return DiffusedJoint(j, 0.0)
     vol = j.as_4d().copy()
@@ -173,9 +170,8 @@ def diffuse(j: JointMatchDistribution, s: float, axes: str = "joint") -> Diffuse
         j.target.cell_height,
         j.target.cell_width,
     ]
-    active = {"joint": (0, 1, 2, 3), "source": (0, 1), "target": (2, 3)}[axes]
-    for axis in active:
-        vol = _convolve_axis(vol, _gaussian_taps(s, sides[axis]), axis)
+    for axis, side in enumerate(sides):
+        vol = _convolve_axis(vol, _gaussian_taps(s, side), axis)
     return DiffusedJoint(normalize_joint(vol, j.source, j.target), s)
 
 
@@ -366,13 +362,6 @@ def _sweep(
     dists = boundary_distances(spec, src).ravel()
     sweep = SweepResult(scales, dists, n_modes, has_mass, min(src.cell_width, src.cell_height))
     return sweep, rows
-
-
-def entropy(p: np.ndarray) -> float:
-    """Shannon entropy in nats; zero entries contribute nothing."""
-    p = np.asarray(p, dtype=float).ravel()
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
 
 
 def _axis_log_likelihood(

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from matchkit import (
-    REFINER_STRIDES,
+    CORR_WINDOWS,
     GridSpec,
     WarpField,
     analytic_refiner,
     bilinear_weights,
     correlation_windows,
-    default_refiners,
     in_extent,
     run_cascade,
     scene_true_warp,
@@ -16,7 +15,7 @@ from matchkit import (
     upsample_warp,
     warp_epe,
 )
-from matchkit.cascade import FeatureField, RefinerSpec, stage_epes, validate_base
+from matchkit.cascade import FeatureField, FeaturePyramid, stage_epes, validate_base
 from matchkit.scalespace import affine_scene, identity_scene, translation_scene, two_translation_scene
 
 BASE = GridSpec(56, 56)
@@ -37,13 +36,27 @@ def random_translation_scene(rng, max_offset=0.2):
 
 
 def test_refiner_spec_windows():
-    specs = default_refiners()
-    assert [r.stride for r in specs] == [14, 8, 4, 2, 1]
-    assert [r.corr_window for r in specs] == [15, 7, 5, 0, 0]
-    with pytest.raises(ValueError):
-        RefinerSpec(4, 4)
-    with pytest.raises(ValueError):
-        RefinerSpec(3, 5)
+    # CORR_WINDOWS is the cascade's one stride table, ordered coarse to fine.
+    assert list(CORR_WINDOWS.items()) == [(14, 15), (8, 7), (4, 5), (2, 0), (1, 0)]
+    assert all(w == 0 or w % 2 == 1 for w in CORR_WINDOWS.values())
+
+
+def test_refiner_rejects_stride_outside_table():
+    pyrA, pyrB = synth_pyramid(identity_scene(), BASE, seed=1)
+    state = scene_true_warp(identity_scene(), GridSpec(18, 18))
+    with pytest.raises(ValueError, match=r"stride must be one of \(14, 8, 4, 2, 1\), got 3"):
+        analytic_refiner(state, pyrA, pyrB, 3)
+
+
+def test_feature_pyramid_grids_come_from_the_arrays():
+    pyrA, _ = synth_pyramid(identity_scene(), BASE, seed=1)
+    for s in CORR_WINDOWS:
+        assert pyrA.grid(s) == GridSpec(56 // s, 56 // s)
+    assert FeaturePyramid({2: np.zeros((3, 5, 4)), 1: np.zeros((6, 10, 4))}).grid(2) == GridSpec(3, 5)
+    with pytest.raises(ValueError, match="common base"):
+        FeaturePyramid({2: np.zeros((3, 5, 4)), 1: np.zeros((6, 9, 4))})
+    with pytest.raises(ValueError, match="no levels"):
+        FeaturePyramid({})
 
 
 def test_validate_base():
@@ -87,7 +100,7 @@ def test_synth_pyramid_matches_pooling_oracle():
     centers = BASE.cell_centers()
     for pyr, pts in ((pyrA, scene.map_points(centers)), (pyrB, centers)):
         level1 = field(pts).reshape(56, 56, 8)
-        for s in REFINER_STRIDES:
+        for s in CORR_WINDOWS:
             want = level1.reshape(56 // s, s, 56 // s, s, 8).mean(axis=(1, 3))
             assert np.array_equal(pyr.features(s), want)
 
@@ -178,7 +191,7 @@ def test_refiner_window_zero_is_passthrough():
     grid = pyrA.grid(2)
     rng = np.random.default_rng(51)
     state = WarpField(grid, rng.uniform(-1, 1, (28, 28, 2)), rng.uniform(0, 1, (28, 28)))
-    out = analytic_refiner(state, pyrA, pyrB, RefinerSpec(2, 0))
+    out = analytic_refiner(state, pyrA, pyrB, 2)
     assert out is state
 
 
@@ -187,7 +200,7 @@ def test_refiner_identity_scene_keeps_identity():
     grid = pyrA.grid(4)
     ident = scene_true_warp(identity_scene(), grid)
     state = WarpField(grid, ident.target_coords, np.full((14, 14), 0.5))
-    out = analytic_refiner(state, pyrA, pyrB, RefinerSpec(4, 5))
+    out = analytic_refiner(state, pyrA, pyrB, 4)
     # Interior cells recover their own centers almost exactly.
     err = np.linalg.norm(out.target_coords - ident.target_coords, axis=-1)
     assert err[2:-2, 2:-2].max() < 0.05 * grid.cell_width
@@ -202,7 +215,7 @@ def test_refiner_recovers_one_cell_offset():
     off = rng.uniform(-1, 1, (14, 14, 2))
     off *= grid.cell_width / np.maximum(np.linalg.norm(off, axis=-1, keepdims=True), 1e-9)
     state = WarpField(grid, true4.target_coords + off, np.full((14, 14), 0.5))
-    out = analytic_refiner(state, pyrA, pyrB, RefinerSpec(4, 5))
+    out = analytic_refiner(state, pyrA, pyrB, 4)
     err = np.linalg.norm(out.target_coords - true4.target_coords, axis=-1)
     mask = true4.certainty > 0
     assert np.median(err[mask]) < 0.25 * grid.cell_width
@@ -213,7 +226,7 @@ def test_refiner_certainty_increases_on_match():
     grid = pyrA.grid(8)
     ident = scene_true_warp(identity_scene(), grid)
     state = WarpField(grid, ident.target_coords, np.full((7, 7), 0.5))
-    out = analytic_refiner(state, pyrA, pyrB, RefinerSpec(8, 7))
+    out = analytic_refiner(state, pyrA, pyrB, 8)
     assert np.all(out.certainty > 0.5)
     assert np.all(out.certainty <= 1.0)
 
@@ -266,7 +279,7 @@ def test_upsample_matches_four_tap_oracle(src, dst):
     assert np.array_equal(got.certainty, want.certainty)
 
 
-def stage_epes_oracle(stages, scene, matchable_only):
+def stage_epes_oracle(stages, scene):
     """Per-stage EPE as it was computed: the 4-tap chain, then the truth mapped per stage."""
     grids = [w.grid for _, w in stages]
     out = []
@@ -275,9 +288,7 @@ def stage_epes_oracle(stages, scene, matchable_only):
             field = upsample_oracle(field, grid)
         true = scene.map_points(field.grid.cell_centers())
         err = np.linalg.norm(field.target_coords.reshape(-1, 2) - true, axis=1)
-        if matchable_only:
-            err = err[in_extent(true)]
-        out.append((stride, float(err.mean())))
+        out.append((stride, float(err[in_extent(true)].mean())))
     return out
 
 
@@ -299,14 +310,14 @@ def test_cascade_and_stage_epes_match_four_tap_oracle(base, kind):
     _, stages = run_cascade(pyrA, pyrB, coarse)
     # The cascade chain itself, one stage at a time, with the oracle upsample.
     state = coarse
-    for (stride, got), spec in zip(stages, default_refiners()):
+    assert [s for s, _ in stages] == list(CORR_WINDOWS)
+    for stride, got in stages:
         if state.grid != got.grid:
             state = upsample_oracle(state, got.grid)
-        state = analytic_refiner(state, pyrA, pyrB, spec)
+        state = analytic_refiner(state, pyrA, pyrB, stride)
         assert np.array_equal(got.target_coords, state.target_coords)
         assert np.array_equal(got.certainty, state.certainty)
-    for matchable_only in (True, False):
-        assert stage_epes(stages, scene, matchable_only) == stage_epes_oracle(stages, scene, matchable_only)
+    assert stage_epes(stages, scene) == stage_epes_oracle(stages, scene)
 
 
 def test_stage_epes_without_matchable_cells_is_rejected():
@@ -316,7 +327,6 @@ def test_stage_epes_without_matchable_cells_is_rejected():
     with pytest.raises(ValueError, match="no matchable cells"):
         stage_epes(stages, scene)
     assert stage_epes([], scene) == []
-    assert len(stage_epes(stages, scene, matchable_only=False)) == len(stages)
 
 
 def test_cascade_identity_scene_identity_warp():
@@ -333,23 +343,6 @@ def test_cascade_grid_mismatch_rejected():
     bad = scene_true_warp(identity_scene(), GridSpec(7, 7))
     with pytest.raises(ValueError, match="first refiner"):
         run_cascade(pyrA, pyrB, bad)
-
-
-def test_cascade_stage_isolation():
-    # Earlier stages are pure functions of their inputs: rerunning the prefix
-    # of the cascade reproduces stage outputs bitwise, no matter what later
-    # stages would have done.
-    scene = translation_scene((0.09, 0.04))
-    pyrA, pyrB = synth_pyramid(scene, BASE, seed=12)
-    coarse = scene_true_warp(scene, GridSpec(4, 4))
-    _, stages_full = run_cascade(pyrA, pyrB, coarse)
-    _, stages_prefix = run_cascade(
-        pyrA, pyrB, coarse, refiners=default_refiners()[:2]
-    )
-    for (s1, w1), (s2, w2) in zip(stages_full[:2], stages_prefix):
-        assert s1 == s2
-        assert np.array_equal(w1.target_coords, w2.target_coords)
-        assert np.array_equal(w1.certainty, w2.certainty)
 
 
 def test_cascade_certainty_stays_in_unit_interval():

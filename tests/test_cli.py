@@ -594,6 +594,26 @@ def test_loss_sweep_overflowing_rmax_or_huge_steps_is_a_data_error(tmp_path, cap
     assert not (tmp_path / "loss_sweep.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message, missing",
+    [
+        (["cascade", "--offset", "1e308,0"], "feature field phases are not finite", "stage_epe.csv"),
+        (["synth", "translation", "--offset", "1e300,0"], "values must be finite and fit in float32", "truth.rmgrid"),
+    ],
+)
+def test_offset_beyond_float_range_is_a_data_error(tmp_path, capsys, argv, message, missing):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning on the way
+        assert run(*argv, "--base", "56", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert message in err, err
+    if argv[0] == "synth":
+        assert err.startswith(f"error: {out / missing}: "), err
+    assert not (out / missing).exists()
+
+
 @pytest.mark.parametrize("step", ["0", "-1"])
 def test_steer_fit_non_positive_step_is_a_data_error_naming_the_flag(tmp_path, capsys, step):
     out = tmp_path / "out"

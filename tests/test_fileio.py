@@ -364,3 +364,22 @@ def test_write_grid_refuses_rank_the_reader_would_refuse(tmp_path):
         write_grid(tmp_path / "g.rmgrid", np.zeros((1,) * (MAX_GRID_RANK + 1)))
     write_grid(tmp_path / "g.rmgrid", np.zeros((1,) * MAX_GRID_RANK))
     assert read_grid(tmp_path / "g.rmgrid").shape == (1,) * MAX_GRID_RANK
+
+
+@pytest.mark.parametrize("bad", [1e300, -3.5e38, np.inf, np.nan])
+def test_writers_refuse_values_that_do_not_fit_in_float32_naming_the_file(tmp_path, bad):
+    grid = np.zeros((2, 3))
+    grid[1, 2] = bad
+    writers = [
+        ("g.rmgrid", lambda path: write_grid(path, grid)),
+        ("d.rmdesc", lambda path: write_descriptors(path, np.zeros((2, 2)), grid)),
+        ("w.rmsteer", lambda path: write_steering(path, grid[:, 1:])),
+    ]
+    for name, write in writers:
+        path = tmp_path / name
+        with pytest.raises(ValueError) as info:
+            write(path)  # a RuntimeWarning from the cast would fail the suite
+        assert str(info.value) == f"{path}: values must be finite and fit in float32"
+        assert not path.exists()
+    write_grid(tmp_path / "max.rmgrid", np.float32(3.4e38) * np.ones(2))  # the float32 range fits
+    assert read_grid(tmp_path / "max.rmgrid").tolist() == [float(np.float32(3.4e38))] * 2

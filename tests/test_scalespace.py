@@ -12,6 +12,7 @@ from matchkit import (
     conditional_of,
     count_modes,
     diffuse,
+    entropy,
     fit_comparison,
     identity_scene,
     multimodality_sweep,
@@ -26,7 +27,6 @@ from matchkit.scalespace import (
     _count_modes_stack,
     _sweep,
     boundary_distances,
-    entropy,
     find_modes,
 )
 
@@ -140,20 +140,6 @@ def test_diffuse_conserves_mass():
     for s in (0.05, 0.1, 0.2):
         q = diffuse(j, s)
         assert abs(q.joint.probs.sum() - 1.0) < 1e-9
-
-
-def test_diffuse_axes_flag_restricts_blur():
-    g = GridSpec(12, 12)
-    center = 6 * 12 + 6
-    base = delta_joint(g, g, center, center)
-    src_only = diffuse(base, 0.2, axes="source").joint.as_4d()
-    # Target axes untouched: all mass stays in the original target cell.
-    assert np.isclose(src_only.sum(axis=(0, 1))[6, 6], 1.0)
-    assert src_only.sum(axis=(2, 3))[6, 6] < 1.0
-    tgt_only = diffuse(base, 0.2, axes="target").joint.as_4d()
-    assert np.isclose(tgt_only.sum(axis=(2, 3))[6, 6], 1.0)
-    with pytest.raises(ValueError):
-        diffuse(base, 0.2, axes="diagonal")
 
 
 def test_diffuse_rejects_negative_scale():

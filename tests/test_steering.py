@@ -52,7 +52,7 @@ def loop_multi_k_l1_loss(w, pairs):
     return total
 
 
-def loop_fit_steering_l1(pairs, iters, step, seed, init=None, patience=50, divergence_factor=10.0):
+def loop_fit_steering_l1(pairs, iters, step, seed, init=None, patience=50):
     """Oracle: the L1 fit with each term's powers and residuals recomputed per use.
 
     Returns (w, initial_loss, final_loss, iterations, final_step).
@@ -61,32 +61,20 @@ def loop_fit_steering_l1(pairs, iters, step, seed, init=None, patience=50, diver
     rng = np.random.default_rng(seed)
     ks = sorted(pairs)
     initial = loop_multi_k_l1_loss(w, pairs)
-    zero_scale = float(sum(np.abs(rot.descs).sum() for _, rot in pairs.values()))
-    divergence_ref = divergence_factor * max(initial, zero_scale)
     best_loss, best_w = initial, w.copy()
-    since_improvement = diverged_streak = it = 0
+    since_improvement = it = 0
     current_step = float(step)
     for it in range(1, iters + 1):
         k = int(rng.choice(ks))
-        _, grad = loop_l1_term_gradient(w, k, *pairs[k])
-        w = w - current_step * grad
         with np.errstate(over="ignore", invalid="ignore"):
+            _, grad = loop_l1_term_gradient(w, k, *pairs[k])
+            w = w - current_step * grad
             loss = loop_multi_k_l1_loss(w, pairs)
-        if not np.isfinite(loss):
-            raise ValueError(
-                f"L1 fit diverged (non-finite loss); reduce the step size from {step:g}"
-            )
         if loss < best_loss - 1e-15:
             best_loss, best_w, since_improvement = loss, w.copy(), 0
         else:
             since_improvement += 1
-        diverged_streak = diverged_streak + 1 if loss > divergence_ref else 0
-        if diverged_streak >= patience:
-            raise ValueError(
-                f"L1 fit diverged (loss {loss:.3g} vs initial {initial:.3g}); "
-                f"reduce the step size from {step:g}"
-            )
-        if since_improvement >= patience:
+        if since_improvement >= patience or not np.isfinite(loss):
             current_step *= 0.5
             since_improvement = 0
             w = best_w.copy()
@@ -235,11 +223,26 @@ def test_l1_fit_beats_lsq_under_outliers():
 
 
 def test_l1_fit_divergence_reports_step():
+    # Step 50 overflows the loss at once; the fit halves the step and restarts
+    # from the best iterate until it descends, and reports the step it reached.
     w_true = random_c4_steering(8, seed=16)
     sets = synth_equivariant(64, 8, w_true=w_true, noise_sigma=0.0, seed=17)
     pairs = {k: (sets[0], sets[k]) for k in (1, 2, 3)}
-    with pytest.raises(ValueError, match="step"):
-        fit_steering_l1(pairs, iters=2000, step=50.0, seed=0)
+    res = fit_steering_l1(pairs, iters=2000, step=50.0, seed=0)
+    assert res.final_step <= 50.0 / 2**10
+    assert np.isfinite(res.final_loss) and res.final_loss <= res.initial_loss
+    assert np.all(np.isfinite(res.w.w))
+
+
+def test_l1_fit_backs_off_where_the_step_is_too_large_for_n():
+    # The loss sums over rows, so the stable step shrinks as n grows: at
+    # n = 2048 the step sized for n = 1024 once made this fit diverge.
+    sets = synth_equivariant(2048, 32, noise_sigma=0.05, seed=3)
+    pairs = {k: (sets[0], sets[k]) for k in (1, 2, 3)}
+    res = fit_steering_l1(pairs, iters=300, step=1e-3, seed=3)
+    assert res.final_step < 1e-3 and res.final_loss < res.initial_loss
+    for k in (1, 2, 3):
+        assert rotation_matching_eval(sets[0], sets[k], res.w, k).with_steering == 1.0
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
@@ -351,15 +354,13 @@ def test_l1_fit_matches_loop_oracle_from_random_init():
 
 
 def test_l1_fit_divergence_matches_loop_oracle():
+    # Both steps overflow the loss; every back-off and restart must match.
     w_true = random_c4_steering(8, seed=16)
     sets = synth_equivariant(64, 8, w_true=w_true, noise_sigma=0.0, seed=17)
     pairs = {k: (sets[0], sets[k]) for k in (1, 2, 3)}
     for step in (50.0, 0.5):
-        with pytest.raises(ValueError, match="diverged") as want:
-            loop_fit_steering_l1(pairs, iters=2000, step=step, seed=0)
-        with pytest.raises(ValueError, match="diverged") as got:
-            fit_steering_l1(pairs, iters=2000, step=step, seed=0)
-        assert str(got.value) == str(want.value)
+        got = fit_fields(fit_steering_l1(pairs, iters=2000, step=step, seed=0))
+        assert_same_fit(got, loop_fit_steering_l1(pairs, iters=2000, step=step, seed=0))
 
 
 def assert_same_mutual_nn(a, b):
