@@ -19,7 +19,6 @@ from .cascade import (
     scene_true_warp,
     synth_pyramid,
     upsample_warp,
-    warp_epe,
 )
 from .gp import (
     KernelSpec,
@@ -30,7 +29,6 @@ from .gp import (
     kernel_matrix,
 )
 from .grids import (
-    ConditionalMatchDistribution,
     CorrespondenceSet,
     GridSpec,
     JointMatchDistribution,
@@ -38,10 +36,7 @@ from .grids import (
     bilinear_sample,
     bilinear_weights,
     in_extent,
-    normalize_conditional,
     normalize_joint,
-    normalized_to_pixel,
-    pixel_to_normalized,
 )
 from .losses import (
     CoarseLossConfig,
@@ -58,8 +53,6 @@ from .scalespace import (
     DiffusedJoint,
     SceneSpec,
     affine_scene,
-    conditional_of,
-    count_modes,
     diffuse,
     fit_comparison,
     identity_scene,

@@ -17,14 +17,13 @@ import numpy as np
 
 from .grids import (
     EXTENT_MIN,
+    ROW_SUM_TOL,
     GridSpec,
     WarpField,
     _readonly,
     containing_cells,
     in_extent,
 )
-
-PI_ROW_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ class AnchorProbs:
         if np.any(pi < 0) or not np.all(np.isfinite(pi)):
             raise ValueError("anchor probabilities must be finite and nonnegative")
         rows = pi.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > PI_ROW_TOL):
+        if np.any(np.abs(rows - 1.0) > ROW_SUM_TOL):
             raise ValueError("every pi row must sum to 1")
         if m.shape != (self.source.n_cells,):
             raise ValueError("matchability must have one entry per source cell")
@@ -84,12 +83,6 @@ class AnchorProbs:
             raise ValueError("matchability must lie in [0, 1]")
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "matchability", m)
-
-
-def anchor_cell_of(grid: AnchorGrid, coords: np.ndarray) -> np.ndarray:
-    """Flat index of the anchor cell containing each coordinate."""
-    rows, cols = containing_cells(coords, grid.as_grid_spec())
-    return rows * grid.cols + cols
 
 
 def mixture_density(probs: AnchorProbs, grid: AnchorGrid, x_a: int, x_b: np.ndarray) -> float:
@@ -104,8 +97,8 @@ def mixture_density(probs: AnchorProbs, grid: AnchorGrid, x_a: int, x_b: np.ndar
     x_b = np.asarray(x_b, dtype=float)
     if not in_extent(x_b):
         raise ValueError(f"target point {x_b} outside extent")
-    k = int(anchor_cell_of(grid, x_b))
-    return float(probs.pi[x_a, k] / grid.cell_area)
+    row, col = containing_cells(x_b, grid.as_grid_spec())
+    return float(probs.pi[x_a, row * grid.cols + col] / grid.cell_area)
 
 
 def closest_anchor(grid: AnchorGrid, x: np.ndarray) -> np.ndarray:

@@ -304,11 +304,6 @@ def matchable_mask(scene: SceneSpec, grid: GridSpec) -> np.ndarray:
     return in_extent(scene.map_points(grid.cell_centers())).reshape(grid.height, grid.width)
 
 
-def warp_epe(pred: WarpField, scene: SceneSpec) -> float:
-    """Mean end-point error over the matchable cells, in extent units."""
-    return stage_epes([(1, pred)], scene)[0][1]
-
-
 def stage_epes(stages: list[tuple[int, WarpField]], scene: SceneSpec) -> list[tuple[int, float]]:
     """Per-stage EPE over the matchable cells at the base resolution, in extent units.
 

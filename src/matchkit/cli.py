@@ -152,7 +152,10 @@ def _scene_from_kind(kind: str, seed: int, offset=None) -> SceneSpec:
         scale = 1.0 + rng.uniform(-0.04, 0.04)
         c, s = np.cos(ang), np.sin(ang)
         return affine_scene(scale * np.array([[c, -s], [s, c]]), off)
-    mag = 0.3 if offset is None else float(np.linalg.norm(offset))  # two-translation
+    with np.errstate(over="ignore"):  # two-translation; an overflowing norm is refused below
+        mag = 0.3 if offset is None else float(np.linalg.norm(offset))
+    if not math.isfinite(mag):
+        raise ValueError(f"--offset {offset[0]!r},{offset[1]!r} is too large: its norm overflows")
     return two_translation_scene((-mag, 0.0), (mag, 0.0))
 
 
@@ -575,8 +578,8 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: an allocation sized by a flag
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return DATA_EXIT
 
 

@@ -55,12 +55,7 @@ class SupportSet:
 
 def exp_cos_kernel(f: np.ndarray, g: np.ndarray, beta: float = 10.0) -> float:
     """exp(beta * cos(f, g)); symmetric, maximal for parallel inputs."""
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    nf, ng = np.linalg.norm(f), np.linalg.norm(g)
-    if nf == 0 or ng == 0:
-        raise ValueError("kernel inputs must have nonzero norm")
-    return float(np.exp(beta * float(f @ g) / (nf * ng)))
+    return float(kernel_matrix(f, g, beta)[0, 0])
 
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, beta: float) -> np.ndarray:

@@ -17,7 +17,6 @@ read-only arrays), so they are safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -76,31 +75,6 @@ class GridSpec:
         """All cell centers as an (n_cells, 2) array in row-major order."""
         xx, yy = np.meshgrid(self.axis_centers_x(), self.axis_centers_y())
         return np.stack([xx.ravel(), yy.ravel()], axis=-1)
-
-
-def pixel_to_normalized(p: Sequence[int], grid: GridSpec) -> np.ndarray:
-    """Center of cell ``p = (row, col)`` in extent coordinates ``(x, y)``."""
-    row, col = int(p[0]), int(p[1])
-    if not (0 <= row < grid.height and 0 <= col < grid.width):
-        raise ValueError(f"cell index {(row, col)} outside {grid.height}x{grid.width} grid")
-    x = EXTENT_MIN + (col + 0.5) * grid.cell_width
-    y = EXTENT_MIN + (row + 0.5) * grid.cell_height
-    return np.array([x, y])
-
-
-def normalized_to_pixel(coord: np.ndarray, grid: GridSpec) -> tuple[int, int]:
-    """Index ``(row, col)`` of the cell containing ``coord``.
-
-    Inverse of :func:`pixel_to_normalized` on cell centers. Coordinates on the
-    extent boundary map to the nearest cell.
-    """
-    coord = np.asarray(coord, dtype=float)
-    if not np.all(np.isfinite(coord)):
-        raise ValueError("coordinate must be finite")
-    if not in_extent(coord):
-        raise ValueError(f"coordinate {coord} outside extent")
-    row, col = containing_cells(coord, grid)
-    return int(row), int(col)
 
 
 def containing_cells(coords: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -177,32 +151,6 @@ def bilinear_sample(field: WarpField, coords: np.ndarray):
 
 
 @dataclass(frozen=True)
-class ConditionalMatchDistribution:
-    """Discrete conditional over target cells for each source cell.
-
-    ``probs[s, t]`` is the probability that source cell ``s`` matches target
-    cell ``t``; every row sums to one.
-    """
-
-    source: GridSpec
-    target: GridSpec
-    probs: np.ndarray  # (source cells, target cells)
-
-    def __post_init__(self) -> None:
-        p = _readonly(self.probs)
-        expected = (self.source.n_cells, self.target.n_cells)
-        if p.shape != expected:
-            raise ValueError(f"probs shape {p.shape}, expected {expected}")
-        if np.any(p < 0) or not np.all(np.isfinite(p)):
-            raise ValueError("probabilities must be finite and nonnegative")
-        rows = p.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > ROW_SUM_TOL):
-            worst = float(np.max(np.abs(rows - 1.0)))
-            raise ValueError(f"conditional rows must sum to 1 (worst deviation {worst:g})")
-        object.__setattr__(self, "probs", p)
-
-
-@dataclass(frozen=True)
 class JointMatchDistribution:
     """Joint probability over (source cell, target cell) pairs; total mass 1."""
 
@@ -247,21 +195,6 @@ def normalize_joint(t: np.ndarray, source: GridSpec, target: GridSpec) -> JointM
     return JointMatchDistribution(source, target, t / total)
 
 
-def normalize_conditional(
-    t: np.ndarray, source: GridSpec, target: GridSpec
-) -> ConditionalMatchDistribution:
-    """Row-normalize a nonnegative tensor into a conditional distribution."""
-    t = np.asarray(t, dtype=float)
-    if t.shape != (source.n_cells, target.n_cells):
-        raise ValueError(f"tensor shape {t.shape} does not match grids")
-    if np.any(t < 0) or not np.all(np.isfinite(t)):
-        raise ValueError("tensor entries must be finite and nonnegative")
-    rows = t.sum(axis=1, keepdims=True)
-    if np.any(rows <= 0):
-        raise ValueError("every source row needs positive mass")
-    return ConditionalMatchDistribution(source, target, t / rows)
-
-
 @dataclass(frozen=True)
 class CorrespondenceSet:
     """Weighted (x_A, x_B) coordinate pairs, both inside the extent."""
@@ -290,14 +223,3 @@ class CorrespondenceSet:
 
     def __len__(self) -> int:
         return self.xa.shape[0]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple]) -> "CorrespondenceSet":
-        """Build from an iterable of ``(x_a, x_b, weight)`` tuples."""
-        pairs = list(pairs)
-        if not pairs:
-            raise ValueError("empty correspondence set")
-        xa = np.array([p[0] for p in pairs], dtype=float)
-        xb = np.array([p[1] for p in pairs], dtype=float)
-        w = np.array([p[2] for p in pairs], dtype=float)
-        return cls(xa, xb, w)

@@ -175,16 +175,6 @@ def diffuse(j: JointMatchDistribution, s: float) -> DiffusedJoint:
     return DiffusedJoint(normalize_joint(vol, j.source, j.target), s)
 
 
-def conditional_of(q: DiffusedJoint | JointMatchDistribution, x_a: int) -> np.ndarray:
-    """Normalized conditional row for source cell ``x_a`` (flat index)."""
-    joint = q.joint if isinstance(q, DiffusedJoint) else q
-    row = joint.probs[x_a]
-    total = row.sum()
-    if total <= 0:
-        raise ValueError(f"source cell {x_a} has no match mass (fully occluded)")
-    return row / total
-
-
 @dataclass(frozen=True)
 class Mode:
     value: float
@@ -243,7 +233,7 @@ def _plateaus(cond: np.ndarray, top: np.ndarray) -> list[list[tuple[int, int]]]:
 
 
 def _count_modes_stack(stack: np.ndarray, rel_threshold: float) -> np.ndarray:
-    """``count_modes`` per grid of a stack; only plateau grids are labelled."""
+    """``len(find_modes(grid))`` per grid of a stack; only plateau grids are labelled."""
     top, plateau = _mode_masks(stack, rel_threshold)
     counts = top.sum(axis=(1, 2))
     for i in np.flatnonzero(plateau.any(axis=(1, 2))):
@@ -266,10 +256,6 @@ def find_modes(cond: np.ndarray, rel_threshold: float) -> list[Mode]:
         centroid = (sum(rows) / len(rows), sum(cols) / len(cols))
         modes.append(Mode(float(cond[cells[0]]), centroid, tuple(sorted(cells))))
     return modes
-
-
-def count_modes(cond: np.ndarray, rel_threshold: float) -> int:
-    return len(find_modes(cond, rel_threshold))
 
 
 def boundary_distances(spec: SceneSpec, grid: GridSpec) -> np.ndarray:

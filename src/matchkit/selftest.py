@@ -32,12 +32,12 @@ from . import (
     kde_density,
     maa,
     normalize_joint,
-    pixel_to_normalized,
     rasterize_scene,
     synth_equivariant,
     to_warp,
     two_translation_scene,
 )
+from .grids import containing_cells
 from .steering import random_c4_steering
 
 
@@ -47,22 +47,20 @@ def _check(cond: bool, detail: str) -> None:
 
 
 def _pixel_round_trip() -> None:
-    from . import normalized_to_pixel
-
     for h, w in ((1, 1), (3, 5), (16, 16), (32, 9)):
         g = GridSpec(h, w)
-        for row in range(h):
-            for col in range(w):
-                back = normalized_to_pixel(pixel_to_normalized((row, col), g), g)
-                _check(back == (row, col), f"round trip failed at {(row, col)} on {h}x{w}")
+        rows, cols = containing_cells(g.cell_centers(), g)
+        _check(
+            np.array_equal(rows * w + cols, np.arange(g.n_cells)),
+            f"cell centers do not map back to their cells on {h}x{w}",
+        )
 
 
 def _bilinear_midpoint() -> None:
     g = GridSpec(4, 4)
     rng = np.random.default_rng(0)
     field = WarpField(g, rng.uniform(-1, 1, (4, 4, 2)), rng.uniform(0, 1, (4, 4)))
-    a = pixel_to_normalized((1, 1), g)
-    b = pixel_to_normalized((1, 2), g)
+    a, b = g.cell_centers().reshape(4, 4, 2)[1, 1:3]  # centers of cells (1, 1) and (1, 2)
     got, _ = bilinear_sample(field, (a + b) / 2)
     want = (field.target_coords[1, 1] + field.target_coords[1, 2]) / 2
     _check(np.allclose(got, want, atol=1e-12), "bilinear midpoint mismatch")

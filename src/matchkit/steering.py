@@ -38,6 +38,8 @@ class DescriptorSet:
             raise ValueError("coords must have shape (N, 2) with N >= 1")
         if descs.shape[0] != coords.shape[0]:
             raise ValueError("descs must have one row per keypoint")
+        if descs.shape[1] < 1:
+            raise ValueError("descriptors must have at least one dimension")
         if not (np.all(np.isfinite(coords)) and np.all(np.isfinite(descs))):
             raise ValueError("descriptor sets must be finite")
         object.__setattr__(self, "coords", coords)
@@ -95,8 +97,8 @@ def rotate_keypoints(coords: np.ndarray, action: RotationAction) -> np.ndarray:
 
 def random_c4_steering(dim: int, seed: int = 0) -> SteeringMatrix:
     """Block-diagonal 2x2 rotations by +-90 or 180 degrees; exactly W^4 = I."""
-    if dim % 2:
-        raise ValueError("descriptor dimension must be even")
+    if dim < 2 or dim % 2:
+        raise ValueError(f"descriptor dimension must be even and at least 2, got {dim}")
     rng = np.random.default_rng(seed)
     blocks = {
         0: np.array([[0.0, -1.0], [1.0, 0.0]]),  # +90
@@ -122,6 +124,8 @@ def synth_equivariant(
     is the ground-truth matching. Descriptors of set k are
     ``W_true^k @ base + noise``; keypoints rotate about the extent center.
     """
+    if n < 1:
+        raise ValueError(f"need at least one keypoint, got n={n}")
     if noise_sigma < 0:
         raise ValueError("noise sigma must be nonnegative")
     if w_true is None:
@@ -209,6 +213,8 @@ def fit_steering_l1(
         raise ValueError("no descriptor pairs supplied")
     if not 0 < step < np.inf:  # also refuses NaN
         raise ValueError(f"step must be positive and finite, got {step}")
+    if iters < 0:
+        raise ValueError(f"iters must be nonnegative, got {iters}")
     for k in pairs:
         if k not in (1, 2, 3):
             raise ValueError("rotation multiples must come from {1, 2, 3}")

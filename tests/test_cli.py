@@ -4,12 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
+from matchkit import cli, selftest
 from matchkit.cli import main
 from matchkit.fileio import (
     read_correspondences_csv,
     read_descriptors,
     read_grid,
     read_steering,
+    write_descriptors,
     write_grid,
 )
 
@@ -644,3 +646,66 @@ def test_steer_fit_needs_a_source(tmp_path, capsys):
     assert_one_error(err)
     assert "steer fit needs --synthetic or --dir" in err
 
+
+@pytest.mark.parametrize("offset", ["1e300,0", "1e308,1e308"])
+def test_two_translation_offset_whose_norm_overflows_is_a_data_error(tmp_path, capsys, offset):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning from the norm
+        assert run("synth", "two-translation", "--offset", offset, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert err.startswith("error: --offset ") and "norm overflows" in err, err
+    assert not (out / "truth.rmgrid").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["steer", "fit", "--synthetic", "--dim", "0", "--method", "lsq"], "even and at least 2, got 0"),
+        (["synth", "descriptors", "--dim", "0"], "even and at least 2, got 0"),
+        (["steer", "fit", "--synthetic", "--n", "16", "--dim", "4", "--iters", "-1"], "iters must be nonnegative"),
+        (["synth", "descriptors", "--n", "-1"], "at least one keypoint, got n=-1"),
+    ],
+)
+def test_degenerate_steering_inputs_are_data_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert message in err, err
+    assert not (out / "fit_report.json").exists()
+
+
+def test_steer_fit_refuses_zero_width_descriptor_files(tmp_path, capsys):
+    for k in range(4):
+        write_descriptors(tmp_path / f"rot{k}.rmdesc", np.zeros((5, 2)), np.zeros((5, 0)))
+    out = tmp_path / "out"
+    assert run("steer", "fit", "--dir", str(tmp_path), "--method", "lsq", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert "descriptors must have at least one dimension" in err, err
+    assert not (out / "fit_report.json").exists()
+
+
+def test_allocation_failure_is_a_one_line_data_error(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 72.8 EiB for an array")
+
+    monkeypatch.setattr(cli, "_sweep", no_memory)
+    assert run("diffuse", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert err.strip() == "error: Unable to allocate 72.8 EiB for an array"
+
+
+def test_selftest_reports_a_failing_check(capsys, monkeypatch):
+    def broken():
+        raise AssertionError("expected 1, got 2")
+
+    monkeypatch.setattr(selftest, "CHECKS", (("fine", lambda: None), ("broken", broken)))
+    assert run("selftest") == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["ok   fine", "FAIL broken: expected 1, got 2", "1/2 checks passed"]

@@ -7,11 +7,9 @@ from matchkit import (
     JointMatchDistribution,
     WarpField,
     bilinear_sample,
-    normalize_conditional,
     normalize_joint,
-    normalized_to_pixel,
-    pixel_to_normalized,
 )
+from matchkit.grids import containing_cells
 
 
 def enumerate_centers(grid):
@@ -25,36 +23,20 @@ def enumerate_centers(grid):
     return out
 
 
-def test_pixel_to_normalized_2x2_corners():
-    g = GridSpec(2, 2)
-    assert np.allclose(pixel_to_normalized((0, 0), g), (-0.5, -0.5))
-    assert np.allclose(pixel_to_normalized((1, 1), g), (0.5, 0.5))
-
-
-def test_pixel_to_normalized_4x8_against_enumeration():
+def test_cell_centers_4x8_against_enumeration():
     g = GridSpec(4, 8)
     oracle = enumerate_centers(g)
-    assert np.allclose(pixel_to_normalized((3, 1), g), oracle[(3, 1)])
-    for rc, expected in oracle.items():
-        assert np.allclose(pixel_to_normalized(rc, g), expected, atol=1e-15)
-
-
-def test_pixel_to_normalized_rejects_out_of_range():
-    g = GridSpec(2, 3)
-    with pytest.raises(ValueError):
-        pixel_to_normalized((2, 0), g)
-    with pytest.raises(ValueError):
-        pixel_to_normalized((0, 3), g)
+    centers = g.cell_centers().reshape(4, 8, 2)
+    for (row, col), expected in oracle.items():
+        assert np.allclose(centers[row, col], expected, atol=1e-15)
 
 
 def test_round_trip_all_grids_up_to_32():
     for h in (1, 2, 3, 5, 8, 13, 21, 32):
         for w in (1, 2, 4, 7, 16, 32):
             g = GridSpec(h, w)
-            for row in range(h):
-                for col in range(w):
-                    back = normalized_to_pixel(pixel_to_normalized((row, col), g), g)
-                    assert back == (row, col)
+            rows, cols = containing_cells(g.cell_centers(), g)
+            assert np.array_equal(rows * w + cols, np.arange(g.n_cells))
 
 
 def make_field(rng, h=5, w=5):
@@ -92,18 +74,15 @@ def brute_bilinear(field, x):
 def test_bilinear_exact_on_cell_centers():
     rng = np.random.default_rng(0)
     field = make_field(rng)
-    for row in range(5):
-        for col in range(5):
-            c, p = bilinear_sample(field, pixel_to_normalized((row, col), field.grid))
-            assert np.allclose(c, field.target_coords[row, col], atol=1e-12)
-            assert np.isclose(p, field.certainty[row, col], atol=1e-12)
+    c, p = bilinear_sample(field, field.grid.cell_centers().reshape(5, 5, 2))
+    assert np.allclose(c, field.target_coords, atol=1e-12)
+    assert np.allclose(p, field.certainty, atol=1e-12)
 
 
 def test_bilinear_midpoint_is_mean_of_adjacent():
     rng = np.random.default_rng(1)
     field = make_field(rng)
-    a = pixel_to_normalized((2, 1), field.grid)
-    b = pixel_to_normalized((2, 2), field.grid)
+    a, b = field.grid.cell_centers().reshape(5, 5, 2)[2, 1:3]
     c, p = bilinear_sample(field, (a + b) / 2)
     assert np.allclose(c, (field.target_coords[2, 1] + field.target_coords[2, 2]) / 2, atol=1e-12)
     assert np.isclose(p, (field.certainty[2, 1] + field.certainty[2, 2]) / 2, atol=1e-12)
@@ -166,8 +145,6 @@ def test_distribution_constructors_always_normalized():
     s, t = GridSpec(3, 3), GridSpec(2, 4)
     for _ in range(25):
         raw = rng.uniform(0.01, 2.0, (9, 8))
-        cond = normalize_conditional(raw, s, t)
-        assert np.allclose(cond.probs.sum(axis=1), 1.0, atol=1e-12)
         joint = normalize_joint(raw, s, t)
         assert abs(joint.probs.sum() - 1.0) < 1e-12
 
@@ -179,14 +156,12 @@ def test_joint_constructor_rejects_unnormalized():
 
 
 def test_correspondence_set_validation():
-    cs = CorrespondenceSet.from_pairs([((0.0, 0.0), (0.5, -0.5), 1.0)])
+    cs = CorrespondenceSet(np.array([[0.0, 0.0]]), np.array([[0.5, -0.5]]), np.array([1.0]))
     assert len(cs) == 1
-    with pytest.raises(ValueError):
-        CorrespondenceSet.from_pairs([])
-    with pytest.raises(ValueError):
-        CorrespondenceSet.from_pairs([((0.0, 0.0), (1.5, 0.0), 1.0)])
-    with pytest.raises(ValueError):
-        CorrespondenceSet.from_pairs([((0.0, 0.0), (0.5, 0.0), -1.0)])
+    with pytest.raises(ValueError, match="inside the extent"):
+        CorrespondenceSet(np.array([[0.0, 0.0]]), np.array([[1.5, 0.0]]), np.array([1.0]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        CorrespondenceSet(np.array([[0.0, 0.0]]), np.array([[0.5, 0.0]]), np.array([-1.0]))
 
 
 def test_containers_are_immutable():

@@ -130,11 +130,14 @@ def test_coarse_loss_uniform_pi_gives_log_k():
     assert np.isclose(res.conditional_term, 2.7726, atol=1e-4)
 
 
+EMPTY_CORR = CorrespondenceSet(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
+
+
 def test_coarse_loss_rejects_empty_corr():
     rng = np.random.default_rng(32)
     source, pi, match, mask, corr, cfg = make_coarse_setup(rng)
-    with pytest.raises(ValueError):
-        coarse_loss_raw(pi, match, source, mask, CorrespondenceSet.from_pairs([]), cfg)
+    with pytest.raises(ValueError, match="correspondence set is empty"):
+        coarse_loss_raw(pi, match, source, mask, EMPTY_CORR, cfg)
 
 
 def test_coarse_loss_gradients_match_finite_differences():
@@ -221,6 +224,12 @@ def test_fine_loss_single_scale_reduces_to_parts():
     want_charb = float(charbonnier_nll(mu, corr.xb[0], 0.03))
     assert np.isclose(res.scales[0].charbonnier_term, want_charb, atol=1e-12)
     assert np.isclose(res.value, want_charb + res.scales[0].bce_term, atol=1e-12)
+
+
+def test_fine_loss_rejects_empty_corr():
+    warps, corr, masks, cfg = make_fine_setup(np.random.default_rng(38))
+    with pytest.raises(ValueError, match="correspondence set is empty"):
+        fine_loss(warps, EMPTY_CORR, masks, cfg)
 
 
 def test_fine_loss_missing_scale_raises():

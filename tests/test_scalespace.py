@@ -9,8 +9,6 @@ from hypothesis.extra.numpy import arrays
 from matchkit import (
     GridSpec,
     build_anchor_grid,
-    conditional_of,
-    count_modes,
     diffuse,
     entropy,
     fit_comparison,
@@ -164,31 +162,6 @@ def test_diffuse_entropy_monotone_in_scale():
         assert hi >= lo - 1e-9
 
 
-def test_conditional_of_diagonal_and_uniform():
-    g = GridSpec(4, 4)
-    j = rasterize_scene(identity_scene(), g, g)
-    cond = conditional_of(j, 5)
-    assert cond[5] == 1.0
-    uni = normalize_joint(np.ones((16, 16)), g, g)
-    assert np.allclose(conditional_of(uni, 3), 1 / 16)
-
-
-def test_conditional_of_matches_row_division():
-    rng = np.random.default_rng(42)
-    g = GridSpec(5, 5)
-    j = normalize_joint(rng.uniform(0.1, 1, (25, 25)), g, g)
-    for s in (0, 7, 24):
-        want = j.probs[s] / j.probs[s].sum()
-        assert np.allclose(conditional_of(j, s), want)
-
-
-def test_conditional_of_occluded_row_raises():
-    g = GridSpec(4, 4)
-    j = delta_joint(g, g, 0, 0)
-    with pytest.raises(ValueError, match="occluded"):
-        conditional_of(j, 3)
-
-
 def gaussian_bump(g, mu, sigma):
     cx = g.axis_centers_x()
     cy = g.axis_centers_y()
@@ -201,9 +174,9 @@ def gaussian_bump(g, mu, sigma):
 def test_count_modes_single_and_double_bumps():
     g = GridSpec(16, 16)
     single = gaussian_bump(g, (0.0, 0.0), 0.2)
-    assert count_modes(single, 0.1) == 1
+    assert len(find_modes(single, 0.1)) == 1
     double = gaussian_bump(g, (-0.5, 0.0), 0.15) + gaussian_bump(g, (0.5, 0.0), 0.15)
-    assert count_modes(double / double.sum(), 0.1) == 2
+    assert len(find_modes(double / double.sum(), 0.1)) == 2
 
 
 def exhaustive_mode_scan(grid, rel_threshold):
@@ -236,19 +209,19 @@ def test_count_modes_hand_built_grids():
             [7.0, 1.0, 1.0, 1.0, 6.0],
         ]
     )
-    assert count_modes(corner_peaks, 0.1) == 4
-    assert count_modes(corner_peaks, 0.9) == 1  # only the 9 survives a 90% cut
+    assert len(find_modes(corner_peaks, 0.1)) == 4
+    assert len(find_modes(corner_peaks, 0.9)) == 1  # only the 9 survives a 90% cut
 
     rng = np.random.default_rng(43)
     for _ in range(50):
         grid = rng.uniform(0.01, 1.0, (5, 5))  # continuous draws: no plateaus
-        assert count_modes(grid, 0.1) == exhaustive_mode_scan(grid, 0.1)
+        assert len(find_modes(grid, 0.1)) == exhaustive_mode_scan(grid, 0.1)
 
 
 def test_count_modes_collapses_plateaus():
     grid = np.zeros((5, 5))
     grid[2, 1:4] = 1.0  # three connected equal maxima form one mode
-    assert count_modes(grid, 0.5) == 1
+    assert len(find_modes(grid, 0.5)) == 1
     assert len(find_modes(grid, 0.5)[0].cells) == 3
 
 

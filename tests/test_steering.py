@@ -252,6 +252,28 @@ def test_l1_fit_rejects_non_positive_step(step):
         fit_steering_l1({1: (sets[0], sets[1])}, iters=5, step=step)
 
 
+def test_l1_fit_rejects_negative_iters_and_zero_returns_the_warm_start():
+    sets = synth_equivariant(16, 4, noise_sigma=0.01, seed=19)
+    pairs = {1: (sets[0], sets[1])}
+    with pytest.raises(ValueError, match="iters must be nonnegative, got -1"):
+        fit_steering_l1(pairs, iters=-1)
+    res = fit_steering_l1(pairs, iters=0)
+    assert res.iterations == 0
+    assert np.array_equal(res.w.w, fit_steering_lsq(sets[0], sets[1])[0].w)
+    assert res.final_loss == res.initial_loss
+
+
+def test_descriptor_inputs_need_width_dimension_and_keypoints():
+    with pytest.raises(ValueError, match="at least one dimension"):
+        DescriptorSet(np.zeros((3, 2)), np.zeros((3, 0)))
+    for dim in (0, -2, 3):
+        with pytest.raises(ValueError, match="even and at least 2"):
+            random_c4_steering(dim)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least one keypoint"):
+            synth_equivariant(n, 4)
+
+
 def test_apply_steering_power_rules():
     rng = np.random.default_rng(18)
     w = SteeringMatrix(rng.normal(size=(8, 8)))
