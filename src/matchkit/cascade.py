@@ -12,6 +12,14 @@ upsampled warp through.
 Stages are strictly isolated: each consumes the previous stage's output as a
 fixed input, so recomputing one stage never changes an earlier one.
 
+Two steps split their array work over a thread pool with one worker per CPU
+the process may use: ``synth_pyramid`` builds the source and the target
+pyramid on separate workers, and ``correlation_windows`` gathers one block
+of query rows per worker. numpy releases the interpreter lock inside that
+work, each task computes what the serial code computes on disjoint data, and
+the results are bit-identical to the serial path. Work too small to repay a
+thread runs serially (``PARALLEL_MIN_ELEMENTS``).
+
 Real encoder features are out of scope at desk scale; ``synth_pyramid``
 builds smooth band-limited random feature fields whose ground-truth warp is
 known exactly, which makes end-to-end refinement accuracy measurable.
@@ -19,8 +27,11 @@ known exactly, which makes end-to-end refinement accuracy measurable.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,7 +42,64 @@ from .scalespace import SceneSpec
 CORR_WINDOWS = {14: 15, 8: 7, 4: 5, 2: 0, 1: 0}
 FREQ_SCALE = 3.2  # std of the feature field's frequencies: its inverse correlation length
 
+# Smallest task, in array elements, worth a pool thread. Below it a thread
+# costs more than it saves: its own malloc arena raised the peak RSS of the
+# all-base-56 `sparse-boundary` benchmark workload from 81 to 87 MB, and its
+# ops got slower. Base-56 tasks stay below it (pyramid 0.1M elements, gathers
+# at most 0.16M); base-224 ones are above (pyramid 1.6M, gather blocks
+# 0.6M-1.3M on two CPUs).
+PARALLEL_MIN_ELEMENTS = 1 << 18
+
 _LOGIT_EPS = 1e-7
+
+_executor: ThreadPoolExecutor | None = None
+_executor_lock = threading.Lock()
+_in_worker = threading.local()
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _mark_worker() -> None:
+    _in_worker.active = True
+
+
+def _forget_executor() -> None:
+    """A forked child inherits the executor object but none of its threads."""
+    global _executor, _executor_lock
+    _executor, _executor_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_executor)
+
+
+def _parallel_map(fn: Callable, items: Sequence, elements: int) -> list:
+    """``[fn(x) for x in items]``, on the shared thread pool when that can pay.
+
+    ``elements`` is the size of one task in array elements. The tasks run
+    serially when the process may use one CPU, when there is one task, when
+    a task is smaller than ``PARALLEL_MIN_ELEMENTS``, or when the caller is
+    itself a pool worker (a nested map that waited on the pool could
+    deadlock). An exception from a task is raised here, that of the first
+    failing task in input order, after every task has finished.
+    """
+    global _executor
+    cpus = _usable_cpus()
+    nested = getattr(_in_worker, "active", False)
+    if cpus < 2 or len(items) < 2 or elements < PARALLEL_MIN_ELEMENTS or nested:
+        return [fn(item) for item in items]
+    with _executor_lock:
+        if _executor is None:
+            _executor = ThreadPoolExecutor(cpus, thread_name_prefix="matchkit", initializer=_mark_worker)
+        executor = _executor
+    futures = [executor.submit(fn, item) for item in items]
+    wait(futures)
+    return [f.result() for f in futures]
 
 
 @dataclass(frozen=True)
@@ -83,15 +151,16 @@ class FeatureField:
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         with np.errstate(over="ignore", invalid="ignore"):
-            theta = pts @ self.freqs.T + self.phases
+            theta = pts @ self.freqs.T
+            theta += self.phases
         if not np.all(np.isfinite(theta)):
             raise ValueError(
                 f"feature field phases are not finite at points of magnitude {np.abs(pts).max():.3g}"
             )
-        out = np.empty((pts.shape[0], 2 * self.freqs.shape[0]))
-        out[:, 0::2] = np.cos(theta)
-        out[:, 1::2] = np.sin(theta)
-        return out
+        out = np.empty((*theta.shape, 2))
+        np.cos(theta, out=out[..., 0])
+        np.sin(theta, out=out[..., 1])
+        return out.reshape(theta.shape[0], -1)
 
 
 def _pool(level1: np.ndarray, factor: int) -> np.ndarray:
@@ -112,17 +181,19 @@ def synth_pyramid(
     Target features sample the field at target cell centers; source features
     sample it at each source cell's ground-truth warped location (defined even
     outside the extent, mimicking content that left the frame). Coarser levels
-    average-pool the stride-1 level.
+    average-pool the stride-1 level. The two pyramids are built on separate
+    pool workers when they are large enough (see ``_parallel_map``).
     """
     validate_base(base)
     field = FeatureField(feature_dim, seed)
     centers = base.cell_centers()
-    tgt_level1 = field(centers).reshape(base.height, base.width, feature_dim)
-    src_level1 = field(scene.map_points(centers)).reshape(base.height, base.width, feature_dim)
-    return (
-        FeaturePyramid({s: _pool(src_level1, s) for s in CORR_WINDOWS}),
-        FeaturePyramid({s: _pool(tgt_level1, s) for s in CORR_WINDOWS}),
-    )
+
+    def build(pts: np.ndarray) -> FeaturePyramid:
+        level1 = field(pts).reshape(base.height, base.width, feature_dim)
+        return FeaturePyramid({s: _pool(level1, s) for s in CORR_WINDOWS})
+
+    src, tgt = _parallel_map(build, [scene.map_points(centers), centers], base.n_cells * feature_dim)
+    return src, tgt
 
 
 def correlation_windows(
@@ -153,20 +224,30 @@ def correlation_windows(
     norm_b = np.linalg.norm(feats_b, axis=1)
     if np.any(norm_a == 0) or np.any(norm_b == 0):
         raise ValueError("pyramid features contain a zero-norm cell")
-
-    r0, c0 = containing_cells(coords, tgt_grid)
     offs = np.arange(-(window // 2), window // 2 + 1)
-    rr = r0[:, None, None] + offs[None, :, None]  # (n, w, 1)
-    cc = c0[:, None, None] + offs[None, None, :]  # (n, 1, w)
-    valid = (rr >= 0) & (rr < tgt_grid.height) & (cc >= 0) & (cc < tgt_grid.width)
-    flat_idx = np.where(valid, rr * tgt_grid.width + cc, 0)
 
-    sims = np.einsum("nd,nijd->nij", feats_a, feats_b[flat_idx]) / (
-        norm_a[:, None, None] * norm_b[flat_idx]
+    def gather(rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        r0, c0 = containing_cells(coords[rows], tgt_grid)
+        rr = r0[:, None, None] + offs[None, :, None]  # (n, w, 1)
+        cc = c0[:, None, None] + offs[None, None, :]  # (n, 1, w)
+        valid = (rr >= 0) & (rr < tgt_grid.height) & (cc >= 0) & (cc < tgt_grid.width)
+        flat_idx = np.where(valid, rr * tgt_grid.width + cc, 0)
+        sims = np.einsum("nd,nijd->nij", feats_a[rows], feats_b[flat_idx]) / (
+            norm_a[rows, None, None] * norm_b[flat_idx]
+        )
+        win_x = EXTENT_MIN + (cc + 0.5) * tgt_grid.cell_width
+        win_y = EXTENT_MIN + (rr + 0.5) * tgt_grid.cell_height
+        return np.where(valid, sims, -1.0), win_x, win_y
+
+    # One block of query rows per CPU; rows are independent, so the blocks
+    # concatenate to exactly the single-block result.
+    n, parts = feats_a.shape[0], _usable_cpus()
+    blocks = _parallel_map(
+        gather,
+        [slice(n * k // parts, n * (k + 1) // parts) for k in range(parts)],
+        -(-n // parts) * window**2 * feats_a.shape[1],
     )
-    win_x = EXTENT_MIN + (cc + 0.5) * tgt_grid.cell_width
-    win_y = EXTENT_MIN + (rr + 0.5) * tgt_grid.cell_height
-    return np.where(valid, sims, -1.0), win_x, win_y
+    return tuple(np.concatenate(pieces) for pieces in zip(*blocks))
 
 
 def _logit(p: np.ndarray) -> np.ndarray:
@@ -228,8 +309,9 @@ def analytic_refiner(
     ``state`` must already live on the stride's grid. The stride's window
     comes from ``CORR_WINDOWS``; with window 0 the warp passes through
     unchanged. Otherwise each cell's correlation patch around the current
-    target estimate is softargmax-decoded into a corrected target coordinate (window cells keep their lattice coordinates, including virtual
-    out-of-extent ones, whose similarity of -1 suppresses them), and the
+    target estimate is softargmax-decoded into a corrected target
+    coordinate. Window cells keep their lattice coordinates, including
+    virtual out-of-extent ones, whose similarity of -1 suppresses them. The
     certainty logit grows by the window's maximum correlation.
     """
     if stride not in CORR_WINDOWS:
@@ -309,10 +391,14 @@ def stage_epes(stages: list[tuple[int, WarpField]], scene: SceneSpec) -> list[tu
 
     Mean errors over grids of different sizes are not comparable, so each
     stage's output is first carried to the finest grid through the same
-    bilinear upsampling chain the cascade itself uses. A window-0 stage
-    leaves the upsampled warp untouched and therefore preserves this EPE
-    exactly. Every stage ends on the last stage's grid, so the scene's truth
-    and matchable mask are mapped once, there.
+    bilinear upsampling chain the cascade itself uses. Every stage ends on
+    the last stage's grid, so the scene's truth and matchable mask are
+    mapped once, there. When a stage's one-step upsample has the next
+    stage's target coordinates, as it does before a window-0 (pass-through)
+    stage, the rest of its chain is the next stage's (the upsampled
+    coordinates do not depend on the certainty), so it reuses that stage's
+    EPE instead of upsampling again; the comparison keeps this exact for any
+    stage list.
     """
     if not stages:
         return []
@@ -321,10 +407,16 @@ def stage_epes(stages: list[tuple[int, WarpField]], scene: SceneSpec) -> list[tu
     keep = in_extent(true)
     if not np.any(keep):
         raise ValueError("no matchable cells to evaluate")
-    out = []
-    for i, (stride, field) in enumerate(stages):
-        for grid in grids[i + 1 :]:
-            field = upsample_warp(field, grid)
+    epes: list[float] = []  # last stage first
+    for i in reversed(range(len(stages))):
+        field = stages[i][1]
+        if i + 1 < len(stages):
+            field = upsample_warp(field, grids[i + 1])
+            if np.array_equal(field.target_coords, stages[i + 1][1].target_coords):
+                epes.append(epes[-1])  # the rest of the chain is the next stage's
+                continue
+            for grid in grids[i + 2 :]:
+                field = upsample_warp(field, grid)
         err = np.linalg.norm(field.target_coords.reshape(-1, 2) - true, axis=1)
-        out.append((stride, float(err[keep].mean())))
-    return out
+        epes.append(float(err[keep].mean()))
+    return [(stride, e) for (stride, _), e in zip(stages, reversed(epes))]

@@ -320,6 +320,8 @@ def _cmd_steer_fit(a) -> int:
         raise UsageError("steer fit needs --synthetic or --dir")
     if a.method == "l1" and a.step <= 0:
         raise ValueError(f"--step must be positive, got {a.step}")
+    if a.method == "l1" and a.iters < 0:
+        raise ValueError(f"--iters must be nonnegative, got {a.iters}")
     out = _out_dir(a)
     if a.synthetic:
         sets = _synth_descriptors(a, out)

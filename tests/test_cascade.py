@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +21,7 @@ from matchkit import (
     synth_pyramid,
     upsample_warp,
 )
+from matchkit import cascade
 from matchkit.cascade import FeatureField, FeaturePyramid, stage_epes, validate_base
 from matchkit.scalespace import affine_scene, identity_scene, translation_scene, two_translation_scene
 
@@ -102,6 +110,34 @@ def test_synth_pyramid_matches_pooling_oracle():
         for s in CORR_WINDOWS:
             want = level1.reshape(56 // s, s, 56 // s, s, 8).mean(axis=(1, 3))
             assert np.array_equal(pyr.features(s), want)
+
+
+def feature_field_oracle(field, pts):
+    """The field as first written: whole cos and sin arrays copied into alternate columns."""
+    theta = np.atleast_2d(pts) @ field.freqs.T + field.phases
+    out = np.empty((theta.shape[0], 2 * field.freqs.shape[0]))
+    out[:, 0::2] = np.cos(theta)
+    out[:, 1::2] = np.sin(theta)
+    return out
+
+
+@pytest.mark.parametrize("feature_dim", [4, 32])
+@pytest.mark.parametrize("n", [1, 7, 333, 224 * 224 + 1])
+def test_feature_field_matches_interleaving_oracle(feature_dim, n):
+    rng = np.random.default_rng(n + feature_dim)
+    field = FeatureField(feature_dim, seed=n)
+    pts = rng.uniform(-3.0, 3.0, (n, 2))
+    got = field(pts)
+    assert got.shape == (n, feature_dim) and got.flags.c_contiguous
+    assert np.array_equal(got, feature_field_oracle(field, pts))
+    assert np.array_equal(field(pts[0]), feature_field_oracle(field, pts[:1]))
+
+
+@pytest.mark.parametrize("bad", [1e308, np.inf, np.nan])
+def test_feature_field_refuses_non_finite_phases(bad):
+    pts = np.array([[0.1, 0.2], [bad, 0.0], [0.3, -0.4]])
+    with pytest.raises(ValueError, match=r"^feature field phases are not finite at points of magnitude "):
+        FeatureField(32, seed=1)(pts)
 
 
 def local_correlation(f_a, tgt_grid, tgt_feats, center, window):
@@ -328,6 +364,28 @@ def test_stage_epes_without_matchable_cells_is_rejected():
     assert stage_epes([], scene) == []
 
 
+def test_stage_epes_reuse_needs_the_next_warp_to_be_the_upsample():
+    # A hand-built stage list: the window-0 stages are *not* the upsample of
+    # the stage before, so no EPE may be carried over from the next stage.
+    scene = random_affine_scene(np.random.default_rng(11))
+    pyrA, pyrB = synth_pyramid(scene, BASE, seed=11)
+    _, stages = run_cascade(pyrA, pyrB, scene_true_warp(scene, GridSpec(4, 4)))
+    rng = np.random.default_rng(12)
+    nudged = []
+    for stride, w in stages:
+        if CORR_WINDOWS[stride] == 0:
+            shift = rng.uniform(-0.5, 0.5, w.target_coords.shape) * 2 / w.grid.width
+            w = WarpField(w.grid, w.target_coords + shift, w.certainty)
+        nudged.append((stride, w))
+    got = stage_epes(nudged, scene)
+    assert got == stage_epes_oracle(nudged, scene)
+    assert len({e for _, e in got[2:]}) == 3  # strides 4, 2 and 1 now differ
+    # Run-cascade output: strides 4, 2 and 1 share one EPE, as the oracle says.
+    got = stage_epes(stages, scene)
+    assert got == stage_epes_oracle(stages, scene)
+    assert got[2][1] == got[3][1] == got[4][1]
+
+
 def test_cascade_identity_scene_identity_warp():
     pyrA, pyrB = synth_pyramid(identity_scene(), BASE, seed=10)
     g14 = GridSpec(4, 4)
@@ -380,3 +438,216 @@ def test_cascade_monotone_epe_on_random_scenes():
         if epes[-1] >= 0.5 * FINE:
             failures += 1
     assert failures == 0
+
+
+# --- the thread pool behind synth_pyramid and correlation_windows ---------
+
+
+def run_with_timeout(fn, seconds=60):
+    """Run ``fn`` on one helper thread; fail instead of hanging if it never returns."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # handed to the test thread below
+            box["error"] = exc
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), "call did not finish: deadlock?"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Take the threaded path on any machine."""
+    monkeypatch.setattr(cascade, "_usable_cpus", lambda: 2)
+
+
+BIG = cascade.PARALLEL_MIN_ELEMENTS
+
+
+def test_parallel_map_keeps_input_order(two_cpus):
+    def task(k):
+        time.sleep(0.05 if k == 0 else 0.0)  # the first task finishes last
+        return k, threading.current_thread().name
+
+    got = cascade._parallel_map(task, range(4), BIG)
+    assert [k for k, _ in got] == [0, 1, 2, 3]
+    assert all(name.startswith("matchkit") for _, name in got)
+
+
+@pytest.mark.parametrize("cpus, elements", [(1, BIG), (2, BIG - 1)])
+def test_parallel_map_runs_serially_on_one_cpu_or_small_tasks(monkeypatch, cpus, elements):
+    monkeypatch.setattr(cascade, "_usable_cpus", lambda: cpus)
+    names = cascade._parallel_map(lambda k: threading.current_thread().name, range(3), elements)
+    assert names == [threading.current_thread().name] * 3
+
+
+def test_parallel_map_reraises_the_first_failure_in_input_order(two_cpus):
+    class Boom(Exception):
+        pass
+
+    done = []
+
+    def task(k):
+        time.sleep({1: 0.05, 3: 0.15}.get(k, 0.0))  # task 2 fails first, task 3 ends last
+        if k in (1, 2):
+            raise Boom(f"task {k} failed")
+        done.append(k)
+        return k
+
+    with pytest.raises(Boom, match=r"^task 1 failed$"):
+        cascade._parallel_map(task, range(4), BIG)
+    assert sorted(done) == [0, 3]  # every task ran before the error surfaced
+
+
+def test_nested_parallel_map_runs_serially_without_deadlock(two_cpus):
+    def inner(k):
+        return k, threading.current_thread().name
+
+    def outer(k):
+        return cascade._parallel_map(inner, [k, k + 10, k + 20], BIG)
+
+    got = run_with_timeout(lambda: cascade._parallel_map(outer, range(4), BIG))
+    assert [[k for k, _ in row] for row in got] == [[k, k + 10, k + 20] for k in range(4)]
+    for row in got:  # each inner map stayed on its outer task's thread
+        assert len({name for _, name in row}) == 1 and row[0][1].startswith("matchkit")
+
+
+def test_concurrent_first_use_creates_one_pool(monkeypatch, two_cpus):
+    # Eight callers race to create the pool, with frequent thread switches.
+    monkeypatch.setattr(cascade, "_executor", None)
+    workers, results = set(), []
+    lock = threading.Lock()
+
+    def task(k):
+        with lock:
+            workers.add(threading.get_ident())
+        return k * k
+
+    def caller(c):
+        got = cascade._parallel_map(task, range(c, c + 6), BIG)
+        with lock:
+            results.append((c, got))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(c,)) for c in range(8)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(60)
+        assert not any(t.is_alive() for t in callers)
+    finally:
+        sys.setswitchinterval(old_interval)
+        if cascade._executor is not None:
+            cascade._executor.shutdown()
+    assert sorted(results) == [(c, [k * k for k in range(c, c + 6)]) for c in range(8)]
+    assert len(workers) <= 2  # one pool of two workers served every caller
+
+
+def serial_and_threaded(monkeypatch, fn, threshold=False):
+    """``fn()`` with one usable CPU (or a threshold above every task) and with two."""
+    if threshold:
+        monkeypatch.setattr(cascade, "PARALLEL_MIN_ELEMENTS", 1 << 62)
+    monkeypatch.setattr(cascade, "_usable_cpus", lambda: 2 if threshold else 1)
+    serial = fn()
+    monkeypatch.setattr(cascade, "PARALLEL_MIN_ELEMENTS", BIG)
+    monkeypatch.setattr(cascade, "_usable_cpus", lambda: 2)
+    return serial, run_with_timeout(fn)
+
+
+@pytest.mark.parametrize("threshold", [False, True])
+@pytest.mark.parametrize(
+    "scene",
+    [affine_scene([[1.02, 0.03], [-0.03, 0.98]], (0.1, -0.05)), two_translation_scene((-0.2, 0.0), (0.2, 0.05))],
+)
+def test_synth_pyramid_threads_are_bit_identical_to_serial(monkeypatch, scene, threshold):
+    base = GridSpec(224, 224)
+    assert base.n_cells * 32 >= BIG  # the threaded run really uses the pool
+    serial, threaded = serial_and_threaded(monkeypatch, lambda: synth_pyramid(scene, base, seed=7), threshold)
+    for got, want in zip(threaded, serial):
+        assert list(got.levels) == list(want.levels)
+        for s in CORR_WINDOWS:
+            assert np.array_equal(got.features(s), want.features(s))
+
+
+@pytest.mark.parametrize("threshold", [False, True])
+@pytest.mark.parametrize("stride", [14, 8, 4])
+def test_correlation_windows_threads_are_bit_identical_to_serial(monkeypatch, stride, threshold):
+    base = GridSpec(224, 224)
+    scene = random_affine_scene(np.random.default_rng(stride))
+    pyrA, pyrB = synth_pyramid(scene, base, seed=stride)
+    grid, window = pyrA.grid(stride), CORR_WINDOWS[stride]
+    assert grid.n_cells * window**2 * 32 // 2 >= BIG  # each of two blocks is large enough
+    # Estimates near the truth, and some beyond the extent.
+    coords = scene_true_warp(scene, grid).target_coords.reshape(-1, 2)
+    coords = coords + np.random.default_rng(1).uniform(-0.1, 0.1, coords.shape)
+    args = (pyrA.features(stride).reshape(grid.n_cells, -1), grid, pyrB.features(stride), coords, window)
+    serial, threaded = serial_and_threaded(monkeypatch, lambda: correlation_windows(*args), threshold)
+    for got, want in zip(threaded, serial):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+SRC = str(Path(cascade.__file__).resolve().parents[1])
+
+
+def run_fresh(code):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_small_work_starts_no_thread():
+    # Base-56 work stays below PARALLEL_MIN_ELEMENTS, so it never pays for a
+    # pool thread (and the memory arena that comes with one), even with two CPUs.
+    counts = run_fresh(
+        """
+import threading
+import numpy as np
+import matchkit as mk
+from matchkit import cascade
+from matchkit.scalespace import affine_scene
+cascade._usable_cpus = lambda: 2
+print(threading.active_count())
+scene = affine_scene([[1.01, 0.02], [-0.02, 0.99]], (0.05, -0.03))
+pa, pb = mk.synth_pyramid(scene, mk.GridSpec(56, 56))
+true14 = mk.scene_true_warp(scene, mk.GridSpec(4, 4))
+mk.run_cascade(pa, pb, mk.WarpField(true14.grid, true14.target_coords, np.full((4, 4), 0.5)))
+print(threading.active_count())
+mk.synth_pyramid(scene, mk.GridSpec(224, 224))
+print(threading.active_count())
+"""
+    )
+    assert counts[:2] == ["1", "1"]
+    assert int(counts[2]) > 1  # large work does use the pool
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_gets_a_working_pool():
+    # The child of a fork inherits the pool object but not its threads; it
+    # must start its own instead of waiting forever on the inherited queue.
+    out = run_fresh(
+        """
+import os
+import matchkit as mk
+from matchkit import cascade
+from matchkit.scalespace import translation_scene
+cascade._usable_cpus = lambda: 2
+base, scene = mk.GridSpec(224, 224), translation_scene((0.1, 0.0))
+want = mk.synth_pyramid(scene, base)[0].features(1)
+pid = os.fork()
+if pid == 0:
+    got = mk.synth_pyramid(scene, base)[0].features(1)
+    os._exit(0 if (got == want).all() else 3)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+    )
+    assert out == ["0"]

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from matchkit import cli, selftest
+from matchkit import cascade, cli, selftest
 from matchkit.cli import main
 from matchkit.fileio import (
     read_correspondences_csv,
@@ -599,15 +599,21 @@ def test_loss_sweep_overflowing_rmax_or_huge_steps_is_a_data_error(tmp_path, cap
 @pytest.mark.parametrize(
     "argv, message, missing",
     [
-        (["cascade", "--offset", "1e308,0"], "feature field phases are not finite", "stage_epe.csv"),
-        (["synth", "translation", "--offset", "1e300,0"], "values must be finite and fit in float32", "truth.rmgrid"),
+        (["cascade", "--offset", "1e308,0", "--base", "56"], "feature field phases are not finite", "stage_epe.csv"),
+        (
+            ["synth", "translation", "--offset", "1e300,0", "--base", "56"],
+            "values must be finite and fit in float32",
+            "truth.rmgrid",
+        ),
+        # At base 224 the source pyramid is built on a pool thread, which raises.
+        (["cascade", "--offset", "1e308,0", "--base", "224"], "feature field phases are not finite", "stage_epe.csv"),
     ],
 )
 def test_offset_beyond_float_range_is_a_data_error(tmp_path, capsys, argv, message, missing):
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow RuntimeWarning on the way
-        assert run(*argv, "--base", "56", "--out", str(out)) == 2
+        assert run(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert_one_error(err)
     assert message in err, err
@@ -627,6 +633,37 @@ def test_steer_fit_non_positive_step_is_a_data_error_naming_the_flag(tmp_path, c
     assert not out.exists()
     # The least-squares fit takes no step, so the flag does not matter there.
     assert run("steer", "fit", *flags, "--method", "lsq", "--out", str(out)) == 0
+
+
+def test_steer_fit_negative_iters_is_refused_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    flags = ["--synthetic", "--n", "16", "--dim", "4", "--iters", "-1"]
+    assert run("steer", "fit", *flags, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert "--iters must be nonnegative, got -1" in err
+    for name in ["rot0.rmdesc", "rot1.rmdesc", "rot2.rmdesc", "rot3.rmdesc", "w_true.rmsteer"]:
+        assert not (out / name).exists()
+    # The least-squares fit takes no iterations, so the flag does not matter there.
+    assert run("steer", "fit", *flags, "--method", "lsq", "--out", str(out)) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cascade", "--base", "224", "--seed", "4"],
+        ["cascade", "--base", "224", "--kind", "affine", "--offset", "0.1,-0.05"],
+        ["synth", "affine", "--base", "224", "--seed", "5"],
+    ],
+)
+def test_base_224_outputs_are_the_same_with_and_without_threads(tmp_path, monkeypatch, capsys, argv):
+    trees = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(cascade, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert run(*argv, "--out", str(out)) == 0
+        trees.append(read_bytes_tree(out))
+    assert trees[0] == trees[1] and len(trees[0]) > 1
 
 
 def test_config_that_is_not_json_names_the_file(tmp_path, capsys):
