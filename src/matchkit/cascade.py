@@ -21,22 +21,22 @@ the results are bit-identical to the serial path. Work too small to repay a
 thread runs serially (``PARALLEL_MIN_ELEMENTS``).
 
 Real encoder features are out of scope at desk scale; ``synth_pyramid``
-builds smooth band-limited random feature fields whose ground-truth warp is
-known exactly, which makes end-to-end refinement accuracy measurable.
+builds smooth band-limited random feature fields (per affine region, row
+phasors times column phasors) whose ground-truth warp is known exactly, which
+makes end-to-end refinement accuracy measurable.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .grids import EXTENT_MIN, GridSpec, WarpField, _axis_taps, containing_cells, in_extent
-from .scalespace import SceneSpec
+from .scalespace import AffineRegion, SceneSpec, identity_scene
 
 # Refiner strides, coarse to fine, each with its correlation window (0: pass-through).
 CORR_WINDOWS = {14: 15, 8: 7, 4: 5, 2: 0, 1: 0}
@@ -52,7 +52,7 @@ PARALLEL_MIN_ELEMENTS = 1 << 18
 
 _LOGIT_EPS = 1e-7
 
-_executor: ThreadPoolExecutor | None = None
+_executor = None  # the concurrent.futures.ThreadPoolExecutor, made (and its module imported) on first use
 _executor_lock = threading.Lock()
 _in_worker = threading.local()
 
@@ -93,6 +93,7 @@ def _parallel_map(fn: Callable, items: Sequence, elements: int) -> list:
     nested = getattr(_in_worker, "active", False)
     if cpus < 2 or len(items) < 2 or elements < PARALLEL_MIN_ELEMENTS or nested:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor, wait  # ~8 ms: paid by processes that use the pool
     with _executor_lock:
         if _executor is None:
             _executor = ThreadPoolExecutor(cpus, thread_name_prefix="matchkit", initializer=_mark_worker)
@@ -136,8 +137,8 @@ class FeatureField:
     their displacement: ``sum_j cos(w_j . delta) / n_pairs``. That makes
     local correlation surfaces symmetric around the true match with no
     location-dependent fluctuations. The frequencies are drawn with standard
-    deviation ``FREQ_SCALE``. Points so far out that a phase ``w.y + psi``
-    overflows are refused.
+    deviation ``FREQ_SCALE``. A call evaluates scattered points, ``lattice``
+    the cell centres of a grid; a phase ``w.y + psi`` that overflows is refused.
     """
 
     def __init__(self, feature_dim: int, seed: int):
@@ -153,14 +154,32 @@ class FeatureField:
         with np.errstate(over="ignore", invalid="ignore"):
             theta = pts @ self.freqs.T
             theta += self.phases
-        if not np.all(np.isfinite(theta)):
-            raise ValueError(
-                f"feature field phases are not finite at points of magnitude {np.abs(pts).max():.3g}"
-            )
+        _check_phases(theta, lambda: pts)
         out = np.empty((*theta.shape, 2))
         np.cos(theta, out=out[..., 0])
         np.sin(theta, out=out[..., 1])
         return out.reshape(theta.shape[0], -1)
+
+    def lattice(self, region: AffineRegion, grid: GridSpec, out: np.ndarray, where: np.ndarray):
+        """Write the field at ``A p + t``, ``p`` a ``grid`` cell centre, into complex ``out`` where ``where`` holds.
+
+        A pair's phase ``(A^T w).p + w.t + psi`` is affine in ``p``, so it is a row phasor times a column phasor:
+        ``H + W`` cos/sin calls per pair, not ``H * W``. ``out.view(float)`` is the call's ``(H, W, D)``, to a few ulp.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below if a cell uses them
+            freqs = self.freqs @ region.linear  # row j: (A^T w_j)^T
+            theta_x = np.multiply.outer(grid.axis_centers_x(), freqs[:, 0]) + (self.freqs @ region.offset + self.phases)
+            theta_y = np.multiply.outer(grid.axis_centers_y(), freqs[:, 1])
+            row, col = (np.cos(theta) + 1j * np.sin(theta) for theta in (theta_x, theta_y))
+        used = np.concatenate([theta_x[where.any(axis=0)], theta_y[where.any(axis=1)]])
+        _check_phases(used, lambda: region.map_points(grid.cell_centers()[where.ravel()]))
+        np.multiply(col[:, None], row, out=out, where=where[..., None])
+
+
+def _check_phases(theta: np.ndarray, points: Callable[[], np.ndarray]) -> None:
+    if not np.all(np.isfinite(theta)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            raise ValueError(f"feature field phases are not finite at points of magnitude {np.abs(points()).max():.3g}")
 
 
 def _pool(level1: np.ndarray, factor: int) -> np.ndarray:
@@ -180,20 +199,24 @@ def synth_pyramid(
 
     Target features sample the field at target cell centers; source features
     sample it at each source cell's ground-truth warped location (defined even
-    outside the extent, mimicking content that left the frame). Coarser levels
-    average-pool the stride-1 level. The two pyramids are built on separate
-    pool workers when they are large enough (see ``_parallel_map``).
+    outside the extent, mimicking content that left the frame), evaluated
+    region by region with ``FeatureField.lattice``. Coarser levels average-pool
+    the stride-1 level. The two pyramids are built on separate pool workers
+    when they are large enough (see ``_parallel_map``).
     """
     validate_base(base)
     field = FeatureField(feature_dim, seed)
     centers = base.cell_centers()
 
-    def build(pts: np.ndarray) -> FeaturePyramid:
-        level1 = field(pts).reshape(base.height, base.width, feature_dim)
+    def build(spec: SceneSpec) -> FeaturePyramid:
+        region = spec.region_index(centers).reshape(base.height, base.width)
+        level1 = np.empty((base.height, base.width, feature_dim // 2), complex)
+        for i, r in enumerate(spec.regions):
+            field.lattice(r, base, level1, region == i)
+        level1 = level1.view(float)  # (H, W, D): cos and sin interleaved per pair
         return FeaturePyramid({s: _pool(level1, s) for s in CORR_WINDOWS})
 
-    src, tgt = _parallel_map(build, [scene.map_points(centers), centers], base.n_cells * feature_dim)
-    return src, tgt
+    return tuple(_parallel_map(build, [scene, identity_scene()], base.n_cells * feature_dim))
 
 
 def correlation_windows(

@@ -119,6 +119,13 @@ FLOAT = _floats(1, "a finite number")
 FLOATS = _floats(None, "finite numbers a,b,...")
 
 
+def _seed(text: str) -> int:
+    """The argparse ``type`` of --seed: numpy takes nonnegative integer seeds."""
+    if not text.isdecimal():  # digits only, so no sign
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -446,7 +453,7 @@ def build_parser() -> _Parser:
 
     # Options that several subcommands share, each declared once in a parent parser.
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_seed, default=0)
     common.add_argument("--out", default="out")
     common.add_argument("--config", help="JSON file with option values per subcommand")
     descriptors = _Parser(add_help=False)
@@ -583,7 +590,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError, MemoryError) as exc:  # MemoryError: an allocation sized by a flag
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return DATA_EXIT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -23,7 +24,14 @@ from matchkit import (
 )
 from matchkit import cascade
 from matchkit.cascade import FeatureField, FeaturePyramid, stage_epes, validate_base
-from matchkit.scalespace import affine_scene, identity_scene, translation_scene, two_translation_scene
+from matchkit.scalespace import (
+    AffineRegion,
+    SceneSpec,
+    affine_scene,
+    identity_scene,
+    translation_scene,
+    two_translation_scene,
+)
 
 BASE = GridSpec(56, 56)
 FINE = 2 / 56
@@ -98,18 +106,49 @@ def test_synth_pooling_consistency():
     assert np.allclose(lvl14[0, 0], lvl1[:14, :14].mean(axis=(0, 1)), atol=1e-12)
 
 
-def test_synth_pyramid_matches_pooling_oracle():
-    # Every level, stride 1 included, is the mean over stride x stride blocks
-    # of the field sampled at the base cell centers.
+def test_synth_pyramid_levels_are_block_means_of_its_stride_1_level():
     scene = random_affine_scene(np.random.default_rng(4))
-    pyrA, pyrB = synth_pyramid(scene, BASE, feature_dim=8, seed=4)
-    field = FeatureField(8, 4)
-    centers = BASE.cell_centers()
-    for pyr, pts in ((pyrA, scene.map_points(centers)), (pyrB, centers)):
-        level1 = field(pts).reshape(56, 56, 8)
+    for pyr in synth_pyramid(scene, BASE, feature_dim=8, seed=4):
+        level1 = pyr.features(1)
         for s in CORR_WINDOWS:
             want = level1.reshape(56 // s, s, 56 // s, s, 8).mean(axis=(1, 3))
             assert np.array_equal(pyr.features(s), want)
+
+
+def three_strip_scene():
+    """Three horizontal strips, each with its own affine motion."""
+    return SceneSpec(
+        (
+            AffineRegion(lambda p: p[:, 1] < -0.3, np.array([[1.03, 0.02], [0.0, 0.97]]), np.array([0.05, 0.1])),
+            AffineRegion(lambda p: (p[:, 1] >= -0.3) & (p[:, 1] < 0.4), np.eye(2), np.array([-0.12, 0.0])),
+            AffineRegion(lambda p: p[:, 1] >= 0.4, np.array([[0.95, -0.04], [0.04, 0.95]]), np.array([0.0, -0.2])),
+        )
+    )
+
+
+@pytest.mark.parametrize("feature_dim", [4, 32])
+@pytest.mark.parametrize("base", [56, 224])
+@pytest.mark.parametrize(
+    "scene",
+    [
+        random_affine_scene(np.random.default_rng(4)),
+        affine_scene([[1.02, 0.03], [-0.03, 0.98]], (0.1, -0.05)),
+        two_translation_scene((-0.2, 0.0), (0.2, 0.05)),  # its boundary x = 0 falls between cells
+        three_strip_scene(),
+        translation_scene((2.5, -1.5)),  # every target outside the extent
+    ],
+    ids=["affine-random", "affine", "two-translation", "three-strip", "out-of-extent"],
+)
+def test_synth_pyramid_stride_1_matches_the_field_at_mapped_centers(scene, base, feature_dim):
+    # The lattice path multiplies per-axis phasors; the scattered call is its oracle.
+    grid = GridSpec(base, base)
+    field = FeatureField(feature_dim, seed=base + feature_dim)
+    centers = grid.cell_centers()
+    pyrA, pyrB = synth_pyramid(scene, grid, feature_dim=feature_dim, seed=base + feature_dim)
+    for pyr, pts in ((pyrA, scene.map_points(centers)), (pyrB, centers)):
+        got = pyr.features(1)
+        assert got.shape == (base, base, feature_dim) and got.flags.c_contiguous
+        np.testing.assert_allclose(got.reshape(-1, feature_dim), field(pts), rtol=0, atol=1e-12)
 
 
 def feature_field_oracle(field, pts):
@@ -138,6 +177,33 @@ def test_feature_field_refuses_non_finite_phases(bad):
     pts = np.array([[0.1, 0.2], [bad, 0.0], [0.3, -0.4]])
     with pytest.raises(ValueError, match=r"^feature field phases are not finite at points of magnitude "):
         FeatureField(32, seed=1)(pts)
+
+
+@pytest.mark.parametrize(
+    "scene, magnitude",
+    [
+        (translation_scene((1e308, 0.0)), "1e+308"),
+        (translation_scene((np.inf, 0.0)), "inf"),
+        (affine_scene([[np.nan, 0.0], [0.0, 1.0]], (0.0, 0.0)), "nan"),
+        (two_translation_scene((-0.2, 0.0), (0.0, -1e308)), "1e+308"),  # one region only
+    ],
+)
+def test_synth_pyramid_refuses_non_finite_phases(scene, magnitude):
+    message = f"feature field phases are not finite at points of magnitude {magnitude}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        synth_pyramid(scene, BASE, seed=1)
+
+
+def test_lattice_skips_phases_no_region_cell_uses():
+    # A region that holds no cell centre may have any motion: the lattice never reads it.
+    scene = SceneSpec(
+        (
+            AffineRegion(lambda p: np.abs(p[:, 0]) > 1e-3, np.eye(2), np.zeros(2)),
+            AffineRegion(lambda p: np.abs(p[:, 0]) <= 1e-3, np.eye(2), np.array([np.inf, 0.0])),
+        )
+    )
+    pyrA, pyrB = synth_pyramid(scene, BASE, seed=1)
+    assert np.array_equal(pyrA.features(1), pyrB.features(1))
 
 
 def local_correlation(f_a, tgt_grid, tgt_feats, center, window):
@@ -651,3 +717,8 @@ print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
     )
     assert out == ["0"]
+
+
+def test_import_defers_the_thread_pool_module():
+    # concurrent.futures costs every process milliseconds; only a pool needs it.
+    assert run_fresh("import sys, matchkit; print('concurrent.futures' in sys.modules)") == ["False"]

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -492,6 +496,9 @@ def test_config_file_gives_the_same_outputs_as_flags(tmp_path, argv):
         ["steer", "fit", "--synthetic", "--step", "nan"],
         ["eval", "--pose-errors", "x.csv", "--ref-res", "inf"],
         ["decode", "--probs", "x.rmgrid", "--lambda", "nan"],
+        ["cascade", "--seed", "-1"],
+        ["synth", "probs", "--seed", "1.5"],
+        ["sample", "--seed", "abc"],
     ],
 )
 def test_nonfinite_and_malformed_numbers_are_usage_errors(tmp_path, capsys, argv):
@@ -500,6 +507,15 @@ def test_nonfinite_and_malformed_numbers_are_usage_errors(tmp_path, capsys, argv
     err = capsys.readouterr().err
     assert_one_error(err, argparse_error=True)
     assert err.startswith(f"error: argument {argv[-2]}: expected "), err
+    assert not out.exists()
+
+
+def test_negative_seed_in_a_config_file_is_a_usage_error_naming_the_flag(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_with_config(tmp_path, ["cascade"], {"cascade": {"seed": -1, "out": str(out)}}) == 1
+    err = capsys.readouterr().err
+    assert_one_error(err, argparse_error=True)
+    assert err.startswith("error: argument --seed: expected a nonnegative integer, got '-1'"), err
     assert not out.exists()
 
 
@@ -746,3 +762,12 @@ def test_selftest_reports_a_failing_check(capsys, monkeypatch):
     assert run("selftest") == 2
     out = capsys.readouterr().out.splitlines()
     assert out == ["ok   fine", "FAIL broken: expected 1, got 2", "1/2 checks passed"]
+
+
+def test_python_dash_m_runs_the_cli_from_a_source_tree():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchkit", "selftest"], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{len(selftest.CHECKS)}/{len(selftest.CHECKS)} checks passed"
