@@ -155,15 +155,19 @@ _erf = np.frompyfunc(math.erf, 1, 1)
 
 
 def _gauss_cdf(z: np.ndarray, mu: np.ndarray, sigma: float) -> np.ndarray:
-    return 0.5 * (1.0 + _erf((z - mu) / (sigma * math.sqrt(2.0))).astype(float))
+    u = (z - mu) / (sigma * math.sqrt(2.0))
+    erf, near = np.sign(u), np.abs(u) < 6.0  # erf(u) is exactly +-1.0 where |u| >= 6: call it only nearer
+    erf[near] = _erf(u[near]).astype(float)
+    return 0.5 * (1.0 + erf)
 
 
 def gaussian_anchor_probs(grid: AnchorGrid, means: np.ndarray, sigma: float) -> np.ndarray:
     """Exact per-cell mass of isotropic Gaussians, one row per mean.
 
     Integrates the Gaussian over each anchor cell (separable erf products)
-    and renormalizes the in-extent mass to one. Useful for building synthetic
-    AnchorProbs whose decoding error can be bounded.
+    and renormalizes the in-extent mass to one, refusing a row that has none
+    (a mean ~8 sigma outside, or a sigma so wide that every cell rounds to 0).
+    Useful for building synthetic AnchorProbs whose decoding error can be bounded.
     """
     if not 0 < sigma < np.inf:  # also refuses NaN
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
@@ -177,4 +181,8 @@ def gaussian_anchor_probs(grid: AnchorGrid, means: np.ndarray, sigma: float) -> 
     mass_x = np.diff(cdf_x, axis=1)
     mass_y = np.diff(cdf_y, axis=1)
     pi = (mass_y[:, :, None] * mass_x[:, None, :]).reshape(means.shape[0], grid.count)
-    return pi / pi.sum(axis=1, keepdims=True)
+    total = pi.sum(axis=1, keepdims=True)
+    if np.any(total == 0):
+        x, y = means[np.flatnonzero(total == 0)[0]]
+        raise ValueError(f"sigma {sigma:g} leaves no mass inside the extent for the mean ({x:g}, {y:g})")
+    return pi / total

@@ -182,11 +182,13 @@ def _check_phases(theta: np.ndarray, points: Callable[[], np.ndarray]) -> None:
             raise ValueError(f"feature field phases are not finite at points of magnitude {np.abs(points()).max():.3g}")
 
 
-def _pool(level1: np.ndarray, factor: int) -> np.ndarray:
-    if factor == 1:  # a mean over 1 x 1 blocks is the identity
-        return level1
-    h, w, d = level1.shape
-    return level1.reshape(h // factor, factor, w // factor, factor, d).mean(axis=(1, 3))
+def _pool(level: np.ndarray, factor: int) -> np.ndarray:
+    """Means of ``factor x factor`` blocks: the block's cells summed in row-major order, then divided by factor^2."""
+    total = level[::factor, ::factor].copy()
+    for k in range(1, factor * factor):
+        total += level[k // factor :: factor, k % factor :: factor]
+    total /= factor * factor
+    return total
 
 
 def synth_pyramid(
@@ -200,9 +202,11 @@ def synth_pyramid(
     Target features sample the field at target cell centers; source features
     sample it at each source cell's ground-truth warped location (defined even
     outside the extent, mimicking content that left the frame), evaluated
-    region by region with ``FeatureField.lattice``. Coarser levels average-pool
-    the stride-1 level. The two pyramids are built on separate pool workers
-    when they are large enough (see ``_parallel_map``).
+    region by region with ``FeatureField.lattice``. Each coarser level pools
+    the coarsest finer level whose stride divides its own (2 from 1, 4 from 2,
+    8 from 4, 14 from 2): a block mean of the stride-1 level up to rounding.
+    The two pyramids are built on separate pool workers when they are large
+    enough (see ``_parallel_map``).
     """
     validate_base(base)
     field = FeatureField(feature_dim, seed)
@@ -213,8 +217,11 @@ def synth_pyramid(
         level1 = np.empty((base.height, base.width, feature_dim // 2), complex)
         for i, r in enumerate(spec.regions):
             field.lattice(r, base, level1, region == i)
-        level1 = level1.view(float)  # (H, W, D): cos and sin interleaved per pair
-        return FeaturePyramid({s: _pool(level1, s) for s in CORR_WINDOWS})
+        levels = {1: level1.view(float)}  # (H, W, D): cos and sin interleaved per pair
+        for s in sorted(CORR_WINDOWS)[1:]:
+            parent = max(t for t in levels if s % t == 0)
+            levels[s] = _pool(levels[parent], s // parent)
+        return FeaturePyramid({s: levels[s] for s in CORR_WINDOWS})
 
     return tuple(_parallel_map(build, [scene, identity_scene()], base.n_cells * feature_dim))
 
@@ -409,37 +416,49 @@ def matchable_mask(scene: SceneSpec, grid: GridSpec) -> np.ndarray:
     return in_extent(scene.map_points(grid.cell_centers())).reshape(grid.height, grid.width)
 
 
+def _axis_resampler(sizes: Sequence[int]) -> np.ndarray:
+    """``upsample_warp``'s 2-tap ``_axis_taps`` hops along an axis of ``sizes[0]``, ``sizes[1]``, ... cells, as one matrix."""
+    out = np.eye(sizes[0])
+    for old, new in zip(sizes, sizes[1:]):
+        i0, i1, f = _axis_taps(GridSpec(1, new).axis_centers_x(), old)
+        out = (1 - f)[:, None] * out[i0] + f[:, None] * out[i1]
+    return out
+
+
 def stage_epes(stages: list[tuple[int, WarpField]], scene: SceneSpec) -> list[tuple[int, float]]:
     """Per-stage EPE over the matchable cells at the base resolution, in extent units.
 
     Mean errors over grids of different sizes are not comparable, so each
-    stage's output is first carried to the finest grid through the same
-    bilinear upsampling chain the cascade itself uses. Every stage ends on
-    the last stage's grid, so the scene's truth and matchable mask are
-    mapped once, there. When a stage's one-step upsample has the next
-    stage's target coordinates, as it does before a window-0 (pass-through)
-    stage, the rest of its chain is the next stage's (the upsampled
-    coordinates do not depend on the certainty), so it reuses that stage's
-    EPE instead of upsampling again; the comparison keeps this exact for any
-    stage list.
+    stage's output is carried to the last stage's grid, where the scene's
+    truth and matchable mask are mapped once. The first hop is
+    ``upsample_warp``. When it has the next stage's target coordinates, as
+    before a window-0 (pass-through) stage, the rest of the chain is the next
+    stage's (it does not depend on the certainty), so that EPE is reused,
+    exactly. Otherwise the rest of the chain, linear in the flow and separable,
+    is applied as one matrix per axis, ``M_y F M_x^T``: equal up to rounding.
     """
     if not stages:
         return []
     grids = [w.grid for _, w in stages]
-    true = scene.map_points(grids[-1].cell_centers())
+    centers = grids[-1].cell_centers()
+    true = scene.map_points(centers)
     keep = in_extent(true)
     if not np.any(keep):
         raise ValueError("no matchable cells to evaluate")
     epes: list[float] = []  # last stage first
     for i in reversed(range(len(stages))):
-        field = stages[i][1]
+        coords = stages[i][1].target_coords
         if i + 1 < len(stages):
-            field = upsample_warp(field, grids[i + 1])
-            if np.array_equal(field.target_coords, stages[i + 1][1].target_coords):
+            coords = upsample_warp(stages[i][1], grids[i + 1]).target_coords
+            if np.array_equal(coords, stages[i + 1][1].target_coords):
                 epes.append(epes[-1])  # the rest of the chain is the next stage's
                 continue
-            for grid in grids[i + 2 :]:
-                field = upsample_warp(field, grid)
-        err = np.linalg.norm(field.target_coords.reshape(-1, 2) - true, axis=1)
+        if i + 2 < len(stages):
+            rest = grids[i + 1 :]
+            my, mx = _axis_resampler([g.height for g in rest]), _axis_resampler([g.width for g in rest])
+            flow = my @ np.moveaxis(coords - rest[0].cell_centers().reshape(coords.shape), -1, 0) @ mx.T
+            coords = np.moveaxis(flow, 0, -1).reshape(-1, 2) + centers
+        d = coords.reshape(-1, 2) - true
+        err = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])  # np.linalg.norm's bits, without its slow length-2 sum
         epes.append(float(err[keep].mean()))
     return [(stride, e) for (stride, _), e in zip(stages, reversed(epes))]

@@ -191,12 +191,13 @@ def _synth_descriptors(a, out: Path) -> list[DescriptorSet]:
 
 
 def _cmd_synth(a) -> int:
-    out = _out_dir(a)
     if a.kind == "descriptors":
+        out = _out_dir(a)
         _synth_descriptors(a, out)
         print(f"wrote rot0..rot3.rmdesc and w_true.rmsteer to {out}")
         return 0
     if a.kind != "probs":
+        out = _out_dir(a)
         scene = _scene_from_kind(a.kind, a.seed, a.offset)
         base = GridSpec(a.base, a.base)
         _save_warp(out, "truth", scene_true_warp(scene, base))
@@ -219,8 +220,10 @@ def _cmd_synth(a) -> int:
         support = SupportSet(field(tgt_grid.cell_centers()), tgt_grid.cell_centers())
         targets = gp_posterior_mean(field(targets), support, KernelSpec(a.beta, 1e-4))
         targets = np.clip(targets, -0.999, 0.999)
+    pi = gaussian_anchor_probs(grid, targets, sigma=a.sigma)  # refuses a row with no mass before any write
+    out = _out_dir(a)
+    if a.via_gp:
         write_support_set(out / "support", support.features, support.embeddings)
-    pi = gaussian_anchor_probs(grid, targets, sigma=a.sigma)
     match = rng.uniform(0.5, 1.0, source.n_cells)
     write_grid(out / "probs.rmgrid", np.concatenate([pi, match[:, None]], axis=1))
     _write_json(

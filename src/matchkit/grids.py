@@ -39,7 +39,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def in_extent(coords: np.ndarray, eps: float = EXTENT_EPS) -> np.ndarray:
     """Boolean mask of which ``(..., 2)`` coordinates lie inside [-1, 1]^2."""
     coords = np.asarray(coords, dtype=float)
-    return np.all((coords >= EXTENT_MIN - eps) & (coords <= EXTENT_MAX + eps), axis=-1)
+    inside = (coords >= EXTENT_MIN - eps) & (coords <= EXTENT_MAX + eps)
+    return inside[..., 0] & inside[..., 1]  # np.all over a length-2 axis is several times slower
 
 
 @dataclass(frozen=True)

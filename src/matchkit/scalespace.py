@@ -63,8 +63,11 @@ class SceneSpec:
         return np.argmax(member, axis=0)
 
     def map_points(self, pts: np.ndarray) -> np.ndarray:
+        """Each point moved by its region's map; one region holding every point maps the C-contiguous ``pts[sel]``."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         idx = self.region_index(pts)
+        if len(idx) and np.all(idx == idx[0]):
+            return self.regions[idx[0]].map_points(np.ascontiguousarray(pts))
         out = np.empty_like(pts)
         for i, region in enumerate(self.regions):
             sel = idx == i

@@ -37,7 +37,8 @@ from . import (
     to_warp,
     two_translation_scene,
 )
-from .grids import containing_cells
+from .cascade import CORR_WINDOWS, run_cascade, scene_true_warp, stage_epes, synth_pyramid, upsample_warp
+from .grids import containing_cells, in_extent
 from .steering import random_c4_steering
 
 
@@ -165,6 +166,26 @@ def _metric_oracles() -> None:
     _check(abs(got - 0.5 * (1 / 3 + 1 / 3)) < 1e-12, "maa hand count mismatch")
 
 
+def _pyramid_block_means() -> None:
+    for pyr in synth_pyramid(two_translation_scene(), GridSpec(56, 56), feature_dim=8, seed=8):
+        for s in CORR_WINDOWS:
+            want = pyr.features(1).reshape(56 // s, s, 56 // s, s, 8).mean(axis=(1, 3))
+            _check(np.max(np.abs(pyr.features(s) - want)) < 1e-12, f"stride-{s} level is not a block mean")
+
+
+def _pass_through_stage_epes() -> None:
+    scene = two_translation_scene()
+    _, stages = run_cascade(*synth_pyramid(scene, GridSpec(56, 56), seed=9), scene_true_warp(scene, GridSpec(4, 4)))
+    epes = [e for _, e in stage_epes(stages, scene)]  # strides 14, 8, 4, 2, 1
+    _check(epes[2] == epes[3] == epes[4], "the stages before and after pass-through differ")
+    field = stages[0][1]  # stride 14's composed hops, against the chain of upsample_warp calls
+    for _, w in stages[1:]:
+        field = upsample_warp(field, w.grid)
+    true = scene_true_warp(scene, field.grid).target_coords.reshape(-1, 2)
+    err = np.linalg.norm(field.target_coords.reshape(-1, 2) - true, axis=1)[in_extent(true)].mean()
+    _check(abs(epes[0] - err) <= 1e-12 * err, "composed upsampling differs from the upsample chain")
+
+
 def _correspondence_csv_round_trip() -> None:
     import tempfile
     from pathlib import Path
@@ -198,6 +219,8 @@ CHECKS = (
     ("kde vs brute force", _kde_brute),
     ("metric hand cases", _metric_oracles),
     ("correspondence csv round trip", _correspondence_csv_round_trip),
+    ("pyramid levels are block means", _pyramid_block_means),
+    ("pass-through stage EPEs", _pass_through_stage_epes),
 )
 
 

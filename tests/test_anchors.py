@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -221,3 +223,58 @@ def test_gaussian_anchor_probs_rejects_nonfinite_means(bad):
     means = np.array([[0.1, 0.2], [0.0, bad]])
     with pytest.raises(ValueError, match="means must be finite"):
         gaussian_anchor_probs(build_anchor_grid(4, 4), means, 0.1)
+
+
+def gaussian_anchor_probs_oracle(grid, means, sigma):
+    """The all-cells formula: ``math.erf`` at every cell edge, then the per-row renormalization."""
+    erf = np.frompyfunc(math.erf, 1, 1)
+    means = np.atleast_2d(np.asarray(means, dtype=float))
+
+    def cdf(edges, mu):
+        return 0.5 * (1.0 + erf((edges[None, :] - mu) / (sigma * math.sqrt(2.0))).astype(float))
+
+    mass_x = np.diff(cdf(-1.0 + np.arange(grid.cols + 1) * (2.0 / grid.cols), means[:, 0:1]), axis=1)
+    mass_y = np.diff(cdf(-1.0 + np.arange(grid.rows + 1) * (2.0 / grid.rows), means[:, 1:2]), axis=1)
+    pi = (mass_y[:, :, None] * mass_x[:, None, :]).reshape(means.shape[0], grid.count)
+    return pi / pi.sum(axis=1, keepdims=True)
+
+
+def test_erf_saturates_at_six():
+    # gaussian_anchor_probs skips math.erf where |u| >= 6 and uses +-1 there;
+    # that is exact only on a libm whose erf has rounded to +-1.0 by then.
+    assert math.erf(6.0) == 1.0 and math.erf(-6.0) == -1.0
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 2 / 64, 0.08, 0.3, 5.0])
+@pytest.mark.parametrize("shape", [(64, 64), (8, 5), (1, 3)])
+def test_gaussian_anchor_probs_is_bit_identical_to_the_all_cells_formula(sigma, shape):
+    grid = build_anchor_grid(*shape)
+    rng = np.random.default_rng(shape[1])
+    inside = rng.uniform(-1.0, 1.0, (40, 2))
+    # Means outside the extent, but within reach of it at every sigma above.
+    outside = np.array([[1.0 + 2 * sigma, 0.3], [-0.2, -1.0 - 4 * sigma], [-1.0 - sigma, 1.0 + sigma], [1.0, -1.0]])
+    edges = np.array([[0.0, 0.0], [-1.0, 1.0], [2 / shape[1] - 1.0, 0.5]])  # on cell edges
+    means = np.concatenate([inside, outside, edges])
+    got = gaussian_anchor_probs(grid, means, sigma)
+    assert np.array_equal(got, gaussian_anchor_probs_oracle(grid, means, sigma))
+
+
+@pytest.mark.parametrize(
+    "means, sigma, named",
+    [
+        ([(0.1, 0.2), (1.2, 0.0), (5.0, 5.0)], 0.01, "(1.2, 0)"),  # 20 sigma right of the extent
+        ([(0.1, 0.2), (0.3, -1.5)], 0.05, "(0.3, -1.5)"),  # 10 sigma below it
+        ([(0.25, -0.5), (0.0, 0.0)], 1e20, "(0.25, -0.5)"),  # every cell's mass rounds to 0
+        ([(0.0, 0.0)], 1e308, "(0, 0)"),  # sigma * sqrt(2) overflows
+    ],
+)
+def test_gaussian_anchor_probs_refuses_a_row_without_in_extent_mass(means, sigma, named):
+    with pytest.raises(ValueError) as info:
+        gaussian_anchor_probs(build_anchor_grid(8, 8), np.array(means), sigma)
+    assert str(info.value) == f"sigma {sigma:g} leaves no mass inside the extent for the mean {named}"
+
+
+def test_gaussian_anchor_probs_keeps_a_row_with_little_in_extent_mass():
+    # About 7 sigma outside: the mass left is tiny but representable, and renormalized.
+    pi = gaussian_anchor_probs(build_anchor_grid(8, 8), np.array([[1.07, 0.0]]), 0.01)
+    assert np.all(np.isfinite(pi)) and abs(pi.sum() - 1.0) < 1e-12

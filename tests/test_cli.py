@@ -510,6 +510,17 @@ def test_nonfinite_and_malformed_numbers_are_usage_errors(tmp_path, capsys, argv
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [[], ["--via-gp"]])
+def test_synth_probs_without_in_extent_mass_fails_before_writing(tmp_path, capsys, extra):
+    # A sigma so wide that every anchor cell's mass rounds to 0 once left a NaN row.
+    out = tmp_path / "out"
+    assert run("synth", "probs", *extra, "--sigma", "1e20", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert err.startswith("error: sigma 1e+20 leaves no mass inside the extent for the mean ("), err
+    assert not out.exists()
+
+
 def test_negative_seed_in_a_config_file_is_a_usage_error_naming_the_flag(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_with_config(tmp_path, ["cascade"], {"cascade": {"seed": -1, "out": str(out)}}) == 1

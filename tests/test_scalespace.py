@@ -504,3 +504,47 @@ def test_fit_comparison_rejects_nonfinite_or_negative(bad):
     cond[0, 3] = bad
     with pytest.raises(ValueError, match="finite and nonnegative"):
         fit_comparison(cond, build_anchor_grid(4, 4))
+
+
+def map_points_masked(spec, pts):
+    """Every region through the boolean gather and scatter, as ``SceneSpec.map_points`` first did."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    idx = spec.region_index(pts)
+    out = np.empty_like(pts)
+    for i, region in enumerate(spec.regions):
+        sel = idx == i
+        if np.any(sel):
+            out[sel] = region.map_points(pts[sel])
+    return out
+
+
+def test_map_points_one_region_fast_path_keeps_the_masked_bits():
+    from matchkit.scalespace import affine_scene
+
+    rng = np.random.default_rng(21)
+    wide = rng.uniform(-1.0, 1.0, (3001, 6))
+    centers = GridSpec(224, 224).cell_centers()
+    inputs = {
+        "grid centres": centers,
+        "column-strided": wide[:, 1:5:3],
+        "row-strided": wide[::3, :2],
+        "fortran": np.asfortranarray(wide[:, :2]),
+        "list": [[0.1, -0.2], [0.3, 0.4]],
+        "one point": np.array([0.5, 0.25]),
+        "none": np.empty((0, 2)),
+    }
+    scenes = {
+        "affine": affine_scene([[1.02, -0.031], [0.027, 0.97]], (0.113, -0.071)),
+        "identity": identity_scene(),
+        "two-translation": two_translation_scene((-0.2, 0.0), (0.2, 0.05)),
+    }
+    for scene_name, scene in scenes.items():
+        for name, pts in inputs.items():
+            got, want = scene.map_points(pts), map_points_masked(scene, pts)
+            assert got.shape == want.shape and got.dtype == want.dtype, (scene_name, name)
+            assert got.tobytes() == want.tobytes(), (scene_name, name)
+    # Every point in the second region of two: the fast path maps them with that region.
+    scene = scenes["two-translation"]
+    for right in (np.abs(wide[:, 2:4]), np.abs(wide)[:, 2::2]):  # x >= 0; contiguous, then strided
+        assert np.all(scene.region_index(right) == 1)
+        assert scene.map_points(right).tobytes() == map_points_masked(scene, right).tobytes()
