@@ -34,7 +34,6 @@ from .grids import (
     JointMatchDistribution,
     WarpField,
     bilinear_sample,
-    bilinear_weights,
     in_extent,
     normalize_joint,
 )

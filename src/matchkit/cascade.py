@@ -35,7 +35,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .grids import EXTENT_MIN, GridSpec, WarpField, _axis_taps, containing_cells, in_extent
+from .grids import EXTENT_MIN, GridSpec, WarpField, _axis_taps, bilinear, bilinear_taps, containing_cells, in_extent
 from .scalespace import AffineRegion, SceneSpec, identity_scene
 
 # Refiner strides, coarse to fine, each with its correlation window (0: pass-through).
@@ -289,6 +289,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def _upsampled_coords(field: WarpField, new_grid: GridSpec):
+    """``upsample_warp``'s target coordinates, and the lattice taps that gave them."""
+    old, tc = field.grid, field.target_coords
+    new_x, new_y = new_grid.axis_centers_x(), new_grid.axis_centers_y()[:, None]
+    taps = bilinear_taps((old.height, old.width), new_x, new_y)
+    flow_x, flow_y = tc[..., 0] - old.axis_centers_x(), tc[..., 1] - old.axis_centers_y()[:, None]
+    return np.stack([bilinear(flow_x, taps) + new_x, bilinear(flow_y, taps) + new_y], axis=-1), taps
+
+
 def upsample_warp(field: WarpField, new_grid: GridSpec) -> WarpField:
     """Bilinearly resample a warp (coords and certainty) onto another grid.
 
@@ -297,34 +306,11 @@ def upsample_warp(field: WarpField, new_grid: GridSpec) -> WarpField:
     this is identical to resampling the coordinates directly (bilinear
     interpolation reproduces the linear anchor term exactly); at the clamped
     border it extends the local flow instead of freezing coordinates, so a
-    uniform translation stays uniform after upsampling.
-
-    Grid to grid, the interpolation is separable: the taps and fractions are
-    computed once per new row and once per new column, each corner is one
-    outer-indexed gather of the flow and certainty planes, and its weight is
-    an outer product. The corners are summed in the order of the 4-tap
-    :func:`bilinear_weights` form, so the result is bit-identical to it.
+    uniform translation stays uniform after upsampling. The x-flow, y-flow
+    and certainty planes share one set of lattice taps.
     """
-    old = field.grid
-    tc = field.target_coords
-    planes = np.stack(
-        [tc[..., 0] - old.axis_centers_x(), tc[..., 1] - old.axis_centers_y()[:, None], field.certainty]
-    ).reshape(3, -1)
-    new_x, new_y = new_grid.axis_centers_x(), new_grid.axis_centers_y()
-    c0, c1, fx = _axis_taps(new_x, old.width)
-    r0, r1, fy = _axis_taps(new_y, old.height)
-
-    def corner(wy, rows, wx, cols):
-        return np.multiply.outer(wy, wx) * np.take(planes, rows[:, None] * old.width + cols, axis=1)
-
-    vals = (
-        (corner(1 - fy, r0, 1 - fx, c0) + corner(1 - fy, r0, fx, c1)) + corner(fy, r1, 1 - fx, c0)
-    ) + corner(fy, r1, fx, c1)
-    return WarpField(
-        new_grid,
-        np.stack([vals[0] + new_x, vals[1] + new_y[:, None]], axis=-1),
-        np.clip(vals[2], 0.0, 1.0),
-    )
+    coords, taps = _upsampled_coords(field, new_grid)
+    return WarpField(new_grid, coords, np.clip(bilinear(field.certainty, taps), 0.0, 1.0))
 
 
 def analytic_refiner(
@@ -430,12 +416,12 @@ def stage_epes(stages: list[tuple[int, WarpField]], scene: SceneSpec) -> list[tu
 
     Mean errors over grids of different sizes are not comparable, so each
     stage's output is carried to the last stage's grid, where the scene's
-    truth and matchable mask are mapped once. The first hop is
-    ``upsample_warp``. When it has the next stage's target coordinates, as
-    before a window-0 (pass-through) stage, the rest of the chain is the next
-    stage's (it does not depend on the certainty), so that EPE is reused,
-    exactly. Otherwise the rest of the chain, linear in the flow and separable,
-    is applied as one matrix per axis, ``M_y F M_x^T``: equal up to rounding.
+    truth and matchable mask are mapped once. The first hop samples the two
+    flow planes as ``upsample_warp`` does. When it has the next stage's target
+    coordinates, as before a window-0 (pass-through) stage, the rest of the
+    chain is the next stage's, so that EPE is reused, exactly. Otherwise the
+    rest of the chain, linear in the flow and separable, is applied as one
+    matrix per axis, ``M_y F M_x^T``: equal up to rounding.
     """
     if not stages:
         return []
@@ -449,7 +435,7 @@ def stage_epes(stages: list[tuple[int, WarpField]], scene: SceneSpec) -> list[tu
     for i in reversed(range(len(stages))):
         coords = stages[i][1].target_coords
         if i + 1 < len(stages):
-            coords = upsample_warp(stages[i][1], grids[i + 1]).target_coords
+            coords = _upsampled_coords(stages[i][1], grids[i + 1])[0]
             if np.array_equal(coords, stages[i + 1][1].target_coords):
                 epes.append(epes[-1])  # the rest of the chain is the next stage's
                 continue

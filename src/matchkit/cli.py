@@ -235,7 +235,6 @@ def _cmd_synth(a) -> int:
 
 
 def _cmd_decode(a) -> int:
-    out = _out_dir(a)
     data = read_grid(a.probs)
     grid = build_anchor_grid(*a.anchors)
     source = GridSpec(*a.grid)
@@ -251,11 +250,12 @@ def _cmd_decode(a) -> int:
     pi = data[:, :-1] / sums[:, None]
     probs = AnchorProbs(source, pi, np.clip(data[:, -1], 0.0, 1.0))
     warp = to_warp(probs, grid)
+    if a.corr:  # every input is checked before --out is made
+        corr = read_correspondences_csv(a.corr)
+        res = coarse_loss(probs, np.ones(source.n_cells, bool), corr, CoarseLossConfig(a.marginal_weight, grid))
+    out = _out_dir(a)
     _save_warp(out, "warp", warp)
     if a.corr:
-        corr = read_correspondences_csv(a.corr)
-        cfg = CoarseLossConfig(a.marginal_weight, grid)
-        res = coarse_loss(probs, np.ones(source.n_cells, bool), corr, cfg)
         _write_json(
             out / "coarse_loss.json",
             {
@@ -385,7 +385,6 @@ def _cmd_steer_eval(a) -> int:
 
 
 def _cmd_sample(a) -> int:
-    out = _out_dir(a)
     if a.warp:
         warp = _load_warp(a.warp)
     else:
@@ -402,12 +401,10 @@ def _cmd_sample(a) -> int:
         note = f"note: --n-matches {a.n_matches} capped to the {n} candidates ({what})"
         print(note, file=sys.stderr)
     cs = balanced_sample(warp, n, h=a.bandwidth, seed=a.seed)
+    rows = [(h, spatial_entropy(balanced_sample(warp, n, h=h, seed=a.seed))) for h in a.sensitivity or ()]
+    out = _out_dir(a)  # after every draw, so a refused bandwidth writes nothing
     write_correspondences_csv(out / "matches.csv", cs)
     if a.sensitivity:
-        rows = []
-        for h in a.sensitivity:
-            cs_h = balanced_sample(warp, n, h=h, seed=a.seed)
-            rows.append((h, spatial_entropy(cs_h)))
         write_csv(out / "bandwidth_sensitivity.csv", "bandwidth,spatial_entropy", rows)
     print(f"wrote {n} matches to {out / 'matches.csv'}")
     return 0

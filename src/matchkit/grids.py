@@ -95,24 +95,35 @@ def _axis_taps(coord: np.ndarray, n: int):
     return i0, np.minimum(i0 + 1, n - 1), f
 
 
-def bilinear_weights(grid: GridSpec, coords: np.ndarray):
-    """Corner indices and weights for bilinear interpolation on cell centers.
+def bilinear_taps(shape: tuple[int, int], x: np.ndarray, y: np.ndarray):
+    """The four bilinear corners of ``(x, y)`` on an ``(H, W)`` grid's cell centers.
 
-    Returns ``(rows, cols, weights)`` with shapes ``(..., 4)``. Queries outside
-    the convex hull of cell centers clamp to the edge values, so the weights
+    Returns ``(flat cell index, weight)`` pairs in the corner order 00, 01,
+    10, 11 (row offset, then column offset). ``x`` and ``y`` broadcast: a
+    lattice passes a row of x and a column of y, so its taps are computed
+    once per axis; scattered points pass two arrays of one shape. Queries
+    outside the hull of cell centers clamp to the edge values, so the weights
     always sum to 1.
     """
-    coords = np.asarray(coords, dtype=float)
-    if not np.all(np.isfinite(coords)):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("bilinear query coordinates must be finite")
-    c0, c1, fx = _axis_taps(coords[..., 0], grid.width)
-    r0, r1, fy = _axis_taps(coords[..., 1], grid.height)
-    rows = np.stack([r0, r0, r1, r1], axis=-1)
-    cols = np.stack([c0, c1, c0, c1], axis=-1)
-    weights = np.stack(
-        [(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx], axis=-1
+    h, w = shape
+    c0, c1, fx = _axis_taps(x, w)
+    r0, r1, fy = _axis_taps(y, h)
+    return (
+        (r0 * w + c0, (1 - fy) * (1 - fx)),
+        (r0 * w + c1, (1 - fy) * fx),
+        (r1 * w + c0, fy * (1 - fx)),
+        (r1 * w + c1, fy * fx),
     )
-    return rows, cols, weights
+
+
+def bilinear(values: np.ndarray, taps) -> np.ndarray:
+    """Interpolate ``(H, W, ...)`` values at :func:`bilinear_taps`: ``((00 + 01) + 10) + 11``."""
+    flat, trail = values.reshape(-1, *values.shape[2:]), (1,) * (values.ndim - 2)
+    c00, c01, c10, c11 = (np.reshape(w, np.shape(w) + trail) * np.take(flat, i, axis=0) for i, w in taps)
+    return ((c00 + c01) + c10) + c11
 
 
 @dataclass(frozen=True)
@@ -145,10 +156,9 @@ def bilinear_sample(field: WarpField, coords: np.ndarray):
     Exact at cell centers, linear between adjacent centers, clamped outside
     the cell-center hull.
     """
-    rows, cols, w = bilinear_weights(field.grid, coords)
-    tc = field.target_coords[rows, cols]  # (..., 4, 2)
-    ct = field.certainty[rows, cols]  # (..., 4)
-    return (w[..., None] * tc).sum(axis=-2), (w * ct).sum(axis=-1)
+    coords = np.asarray(coords, dtype=float)
+    taps = bilinear_taps((field.grid.height, field.grid.width), coords[..., 0], coords[..., 1])
+    return bilinear(field.target_coords, taps), bilinear(field.certainty, taps)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .anchors import AnchorGrid, AnchorProbs, closest_anchor
-from .grids import CorrespondenceSet, GridSpec, WarpField, bilinear_weights, containing_cells
+from .grids import CorrespondenceSet, GridSpec, WarpField, bilinear, bilinear_taps, containing_cells
 
 LOG_EPS = 1e-12
 # Largest number of log-spaced radii gradient_sweep emits.
@@ -214,15 +214,16 @@ def fine_loss(
             raise ValueError(f"missing matchable mask for scale exponent {i}")
         fld = warps[i]
         s = cfg.scale_value(i)
-        rows, cols, bw = bilinear_weights(fld.grid, corr.xa)
-        mu = (bw[..., None] * fld.target_coords[rows, cols]).sum(axis=-2)
+        taps = bilinear_taps((fld.grid.height, fld.grid.width), corr.xa[:, 0], corr.xa[:, 1])
+        mu = bilinear(fld.target_coords, taps)
         nll = charbonnier_nll(mu, corr.xb, s)
         charb = float(np.sum(w * nll) / wsum)
         # Chain rule through the bilinear sampling: scatter each pair's
-        # Charbonnier gradient onto its four supporting cells.
+        # Charbonnier gradient onto its four supporting cells, point-major.
         g_mu = charbonnier_grad(mu, corr.xb, s) * (w / wsum)[:, None]
+        cells, bw = (np.stack(part, axis=-1) for part in zip(*taps))
         d_coords = np.zeros_like(fld.target_coords)
-        np.add.at(d_coords, (rows.ravel(), cols.ravel()), (bw[..., None] * g_mu[:, None, :]).reshape(-1, 2))
+        np.add.at(d_coords.reshape(-1, 2), cells.ravel(), (bw[..., None] * g_mu[:, None, :]).reshape(-1, 2))
         mask = np.asarray(masks[i], dtype=float).reshape(fld.grid.height, fld.grid.width)
         bce, d_cert = _bce_mean(fld.certainty, mask)
         results[i] = FineScaleResult(

@@ -38,7 +38,8 @@ def _aligned_pixel_errors(
         raise ValueError("reference resolution must be positive")
     if np.max(np.abs(pred.xa - gt.xa)) > 1e-6:
         raise ValueError("pred and gt source points are not index-aligned")
-    return np.linalg.norm(pred.xb - gt.xb, axis=1) * ref_resolution
+    d = pred.xb - gt.xb
+    return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) * ref_resolution  # np.linalg.norm's bits, faster
 
 
 def epe(

@@ -206,8 +206,8 @@ def fit_steering_l1(
     whenever the full multi-k loss stagnates for ``patience`` iterations or
     goes non-finite, and the trajectory then restarts from the best iterate;
     a step too large for the problem so backs off instead of failing.
-    Defaults to warm-starting at the k=1 least-squares solution; the best
-    iterate is returned, so the final loss never exceeds the initial one.
+    Defaults to warm-starting at the smallest supplied k's least-squares fit;
+    the best iterate is returned, so the final loss never exceeds the initial one.
     """
     if not pairs:
         raise ValueError("no descriptor pairs supplied")
@@ -219,11 +219,7 @@ def fit_steering_l1(
         if k not in (1, 2, 3):
             raise ValueError("rotation multiples must come from {1, 2, 3}")
     if init is None:
-        if 1 in pairs:
-            w = fit_steering_lsq(*pairs[1])[0].w.copy()
-        else:
-            kk = min(pairs)
-            w = fit_steering_lsq(*pairs[kk])[0].w.copy()
+        w = fit_steering_lsq(*pairs[min(pairs)])[0].w.copy()
     else:
         w = np.array(init, dtype=float)
     rng = np.random.default_rng(seed)

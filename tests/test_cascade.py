@@ -14,7 +14,6 @@ from matchkit import (
     GridSpec,
     WarpField,
     analytic_refiner,
-    bilinear_weights,
     correlation_windows,
     in_extent,
     run_cascade,
@@ -24,6 +23,7 @@ from matchkit import (
 )
 from matchkit import cascade
 from matchkit.cascade import FeatureField, FeaturePyramid, stage_epes, validate_base
+from matchkit.grids import _axis_taps
 from matchkit.scalespace import (
     AffineRegion,
     SceneSpec,
@@ -361,12 +361,22 @@ def test_upsample_preserves_uniform_translation():
     assert np.allclose(up.target_coords, want.target_coords, atol=1e-12)
 
 
+def four_tap_weights(grid, coords):
+    """Stacked bilinear corners of ``(..., 2)`` points: ``(rows, cols, weights)``, each ``(..., 4)``."""
+    c0, c1, fx = _axis_taps(coords[..., 0], grid.width)
+    r0, r1, fy = _axis_taps(coords[..., 1], grid.height)
+    rows = np.stack([r0, r0, r1, r1], axis=-1)
+    cols = np.stack([c0, c1, c0, c1], axis=-1)
+    weights = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx], axis=-1)
+    return rows, cols, weights
+
+
 def upsample_oracle(field, new_grid):
-    """The 4-tap upsample: ``bilinear_weights`` at every new cell center, one gather."""
+    """The 4-tap upsample: ``four_tap_weights`` at every new cell center, one gather."""
     old = field.grid
     flow = field.target_coords - old.cell_centers().reshape(old.height, old.width, 2)
     centers = new_grid.cell_centers()
-    rows, cols, w = bilinear_weights(old, centers)
+    rows, cols, w = four_tap_weights(old, centers)
     flow_vals = (w[..., None] * flow[rows, cols]).sum(axis=-2)
     cert = (w * field.certainty[rows, cols]).sum(axis=-1)
     return WarpField(
@@ -477,6 +487,24 @@ def test_stage_epes_reuse_needs_the_next_warp_to_be_the_upsample():
     got = stage_epes(stages, scene)
     assert_epes_match(got, stage_epes_oracle(stages, scene))
     assert got[2][1] == got[3][1] == got[4][1]
+
+
+def test_stage_epes_first_hop_is_upsample_warp_to_the_byte():
+    # On a two-stage list the first stage's EPE is its first hop's alone, so it
+    # must be the EPE of upsample_warp's target coordinates, bit for bit.
+    scene = random_affine_scene(np.random.default_rng(13))
+    pyrA, pyrB = synth_pyramid(scene, BASE, seed=13)
+    _, stages = run_cascade(pyrA, pyrB, scene_true_warp(scene, GridSpec(4, 4)))
+    rng = np.random.default_rng(14)
+    nudged = [(s, WarpField(w.grid, w.target_coords + rng.uniform(-0.02, 0.02, w.target_coords.shape), w.certainty))
+              for s, w in stages]
+    for chain in (stages, nudged):
+        for (s0, w0), (s1, w1) in zip(chain, chain[1:]):
+            true = scene.map_points(w1.grid.cell_centers())
+            hop = upsample_warp(w0, w1.grid).target_coords.reshape(-1, 2)
+            want = float(np.linalg.norm(hop - true, axis=1)[in_extent(true)].mean())
+            got = stage_epes([(s0, w0), (s1, w1)], scene)[0][1]
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (s0, s1)
 
 
 @pytest.mark.parametrize(

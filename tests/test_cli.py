@@ -782,3 +782,40 @@ def test_python_dash_m_runs_the_cli_from_a_source_tree():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"{len(selftest.CHECKS)}/{len(selftest.CHECKS)} checks passed"
+
+
+def test_decode_refuses_a_bad_corr_or_lambda_before_writing(tmp_path, capsys):
+    pr, sm = tmp_path / "probs", tmp_path / "matches"
+    assert run("synth", "probs", "--out", str(pr)) == 0
+    assert run("sample", "--n-matches", "10", "--out", str(sm)) == 0
+    bad_header = tmp_path / "bad.csv"
+    bad_header.write_text("xa,ya,xb,yb\n0,0,0,0\n")
+    probs = ["decode", "--probs", str(pr / "probs.rmgrid")]
+    cases = [
+        (["--corr", str(sm / "matches.csv"), "--lambda", "0"], "error: marginal weight must be positive"),
+        (["--corr", str(bad_header)], f"error: {bad_header}: expected header 'xa,ya,xb,yb,weight'"),
+    ]
+    for i, (flags, message) in enumerate(cases):
+        out = tmp_path / f"dec{i}"
+        capsys.readouterr()
+        assert run(*probs, *flags, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert_one_error(err)
+        assert err.strip() == message
+        assert not out.exists()  # --out is made only once every input is checked
+
+
+def test_sample_refuses_a_bad_sensitivity_bandwidth_before_writing(tmp_path, capsys):
+    out = tmp_path / "bad"
+    assert run("sample", "--n-matches", "30", "--sensitivity", "0.1,0", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert err.strip() == "error: bandwidth must be positive and finite, got 0.0"
+    assert not out.exists()
+    # A valid sweep still writes the matches and the sensitivity table.
+    good = tmp_path / "good"
+    assert run("sample", "--n-matches", "30", "--sensitivity", "0.1,0.2", "--out", str(good)) == 0
+    assert capsys.readouterr().out == f"wrote 30 matches to {good / 'matches.csv'}\n"
+    rows = (good / "bandwidth_sensitivity.csv").read_text().splitlines()
+    assert rows[0] == "bandwidth,spatial_entropy" and len(rows) == 3
+    assert read_correspondences_csv(good / "matches.csv").xa.shape == (30, 2)

@@ -9,7 +9,7 @@ from matchkit import (
     bilinear_sample,
     normalize_joint,
 )
-from matchkit.grids import containing_cells
+from matchkit.grids import bilinear, bilinear_taps, containing_cells
 
 
 def enumerate_centers(grid):
@@ -100,9 +100,34 @@ def test_bilinear_random_queries_match_brute_force():
 
 
 def test_bilinear_rejects_non_finite():
+    # A non-finite x alone, or y alone, is refused, scattered or per axis.
     field = make_field(np.random.default_rng(3))
-    with pytest.raises(ValueError):
-        bilinear_sample(field, np.array([np.nan, 0.0]))
+    ok = np.zeros(3)
+    for bad in (np.nan, np.inf, -np.inf):
+        for x, y in ((np.array([0.1, bad, 0.2]), ok), (ok, np.array([0.1, 0.2, bad]))):
+            with pytest.raises(ValueError, match="^bilinear query coordinates must be finite$"):
+                bilinear_taps((4, 5), x, y)
+        for query in ([bad, 0.0], [0.0, bad]):
+            with pytest.raises(ValueError, match="^bilinear query coordinates must be finite$"):
+                bilinear_sample(field, np.array(query))
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (1, 1), (1, 6), (6, 1)])
+@pytest.mark.parametrize("trail", [(), (2,), (3,)])
+def test_bilinear_on_lattice_taps_equals_scattered_taps(shape, trail):
+    rng = np.random.default_rng(shape[0] * 10 + shape[1] + len(trail))
+    values = rng.uniform(-1, 1, (*shape, *trail))
+    # A lattice that reaches beyond the hull of cell centres on every side.
+    x = np.sort(np.r_[-1.4, rng.uniform(-1, 1, 7), 1.4])
+    y = np.sort(np.r_[-1.4, rng.uniform(-1, 1, 2), 1.4])[:, None]
+    lattice = bilinear(values, bilinear_taps(shape, x, y))
+    xx, yy = (np.ascontiguousarray(a) for a in np.broadcast_arrays(x, y))
+    scattered = bilinear(values, bilinear_taps(shape, xx, yy))
+    assert lattice.shape == (4, 9, *trail)
+    assert lattice.tobytes() == scattered.tobytes()
+    # Flattened points give the same bytes again, one row per point.
+    flat = bilinear(values, bilinear_taps(shape, xx.ravel(), yy.ravel()))
+    assert flat.tobytes() == scattered.tobytes()
 
 
 def test_normalize_joint_uniform_and_delta():

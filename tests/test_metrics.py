@@ -57,6 +57,22 @@ def test_epe_matches_brute_force():
     assert np.isclose(epe(pred, gt), total / len(gt))
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-5, 1.0])
+@pytest.mark.parametrize("ref", [1e-300, 1.0, 448.0, 1e200, 1e308])
+def test_epe_and_pck_equal_the_norm_oracle_to_the_byte(scale, ref):
+    # Targets within `scale` of the origin, so the errors are of that size too
+    # (subnormal squares at 1e-160, zero ones at 1e-300).
+    rng = np.random.default_rng(84)
+    xa = rng.uniform(-0.5, 0.5, (500, 2))
+    gt = CorrespondenceSet(xa, rng.uniform(-0.5, 0.5, (500, 2)) * scale, np.ones(500))
+    pred = CorrespondenceSet(xa, rng.uniform(-0.5, 0.5, (500, 2)) * scale, np.ones(500))
+    with np.errstate(over="ignore"):  # at ref 1e308 the pixel errors overflow to inf
+        err = np.linalg.norm(pred.xb - gt.xb, axis=1) * ref
+        assert np.float64(epe(pred, gt, ref)).tobytes() == np.float64(err.mean()).tobytes()
+        for tau in (1e-300, 1.0, 3.0, 1e200, np.inf):
+            assert pck(pred, gt, tau, ref) == float(100.0 * np.mean(err < tau))
+
+
 def test_epe_length_mismatch():
     rng = np.random.default_rng(82)
     pred, gt = aligned_sets(rng, n=5)
