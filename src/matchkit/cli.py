@@ -52,6 +52,7 @@ from . import auc as auc_metric
 from . import epe as epe_metric
 from .cascade import FeatureField, stage_epes
 from .fileio import (
+    float32_payload,
     read_correspondences_csv,
     read_csv,
     read_descriptors,
@@ -180,28 +181,34 @@ def _load_warp(path) -> WarpField:
     return WarpField(grid, data[..., :2], np.clip(data[..., 2], 0.0, 1.0))
 
 
-def _synth_descriptors(a, out: Path) -> list[DescriptorSet]:
-    """Write rot0..rot3.rmdesc and w_true.rmsteer for a random C4 steering."""
+def _synth_descriptors(a) -> tuple[SteeringMatrix, list[DescriptorSet]]:
+    """A random C4 steering and the descriptor sets it makes equivariant."""
     w_true = random_c4_steering(a.dim, seed=a.seed)
-    sets = synth_equivariant(a.n, a.dim, w_true=w_true, noise_sigma=a.noise, seed=a.seed)
+    return w_true, synth_equivariant(a.n, a.dim, w_true=w_true, noise_sigma=a.noise, seed=a.seed)
+
+
+def _write_descriptor_sets(a, w_true: SteeringMatrix, sets: list[DescriptorSet]) -> Path:
+    """Make --out and write rot0..rot3.rmdesc and w_true.rmsteer to it."""
+    out = _out_dir(a)
     for k, ds in enumerate(sets):
         write_descriptors(out / f"rot{k}.rmdesc", ds.coords, ds.descs)
     write_steering(out / "w_true.rmsteer", w_true.w)
-    return sets
+    return out
 
 
 def _cmd_synth(a) -> int:
     if a.kind == "descriptors":
-        out = _out_dir(a)
-        _synth_descriptors(a, out)
+        out = _write_descriptor_sets(a, *_synth_descriptors(a))
         print(f"wrote rot0..rot3.rmdesc and w_true.rmsteer to {out}")
         return 0
     if a.kind != "probs":
-        out = _out_dir(a)
         scene = _scene_from_kind(a.kind, a.seed, a.offset)
         base = GridSpec(a.base, a.base)
-        _save_warp(out, "truth", scene_true_warp(scene, base))
+        truth = scene_true_warp(scene, base)
+        float32_payload(Path(a.out) / "truth.rmgrid", truth.target_coords)  # refused before --out is made
         pyr_a, pyr_b = synth_pyramid(scene, base, seed=a.seed)
+        out = _out_dir(a)
+        _save_warp(out, "truth", truth)
         for stride in sorted(pyr_a.levels):
             write_grid(out / f"source_stride{stride}.rmgrid", pyr_a.features(stride))
             write_grid(out / f"target_stride{stride}.rmgrid", pyr_b.features(stride))
@@ -301,7 +308,6 @@ def _cmd_diffuse(a) -> int:
 def _cmd_cascade(a) -> int:
     if a.perturb < 0:
         raise ValueError(f"--perturb must be nonnegative, got {a.perturb}")
-    out = _out_dir(a)
     scene = _scene_from_kind(a.kind, a.seed, a.offset)
     base = GridSpec(a.base, a.base)
     pyr_a, pyr_b = synth_pyramid(scene, base, seed=a.seed)
@@ -318,6 +324,7 @@ def _cmd_cascade(a) -> int:
     rows = [
         (stride, e, e / fine_cell) for stride, e in stage_epes(stages, scene)
     ]
+    out = _out_dir(a)
     write_csv(out / "stage_epe.csv", "stride,epe_extent,epe_fine_cells", rows)
     _save_warp(out, "final", final)
     write_pgm(out / "certainty.pgm", final.certainty)
@@ -332,14 +339,10 @@ def _cmd_steer_fit(a) -> int:
         raise ValueError(f"--step must be positive, got {a.step}")
     if a.method == "l1" and a.iters < 0:
         raise ValueError(f"--iters must be nonnegative, got {a.iters}")
-    out = _out_dir(a)
     if a.synthetic:
-        sets = _synth_descriptors(a, out)
+        w_true, sets = _synth_descriptors(a)
     else:
-        sets = []
-        for k in range(4):
-            coords, descs = read_descriptors(Path(a.dir) / f"rot{k}.rmdesc")
-            sets.append(DescriptorSet(coords, descs))
+        sets = [DescriptorSet(*read_descriptors(Path(a.dir) / f"rot{k}.rmdesc")) for k in range(4)]
     report: dict = {"method": a.method}
     if a.method == "lsq":
         w, resid = fit_steering_lsq(sets[0], sets[1])
@@ -351,6 +354,7 @@ def _cmd_steer_fit(a) -> int:
         report["initial_loss"] = res.initial_loss
         report["final_loss"] = res.final_loss
         report["iterations"] = res.iterations
+    out = _write_descriptor_sets(a, w_true, sets) if a.synthetic else _out_dir(a)
     write_steering(out / "w_fit.rmsteer", w.w)
     _write_json(out / "fit_report.json", report)
     print(f"wrote w_fit.rmsteer and fit_report.json to {out}")
@@ -358,21 +362,21 @@ def _cmd_steer_fit(a) -> int:
 
 
 def _cmd_steer_apply(a) -> int:
-    out = _out_dir(a)
     coords, descs = read_descriptors(a.desc)
     w = SteeringMatrix(read_steering(a.w))
     steered = apply_steering(w, a.k, descs)
+    out = _out_dir(a)
     write_descriptors(out / "steered.rmdesc", coords, steered)
     print(f"wrote steered descriptors to {out / 'steered.rmdesc'}")
     return 0
 
 
 def _cmd_steer_eval(a) -> int:
-    out = _out_dir(a)
     ca, da = read_descriptors(a.base)
     cb, db = read_descriptors(a.rotated)
     w = SteeringMatrix(read_steering(a.w))
     acc = rotation_matching_eval(DescriptorSet(ca, da), DescriptorSet(cb, db), w, a.k)
+    out = _out_dir(a)
     payload = {
         "k": a.k,
         "n_keypoints": acc.n_keypoints,
@@ -411,7 +415,6 @@ def _cmd_sample(a) -> int:
 
 
 def _cmd_eval(a) -> int:
-    out = _out_dir(a)
     report: dict = {}
     if a.pose_errors:
         rot, trans = read_csv(a.pose_errors, "rot_deg,trans_deg").T
@@ -428,6 +431,7 @@ def _cmd_eval(a) -> int:
         report["robustness_32px"] = robustness(pred, gt, a.ref_res)
     if not report:
         raise UsageError("eval needs --pose-errors and/or --pred with --gt")
+    out = _out_dir(a)
     _write_json(out / "metrics.json", report)
     print(json.dumps(report, sort_keys=True))
     return 0

@@ -171,17 +171,6 @@ def fit_steering_lsq(
     return SteeringMatrix(w), residual
 
 
-def _l1_terms(w: np.ndarray, pairs: dict[int, tuple[DescriptorSet, DescriptorSet]]):
-    """W^0..W^3, the residual of each k-step term and the summed L1 loss."""
-    w2 = w @ w
-    powers = (np.eye(w.shape[0]), w, w2, w2 @ w)  # as np.linalg.matrix_power forms them
-    residuals, total = {}, 0.0
-    for k, (base, rotated) in pairs.items():
-        residuals[k] = rotated.descs - base.descs @ powers[k].T
-        total += float(np.abs(residuals[k]).sum())
-    return powers, residuals, total
-
-
 @dataclass(frozen=True)
 class L1FitResult:
     w: SteeringMatrix
@@ -204,10 +193,12 @@ def fit_steering_l1(
     Each iteration draws one rotation multiple k from the available pairs and
     steps along that term's subgradient. The step is constant but halves
     whenever the full multi-k loss stagnates for ``patience`` iterations or
-    goes non-finite, and the trajectory then restarts from the best iterate;
-    a step too large for the problem so backs off instead of failing.
-    Defaults to warm-starting at the smallest supplied k's least-squares fit;
-    the best iterate is returned, so the final loss never exceeds the initial one.
+    goes non-finite, and the trajectory then restarts from the best iterate
+    (re-evaluated, not stored); a step too large so backs off instead of failing.
+    One residual and one sign buffer, allocated once per call and shared by every
+    k, spare the iterations any (N, D) temporary. Defaults to warm-starting at the
+    smallest k's least-squares fit; the best iterate is returned, so the final
+    loss never exceeds the initial one.
     """
     if not pairs:
         raise ValueError("no descriptor pairs supplied")
@@ -215,48 +206,67 @@ def fit_steering_l1(
         raise ValueError(f"step must be positive and finite, got {step}")
     if iters < 0:
         raise ValueError(f"iters must be nonnegative, got {iters}")
-    for k in pairs:
+    for k, (base, rotated) in pairs.items():
         if k not in (1, 2, 3):
             raise ValueError("rotation multiples must come from {1, 2, 3}")
-    if init is None:
-        w = fit_steering_lsq(*pairs[min(pairs)])[0].w.copy()
-    else:
-        w = np.array(init, dtype=float)
+        if len(base) != len(rotated):
+            raise ValueError("descriptor sets must be index-aligned")
+    dims = sorted({ds.dim for pair in pairs.values() for ds in pair})
+    if len(dims) > 1:
+        raise ValueError(f"descriptor sets must share one width, got widths {dims}")
+    w = fit_steering_lsq(*pairs[min(pairs)])[0].w.copy() if init is None else np.array(init, dtype=float)
+    if w.shape != (dims[0], dims[0]):
+        raise ValueError(f"init must be {dims[0]}x{dims[0]} to match the descriptors, got shape {w.shape}")
     rng = np.random.default_rng(seed)
     ks = sorted(pairs)
+    # A residual and a sign buffer shared by every k, not one pair per k: the
+    # smaller working set stays in cache. views[k] is k's (residual, signs).
+    bufs = np.empty((2, max(rotated.descs.size for _, rotated in pairs.values())))
+    views = {k: bufs[:, : r.descs.size].reshape(2, *r.descs.shape) for k, (_, r) in pairs.items()}
 
-    terms = _l1_terms(w, pairs)
-    initial = terms[2]
-    best_loss = initial
-    best_w, best_terms = w.copy(), terms
+    def evaluate(w, next_k):
+        """W^0..W^3 and the summed L1 loss; leaves the signs of next_k's residual in its view."""
+        w2 = w @ w
+        powers = (np.eye(w.shape[0]), w, w2, w2 @ w)  # as np.linalg.matrix_power forms them
+        total = 0.0
+        for k, (base, rotated) in pairs.items():
+            r = np.subtract(rotated.descs, np.matmul(base.descs, powers[k].T, out=views[k][0]), out=views[k][0])
+            if k == next_k:
+                np.sign(r, out=views[k][1])
+            total += float(np.abs(r, out=r).sum())
+        return powers, total
+
+    # The draw rng.choice(ks) makes, without its overhead; each k is drawn one
+    # step ahead so that evaluate keeps only that term's signs.
+    k = ks[int(rng.integers(len(ks)))]
+    powers, initial = evaluate(w, k)
+    best_w, best_loss = w, initial
     since_improvement = 0
     current_step = float(step)
     it = 0
-    for it in range(1, iters + 1):
-        k = int(rng.choice(ks))
-        # The k-step term's subgradient (matrix-power product rule) at the iterate.
-        powers, residuals = terms[:2]
-        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up backs off below
-            g_m = -np.sign(residuals[k]).T @ pairs[k][0].descs  # d loss / d (W^k)
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up backs off below
+        for it in range(1, iters + 1):
+            # The k-step term's subgradient (matrix-power product rule) at the iterate.
+            g_m = -(views[k][1].T @ pairs[k][0].descs)  # d loss / d (W^k)
             grad = np.zeros_like(w)
             for j in range(k):
                 grad += powers[j].T @ g_m @ powers[k - 1 - j].T
             w = w - current_step * grad
-            terms = _l1_terms(w, pairs)
-        loss = terms[2]
-        if loss < best_loss - 1e-15:
-            best_loss = loss
-            best_w, best_terms = w.copy(), terms
-            since_improvement = 0
-        else:
-            since_improvement += 1
-        if since_improvement >= patience or not np.isfinite(loss):
-            current_step *= 0.5
-            since_improvement = 0
-            # Restart from the best point.
-            w, terms = best_w.copy(), best_terms
-            if current_step < 1e-18:
-                break
+            k = ks[int(rng.integers(len(ks)))]
+            powers, loss = evaluate(w, k)
+            if loss < best_loss - 1e-15:
+                best_w, best_loss = w, loss
+                since_improvement = 0
+            else:
+                since_improvement += 1
+            if since_improvement >= patience or not np.isfinite(loss):
+                current_step *= 0.5
+                since_improvement = 0
+                if current_step < 1e-18:
+                    break
+                # Restart from the best point; re-evaluating it restores its signs bit for bit.
+                w = best_w
+                powers = evaluate(w, k)[0]
     return L1FitResult(
         w=SteeringMatrix(best_w),
         initial_loss=initial,
@@ -279,6 +289,8 @@ def apply_steering(w: SteeringMatrix, k: int, descs: np.ndarray) -> np.ndarray:
 def _mutual_nn_indices(descs_a: np.ndarray, descs_b: np.ndarray):
     """Mutual cosine nearest neighbours (ia, ib, similarity), the first max winning
     ties. Row blocks update each column's running max, so memory is O(block * m)."""
+    if descs_a.shape[1] != descs_b.shape[1]:
+        raise ValueError(f"descriptor widths differ: {descs_a.shape[1]} and {descs_b.shape[1]}")
     na = np.linalg.norm(descs_a, axis=1)
     nb = np.linalg.norm(descs_b, axis=1)
     if np.any(na == 0) or np.any(nb == 0):
@@ -287,9 +299,12 @@ def _mutual_nn_indices(descs_a: np.ndarray, descs_b: np.ndarray):
     nn_ab = np.empty(n, dtype=int)
     col_max, nn_ba = np.full(m, -np.inf), np.zeros(m, dtype=int)
     cols = np.arange(m)
+    sim_buf, den_buf = np.empty((2, min(n, MNN_BLOCK_ROWS), m))
     for start in range(0, n, MNN_BLOCK_ROWS):
         stop = min(start + MNN_BLOCK_ROWS, n)
-        sim = (descs_a[start:stop] @ descs_b.T) / np.outer(na[start:stop], nb)
+        sim = np.matmul(descs_a[start:stop], descs_b.T, out=sim_buf[: stop - start])
+        den = np.einsum("i,j->ij", na[start:stop], nb, out=den_buf[: stop - start])  # np.outer's bits
+        np.divide(sim, den, out=sim)
         nn_ab[start:stop] = np.argmax(sim, axis=1)
         top = np.argmax(sim, axis=0)
         top_sim = sim[top, cols]

@@ -819,3 +819,44 @@ def test_sample_refuses_a_bad_sensitivity_bandwidth_before_writing(tmp_path, cap
     rows = (good / "bandwidth_sensitivity.csv").read_text().splitlines()
     assert rows[0] == "bandwidth,spatial_entropy" and len(rows) == 3
     assert read_correspondences_csv(good / "matches.csv").xa.shape == (30, 2)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["steer", "fit", "--dir", "{missing}"], "error: [Errno 2] No such file or directory"),
+        (["steer", "fit", "--synthetic", "--dim", "3"], "error: descriptor dimension must be even"),
+        (["steer", "apply", "--desc", "{missing}", "--w", "{missing}"], "error: [Errno 2] No such file"),
+        (
+            ["steer", "eval", "--base", "{missing}", "--rotated", "{missing}", "--w", "{missing}"],
+            "error: [Errno 2] No such file",
+        ),
+        (["eval", "--pose-errors", "{missing}"], "error: [Errno 2] No such file"),
+        (["cascade", "--offset", "1e200,0", "--base", "56"], "error: no matchable cells to evaluate"),
+        (["synth", "translation", "--offset", "1e200,0"], "truth.rmgrid: values must be finite and fit in float32"),
+        (["synth", "descriptors", "--dim", "3"], "error: descriptor dimension must be even"),
+    ],
+)
+def test_refused_runs_leave_no_out_directory(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    argv = [word.format(missing=tmp_path / "missing") for word in argv]
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert message in err, err
+    assert not out.exists()
+
+
+def test_steer_eval_refuses_descriptor_sets_of_different_widths(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    coords = rng.uniform(-1, 1, (8, 2))
+    write_descriptors(tmp_path / "base.rmdesc", coords, rng.normal(size=(8, 32)))
+    write_descriptors(tmp_path / "rot.rmdesc", coords, rng.normal(size=(8, 16)))
+    assert run("steer", "fit", "--synthetic", "--method", "lsq", "--out", str(tmp_path / "fit")) == 0
+    out = tmp_path / "out"
+    argv = ["steer", "eval", "--base", str(tmp_path / "base.rmdesc"), "--rotated", str(tmp_path / "rot.rmdesc")]
+    assert run(*argv, "--w", str(tmp_path / "fit" / "w_fit.rmsteer"), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert err.strip() == "error: descriptor widths differ: 32 and 16"
+    assert not out.exists()

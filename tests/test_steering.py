@@ -413,3 +413,52 @@ def test_blocked_mutual_nn_keeps_first_max_on_ties():
     assert 2 in ia and b + 3 not in ia  # the earlier of two equal rows wins
     assert_same_mutual_nn(descs_a, descs_b)
     assert_same_mutual_nn(descs_b, descs_a)
+
+
+def head(ds, n):
+    return DescriptorSet(ds.coords[:n], ds.descs[:n])
+
+
+def test_l1_fit_matches_loop_oracle_with_per_k_bases_and_lengths():
+    # Every k views the same two buffers at its own shape, so pairs with
+    # different bases and row counts per k must still match the oracle bit
+    # for bit, through restarts.
+    sets = synth_equivariant(96, 8, noise_sigma=0.05, seed=37)
+    pairs = {2: (head(sets[0], 64), head(sets[2], 64)), 3: (sets[1], sets[3])}
+    kwargs = dict(iters=300, step=2e-3, seed=5, patience=6)
+    got = fit_fields(fit_steering_l1(pairs, **kwargs))
+    assert_same_fit(got, loop_fit_steering_l1(pairs, **kwargs))
+    assert got[4] < 2e-3  # the step halved, so the fit restarted from its best iterate
+
+
+def test_back_to_back_l1_fits_are_identical():
+    sets = synth_equivariant(64, 8, noise_sigma=0.05, seed=38)
+    pairs = {k: (sets[0], sets[k]) for k in (1, 2, 3)}
+    first = fit_fields(fit_steering_l1(pairs, iters=200, step=5e-3, seed=1, patience=5))
+    other = {1: (sets[1], sets[2])}
+    fit_steering_l1(other, iters=50, step=1e-3, seed=2)
+    assert_same_fit(fit_fields(fit_steering_l1(pairs, iters=200, step=5e-3, seed=1, patience=5)), first)
+
+
+def test_l1_fit_refuses_misaligned_or_mismatched_pairs():
+    sets = synth_equivariant(32, 4, noise_sigma=0.0, seed=39)
+    wide = synth_equivariant(32, 6, noise_sigma=0.0, seed=39)
+    with pytest.raises(ValueError, match="^descriptor sets must be index-aligned$"):
+        fit_steering_l1({1: (sets[0], sets[1]), 2: (head(sets[0], 16), sets[2])})
+    with pytest.raises(ValueError, match=r"^descriptor sets must share one width, got widths \[4, 6\]$"):
+        fit_steering_l1({1: (sets[0], sets[1]), 2: (wide[0], wide[2])})
+    with pytest.raises(ValueError, match="^init must be 4x4 to match the descriptors, got shape"):
+        fit_steering_l1({1: (sets[0], sets[1])}, init=np.eye(6))
+
+
+def test_back_to_back_mutual_nn_calls_on_different_shapes():
+    rng = np.random.default_rng(40)
+    b = MNN_BLOCK_ROWS
+    for n, m in ((2 * b + 3, 50), (7, 2 * b), (b + 1, b + 1), (3, 3)):
+        assert_same_mutual_nn(rng.normal(size=(n, 6)), rng.normal(size=(m, 6)))
+
+
+def test_mutual_nn_refuses_different_widths():
+    rng = np.random.default_rng(41)
+    with pytest.raises(ValueError, match="^descriptor widths differ: 32 and 16$"):
+        _mutual_nn_indices(rng.normal(size=(10, 32)), rng.normal(size=(10, 16)))
