@@ -13,7 +13,6 @@ from .cascade import (
     CORR_WINDOWS,
     FeaturePyramid,
     analytic_refiner,
-    correlation_windows,
     matchable_mask,
     run_cascade,
     scene_true_warp,

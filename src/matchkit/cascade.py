@@ -14,11 +14,11 @@ fixed input, so recomputing one stage never changes an earlier one.
 
 Two steps split their array work over a thread pool with one worker per CPU
 the process may use: ``synth_pyramid`` builds the source and the target
-pyramid on separate workers, and ``correlation_windows`` gathers one block
-of query rows per worker. numpy releases the interpreter lock inside that
-work, each task computes what the serial code computes on disjoint data, and
-the results are bit-identical to the serial path. Work too small to repay a
-thread runs serially (``PARALLEL_MIN_ELEMENTS``).
+pyramid on separate workers, and ``analytic_refiner`` gathers and decodes
+one block of source rows per worker. numpy releases the interpreter lock
+inside that work, each task computes what the serial code computes on
+disjoint data, and the results are bit-identical to the serial path. Work
+too small to repay a thread runs serially (``PARALLEL_MIN_ELEMENTS``).
 
 Real encoder features are out of scope at desk scale; ``synth_pyramid``
 builds smooth band-limited random feature fields (per affine region, row
@@ -45,9 +45,9 @@ FREQ_SCALE = 3.2  # std of the feature field's frequencies: its inverse correlat
 # Smallest task, in array elements, worth a pool thread. Below it a thread
 # costs more than it saves: its own malloc arena raised the peak RSS of the
 # all-base-56 `sparse-boundary` benchmark workload from 81 to 87 MB, and its
-# ops got slower. Base-56 tasks stay below it (pyramid 0.1M elements, gathers
-# at most 0.16M); base-224 ones are above (pyramid 1.6M, gather blocks
-# 0.6M-1.3M on two CPUs).
+# ops got slower. Base-56 tasks stay below it (pyramid 0.1M elements, refiner
+# stages at most 0.16M); base-224 ones are above (pyramid 1.6M, refiner row
+# blocks 0.6M-1.3M on two CPUs).
 PARALLEL_MIN_ELEMENTS = 1 << 18
 
 _LOGIT_EPS = 1e-7
@@ -226,60 +226,6 @@ def synth_pyramid(
     return tuple(_parallel_map(build, [scene, identity_scene()], base.n_cells * feature_dim))
 
 
-def correlation_windows(
-    feats_a: np.ndarray,
-    tgt_grid: GridSpec,
-    feats_b: np.ndarray,
-    coords: np.ndarray,
-    window: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cosine similarity of each query descriptor against a window of target cells.
-
-    Query ``i`` (row ``i`` of the ``(n, d)`` ``feats_a``) is compared with the
-    ``window x window`` target cells centred on the cell containing
-    ``coords[i]``; ``feats_b`` holds one descriptor per ``tgt_grid`` cell in
-    row-major order. Returns the ``(n, w, w)`` similarities, -1 where a window
-    cell falls outside the extent, and the x and y centres of the window
-    cells, virtual out-of-extent ones included, shaped ``(n, 1, w)`` and
-    ``(n, w, 1)`` so that they broadcast against the similarities.
-    """
-    if window < 1 or window % 2 == 0:
-        raise ValueError("window must be odd and >= 1")
-    feats_a = np.atleast_2d(np.asarray(feats_a, dtype=float))
-    feats_b = np.asarray(feats_b, dtype=float).reshape(tgt_grid.n_cells, -1)
-    coords = np.asarray(coords, dtype=float).reshape(-1, 2)
-    if feats_b.shape[1] != feats_a.shape[1] or coords.shape[0] != feats_a.shape[0]:
-        raise ValueError("need one coordinate per query and features of one width")
-    norm_a = np.linalg.norm(feats_a, axis=1)
-    norm_b = np.linalg.norm(feats_b, axis=1)
-    if np.any(norm_a == 0) or np.any(norm_b == 0):
-        raise ValueError("pyramid features contain a zero-norm cell")
-    offs = np.arange(-(window // 2), window // 2 + 1)
-
-    def gather(rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        r0, c0 = containing_cells(coords[rows], tgt_grid)
-        rr = r0[:, None, None] + offs[None, :, None]  # (n, w, 1)
-        cc = c0[:, None, None] + offs[None, None, :]  # (n, 1, w)
-        valid = (rr >= 0) & (rr < tgt_grid.height) & (cc >= 0) & (cc < tgt_grid.width)
-        flat_idx = np.where(valid, rr * tgt_grid.width + cc, 0)
-        sims = np.einsum("nd,nijd->nij", feats_a[rows], feats_b[flat_idx]) / (
-            norm_a[rows, None, None] * norm_b[flat_idx]
-        )
-        win_x = EXTENT_MIN + (cc + 0.5) * tgt_grid.cell_width
-        win_y = EXTENT_MIN + (rr + 0.5) * tgt_grid.cell_height
-        return np.where(valid, sims, -1.0), win_x, win_y
-
-    # One block of query rows per CPU; rows are independent, so the blocks
-    # concatenate to exactly the single-block result.
-    n, parts = feats_a.shape[0], _usable_cpus()
-    blocks = _parallel_map(
-        gather,
-        [slice(n * k // parts, n * (k + 1) // parts) for k in range(parts)],
-        -(-n // parts) * window**2 * feats_a.shape[1],
-    )
-    return tuple(np.concatenate(pieces) for pieces in zip(*blocks))
-
-
 def _logit(p: np.ndarray) -> np.ndarray:
     pc = np.clip(p, _LOGIT_EPS, 1.0 - _LOGIT_EPS)
     return np.log(pc) - np.log1p(-pc)
@@ -324,11 +270,14 @@ def analytic_refiner(
 
     ``state`` must already live on the stride's grid. The stride's window
     comes from ``CORR_WINDOWS``; with window 0 the warp passes through
-    unchanged. Otherwise each cell's correlation patch around the current
-    target estimate is softargmax-decoded into a corrected target
-    coordinate. Window cells keep their lattice coordinates, including
-    virtual out-of-extent ones, whose similarity of -1 suppresses them. The
-    certainty logit grows by the window's maximum correlation.
+    unchanged. Otherwise each cell is compared, by cosine similarity, with
+    the ``window x window`` target cells centred on the cell containing its
+    current target estimate, and that patch is softargmax-decoded into a
+    corrected target coordinate. Window cells keep their lattice
+    coordinates, including virtual out-of-extent ones, whose similarity of
+    -1 suppresses them. The certainty logit grows by the window's maximum
+    correlation. One block of source rows per CPU is gathered and decoded
+    on the thread pool (see ``_parallel_map``).
     """
     if stride not in CORR_WINDOWS:
         raise ValueError(f"stride must be one of {tuple(CORR_WINDOWS)}, got {stride}")
@@ -340,20 +289,44 @@ def analytic_refiner(
         return state
     if temperature <= 0:
         raise ValueError("softargmax temperature must be positive")
-    sims, win_x, win_y = correlation_windows(
-        pyr_a.features(stride).reshape(grid.n_cells, -1),
-        pyr_b.grid(stride),
-        pyr_b.features(stride),
-        state.target_coords.reshape(-1, 2),
-        window,
-    )
-    n = sims.shape[0]
-    peak = sims.reshape(n, -1).max(axis=1)
-    soft = np.exp((sims - peak[:, None, None]) / temperature)
-    soft /= soft.reshape(n, -1).sum(axis=1)[:, None, None]
-    new_x = (soft * win_x).reshape(n, -1).sum(axis=1)
-    new_y = (soft * win_y).reshape(n, -1).sum(axis=1)
+    tgt = pyr_b.grid(stride)
+    feats_a = pyr_a.features(stride).reshape(grid.n_cells, -1)
+    feats_b = pyr_b.features(stride).reshape(tgt.n_cells, -1)
+    if feats_b.shape[1] != feats_a.shape[1]:
+        raise ValueError("source and target features must have one width")
+    norm_a = np.linalg.norm(feats_a, axis=1)
+    norm_b = np.linalg.norm(feats_b, axis=1)
+    if np.any(norm_a == 0) or np.any(norm_b == 0):
+        raise ValueError("pyramid features contain a zero-norm cell")
+    coords = state.target_coords.reshape(-1, 2)
+    offs = np.arange(-(window // 2), window // 2 + 1)
 
+    def refine(rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        r0, c0 = containing_cells(coords[rows], tgt)
+        rr = r0[:, None, None] + offs[None, :, None]  # (n, w, 1)
+        cc = c0[:, None, None] + offs[None, None, :]  # (n, 1, w)
+        valid = (rr >= 0) & (rr < tgt.height) & (cc >= 0) & (cc < tgt.width)
+        flat_idx = np.where(valid, rr * tgt.width + cc, 0)
+        sims = np.einsum("nd,nijd->nij", feats_a[rows], feats_b[flat_idx]) / (
+            norm_a[rows, None, None] * norm_b[flat_idx]
+        )
+        sims = np.where(valid, sims, -1.0)
+        peak = sims.max(axis=(1, 2))
+        soft = np.exp((sims - peak[:, None, None]) / temperature)
+        soft /= soft.reshape(len(soft), -1).sum(axis=1)[:, None, None]
+        win_x = EXTENT_MIN + (cc + 0.5) * tgt.cell_width
+        win_y = EXTENT_MIN + (rr + 0.5) * tgt.cell_height
+        new_x, new_y = ((soft * win).reshape(len(soft), -1).sum(axis=1) for win in (win_x, win_y))
+        return new_x, new_y, peak
+
+    # Rows are independent, so the blocks concatenate to exactly the single-block result.
+    n, parts = grid.n_cells, _usable_cpus()
+    blocks = _parallel_map(
+        refine,
+        [slice(n * k // parts, n * (k + 1) // parts) for k in range(parts)],
+        -(-n // parts) * window**2 * feats_a.shape[1],
+    )
+    new_x, new_y, peak = (np.concatenate(pieces) for pieces in zip(*blocks))
     new_cert = _sigmoid(_logit(state.certainty.reshape(-1)) + peak)
     return WarpField(
         grid,

@@ -277,19 +277,19 @@ def _cmd_decode(a) -> int:
 
 
 def _cmd_loss_sweep(a) -> int:
-    out = _out_dir(a)
     rows = gradient_sweep(c=a.c, rmin=a.rmin, rmax=a.rmax, steps=a.steps)
+    out = _out_dir(a)
     write_csv(out / "loss_sweep.csv", "r,loss,grad_magnitude", rows.tolist())
     print(f"wrote {out / 'loss_sweep.csv'} ({rows.shape[0]} rows)")
     return 0
 
 
 def _cmd_diffuse(a) -> int:
-    out = _out_dir(a)
     scene = two_translation_scene((-a.offset, 0.0), (a.offset, 0.0))
     grid = GridSpec(a.grid, a.grid)
     mid = (grid.height // 2) * grid.width + grid.width // 2 - 1  # boundary-adjacent cell
     sweep, rows = _sweep(scene, grid, grid, a.scales, a.threshold, row=mid)
+    out = _out_dir(a)
     write_csv(
         out / "multimodality.csv",
         "s,boundary_dist_bin,fraction_multimodal,n_cells",

@@ -180,26 +180,25 @@ def _quantize(channel: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(np.clip(channel, 0.0, 1.0) * 255.0), 0, 255).astype(np.uint8)
 
 
+def _write_pnm(path, values: np.ndarray, magic: str, channels: tuple, shape_error: str) -> None:
+    """Write ``(H, W, *channels)`` [0, 1] values as a binary PNM image with header ``magic``."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim < 2 or values.shape[2:] != channels:
+        raise ValueError(shape_error)
+    h, w = values.shape[:2]
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(_quantize(values).tobytes())
+
+
 def write_pgm(path, values: np.ndarray) -> None:
     """Write a 2D array of [0, 1] values as a binary PGM image."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise ValueError("PGM payload must be 2D")
-    h, w = values.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(_quantize(values).tobytes())
+    _write_pnm(path, values, "P5", (), "PGM payload must be 2D")
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:
     """Write an (H, W, 3) array of [0, 1] values as a binary PPM image."""
-    rgb = np.asarray(rgb, dtype=float)
-    if rgb.ndim != 3 or rgb.shape[2] != 3:
-        raise ValueError("PPM payload must have shape (H, W, 3)")
-    h, w, _ = rgb.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(_quantize(rgb).tobytes())
+    _write_pnm(path, rgb, "P6", (3,), "PPM payload must have shape (H, W, 3)")
 
 
 def warp_to_rgb(target_coords: np.ndarray, certainty: np.ndarray) -> np.ndarray:

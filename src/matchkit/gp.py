@@ -67,7 +67,11 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, beta: float) -> np.ndarray:
     if np.any(na == 0) or np.any(nb == 0):
         raise ValueError("kernel inputs must have nonzero norm")
     cos = (a @ b.T) / np.outer(na, nb)
-    return np.exp(beta * cos)
+    with np.errstate(over="ignore"):
+        k = np.exp(beta * cos)
+    if np.any(np.isinf(k)):
+        raise ValueError(f"kernel exp(beta * cos) overflows at beta={beta:g}: beta * cos must stay below 709.78")
+    return k
 
 
 class PreparedGP:
@@ -86,9 +90,9 @@ class PreparedGP:
                 "add noise variance or remove duplicate support features"
             ) from exc
         pivots = np.diag(chol)
-        if (pivots.min() / pivots.max()) ** 2 < 1e-14:
+        if not np.all(np.isfinite(chol)) or (pivots.min() / pivots.max()) ** 2 < 1e-14:
             raise ValueError(
-                "kernel system is ill-conditioned (pivot ratio below 1e-14); "
+                "kernel system is ill-conditioned (pivot ratio below 1e-14, or a non-finite factor); "
                 "add noise variance or remove duplicate support features"
             )
         # (K_XX + sigma^2 I)^-1 E = L^-T (L^-1 E), each factor applied with a

@@ -217,6 +217,8 @@ def fit_steering_l1(
     w = fit_steering_lsq(*pairs[min(pairs)])[0].w.copy() if init is None else np.array(init, dtype=float)
     if w.shape != (dims[0], dims[0]):
         raise ValueError(f"init must be {dims[0]}x{dims[0]} to match the descriptors, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("init must be finite")
     rng = np.random.default_rng(seed)
     ks = sorted(pairs)
     # A residual and a sign buffer shared by every k, not one pair per k: the

@@ -14,7 +14,6 @@ from matchkit import (
     GridSpec,
     WarpField,
     analytic_refiner,
-    correlation_windows,
     in_extent,
     run_cascade,
     scene_true_warp,
@@ -227,85 +226,99 @@ def test_lattice_skips_phases_no_region_cell_uses():
     assert np.array_equal(pyrA.features(1), pyrB.features(1))
 
 
-def local_correlation(f_a, tgt_grid, tgt_feats, center, window):
-    """Loop oracle for one row of ``correlation_windows``.
+def refiner_cell_oracle(pyr_a, pyr_b, state, stride, cell, temperature, outside=-1.0):
+    """Loop oracle for one cell of ``analytic_refiner``: its new ``(x, y, certainty)``.
 
-    Cosine similarity of one descriptor against the ``window x window``
-    target cells centred on the cell containing ``center``; positions outside
-    the extent carry -1.
+    Cosine similarity of the cell's descriptor against the ``window x window``
+    target cells centred on the cell containing its estimate (``outside`` for
+    cells beyond the extent), a softargmax over the window's lattice
+    coordinates, virtual cells included, and the certainty-logit update.
     """
-    r0 = int(np.clip(np.floor((center[1] + 1.0) / tgt_grid.cell_height), 0, tgt_grid.height - 1))
-    c0 = int(np.clip(np.floor((center[0] + 1.0) / tgt_grid.cell_width), 0, tgt_grid.width - 1))
+    window = CORR_WINDOWS[stride]
+    tgt = pyr_b.grid(stride)
+    f_a = pyr_a.features(stride).reshape(-1, pyr_a.features(stride).shape[-1])[cell]
+    feats_b = pyr_b.features(stride)
+    x, y = state.target_coords.reshape(-1, 2)[cell]
+    r0 = int(np.clip(np.floor((y + 1.0) / tgt.cell_height), 0, tgt.height - 1))
+    c0 = int(np.clip(np.floor((x + 1.0) / tgt.cell_width), 0, tgt.width - 1))
     half = window // 2
-    out = np.full((window, window), -1.0)
+    sims, xs, ys = [], [], []
     for i in range(window):
         for j in range(window):
             rr, cc = r0 - half + i, c0 - half + j
-            if 0 <= rr < tgt_grid.height and 0 <= cc < tgt_grid.width:
-                f_b = tgt_feats[rr, cc]
-                out[i, j] = float(f_a @ f_b) / (np.linalg.norm(f_a) * np.linalg.norm(f_b))
-    return out
+            if 0 <= rr < tgt.height and 0 <= cc < tgt.width:
+                f_b = feats_b[rr, cc]
+                sims.append(float(f_a @ f_b) / (np.linalg.norm(f_a) * np.linalg.norm(f_b)))
+            else:
+                sims.append(outside)
+            xs.append(-1.0 + (cc + 0.5) * tgt.cell_width)
+            ys.append(-1.0 + (rr + 0.5) * tgt.cell_height)
+    peak = max(sims)
+    weights = [np.exp((s - peak) / temperature) for s in sims]
+    total = sum(weights)
+    new_x = sum(w * v for w, v in zip(weights, xs)) / total
+    new_y = sum(w * v for w, v in zip(weights, ys)) / total
+    p = min(max(float(state.certainty.reshape(-1)[cell]), 1e-7), 1.0 - 1e-7)
+    return new_x, new_y, 1.0 / (1.0 + np.exp(-(np.log(p) - np.log1p(-p) + peak)))
 
 
-def test_local_correlation_window_one():
-    pyrA, pyrB = synth_pyramid(identity_scene(), BASE, seed=4)
-    grid = pyrB.grid(4)
-    feats = pyrB.features(4)
-    f = feats[3, 5]
-    center = np.array(
-        [-1 + (5 + 0.5) * grid.cell_width, -1 + (3 + 0.5) * grid.cell_height]
-    )
-    sims, win_x, win_y = correlation_windows(f[None], grid, feats, center[None], 1)
-    assert sims.shape == (1, 1, 1)
-    assert np.isclose(sims[0, 0, 0], 1.0)
-    assert np.allclose([win_x[0, 0, 0], win_y[0, 0, 0]], center)
+@pytest.mark.parametrize("temperature", [0.05, 1.0])
+@pytest.mark.parametrize("stride", [14, 8, 4])
+def test_refiner_matches_cell_loop_oracle(stride, temperature):
+    rng = np.random.default_rng(50 + stride)
+    scene = random_affine_scene(rng)
+    pyrA, pyrB = synth_pyramid(scene, BASE, seed=5)
+    grid = pyrA.grid(stride)
+    # Random estimates, plus the four corners and points on the extent
+    # boundary, where most of a window falls outside the grid.
+    edges = [[-1, -1], [1, 1], [-1, 1], [1, -1], [0.999, -0.999], [0.0, 1.0], [-1.0, 0.3]]
+    coords = np.concatenate([edges, rng.uniform(-1, 1, (grid.n_cells - len(edges), 2))])
+    state = WarpField(grid, coords.reshape(grid.height, grid.width, 2), rng.uniform(0, 1, (grid.height, grid.width)))
+    out = analytic_refiner(state, pyrA, pyrB, stride, temperature)
+    got = np.column_stack([out.target_coords.reshape(-1, 2), out.certainty.reshape(-1)])
+    want = np.array([refiner_cell_oracle(pyrA, pyrB, state, stride, c, temperature) for c in range(grid.n_cells)])
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    if temperature == 1.0:
+        # The -1 entries beyond the extent, at their virtual lattice
+        # coordinates, move a corner estimate: dropping them would show.
+        dropped = [refiner_cell_oracle(pyrA, pyrB, state, stride, c, temperature, -np.inf) for c in range(4)]
+        assert np.all(np.abs(np.array(dropped)[:, :2] - got[:4, :2]) > 1e-3)
 
 
-def test_local_correlation_orthogonal_construction():
+def test_refiner_orthogonal_construction():
+    # Four orthogonal unit descriptors on a 2x2 stride-4 grid, matched to
+    # themselves: the stride-4 window of 5 around each cell holds its match
+    # (1), three orthogonal cells (0) and 21 cells beyond the extent (-1).
+    pyr = FeaturePyramid({4: np.eye(4).reshape(2, 2, 4)})
+    grid = pyr.grid(4)
+    state = WarpField(grid, grid.cell_centers().reshape(2, 2, 2), np.full((2, 2), 0.5))
+    sims = np.full((5, 5), -1.0)
+    sims[2:4, 2:4] = [[1.0, 0.0], [0.0, 0.0]]
+    lattice = np.arange(-2, 3) - 0.5  # cell (0, 0)'s window, centred on -0.5, past the extent
+    for temperature in (0.05, 1.0):
+        out = analytic_refiner(state, pyr, pyr, 4, temperature)
+        w = np.exp((sims - 1.0) / temperature)
+        expected = (w * lattice[None, :]).sum() / w.sum()
+        assert np.allclose(out.target_coords[0, 0], [expected, expected], rtol=0, atol=1e-15)
+        # Every cell sees the same patch, mirrored.
+        assert np.allclose(out.target_coords[1, 1], [-expected, -expected], rtol=0, atol=1e-15)
+        assert np.allclose(out.target_coords[0, 1], [-expected, expected], rtol=0, atol=1e-15)
+        assert np.allclose(out.certainty, 1.0 / (1.0 + np.exp(-1.0)), rtol=0, atol=1e-15)
+    inside = np.where(sims > -1, w, 0.0)  # T = 1: without the virtual ring the estimate would move
+    assert abs((inside * lattice[None, :]).sum() / inside.sum() - expected) > 0.1
+
+
+def test_refiner_refuses_zero_norm_cells_and_mismatched_widths():
     grid = GridSpec(2, 2)
-    feats = np.eye(4).reshape(2, 2, 4)
-    center = np.array([[-0.5, -0.5]])
-    sims, win_x, win_y = correlation_windows(np.eye(4)[:1], grid, feats, center, 3)
-    out = sims[0]
-    # Window centered on cell (0, 0): out-of-extent ring is -1, matching cell
-    # is 1, other in-grid cells are orthogonal.
-    assert out[1, 1] == 1.0
-    assert out[1, 2] == 0.0 and out[2, 1] == 0.0 and out[2, 2] == 0.0
-    assert np.all(out[0, :] == -1.0) and np.all(out[:, 0] == -1.0)
-    # The lattice keeps going past the extent: the corner is a virtual cell.
-    assert win_x.shape == (1, 1, 3) and win_y.shape == (1, 3, 1)
-    assert np.allclose(win_x[0, 0], [-1.5, -0.5, 0.5])
-    assert np.allclose(win_y[0, :, 0], [-1.5, -0.5, 0.5])
-
-
-def test_local_correlation_matches_brute_loop():
-    rng = np.random.default_rng(50)
-    pyrA, pyrB = synth_pyramid(identity_scene(), BASE, seed=5)
-    for stride, window in ((14, 15), (8, 7), (4, 5)):
-        grid = pyrB.grid(stride)
-        feats = pyrB.features(stride)
-        # Random centres plus the four corner cells and points on the extent
-        # boundary, where most of a window falls outside the grid.
-        centers = np.concatenate(
-            [
-                rng.uniform(-1, 1, (20, 2)),
-                [[-1, -1], [1, 1], [-1, 1], [1, -1], [0.999, -0.999], [0.0, 1.0]],
-            ]
-        )
-        queries = rng.normal(size=(len(centers), feats.shape[-1]))
-        sims, win_x, win_y = correlation_windows(queries, grid, feats, centers, window)
-        assert sims.shape == (len(centers), window, window)
-        offs = np.arange(window) - window // 2
-        for f, center, got, xs, ys in zip(queries, centers, sims, win_x[:, 0], win_y[..., 0]):
-            assert np.allclose(got, local_correlation(f, grid, feats, center, window), atol=1e-12)
-            # The lattice is one cell apart, centred on the cell holding `center`.
-            mid_x, mid_y = xs[window // 2], ys[window // 2]
-            assert abs(mid_x - center[0]) <= grid.cell_width / 2 + 1e-12
-            assert abs(mid_y - center[1]) <= grid.cell_height / 2 + 1e-12
-            assert np.allclose(xs - mid_x, offs * grid.cell_width)
-            assert np.allclose(ys - mid_y, offs * grid.cell_height)
-    with pytest.raises(ValueError, match="odd"):
-        correlation_windows(queries, grid, feats, centers, 4)
+    state = WarpField(grid, grid.cell_centers().reshape(2, 2, 2), np.full((2, 2), 0.5))
+    good = FeaturePyramid({4: np.eye(4).reshape(2, 2, 4)})
+    zero = FeaturePyramid({4: (np.eye(4) * [1, 1, 1, 0]).reshape(2, 2, 4)})
+    with pytest.raises(ValueError, match="zero-norm cell"):
+        analytic_refiner(state, good, zero, 4)
+    with pytest.raises(ValueError, match="zero-norm cell"):
+        analytic_refiner(state, zero, good, 4)
+    with pytest.raises(ValueError, match="one width"):
+        analytic_refiner(state, good, FeaturePyramid({4: np.ones((2, 2, 6))}), 4)
 
 
 def test_refiner_window_zero_is_passthrough():
@@ -582,7 +595,7 @@ def test_cascade_monotone_epe_on_random_scenes():
     assert failures == 0
 
 
-# --- the thread pool behind synth_pyramid and correlation_windows ---------
+# --- the thread pool behind synth_pyramid and analytic_refiner -----------
 
 
 def run_with_timeout(fn, seconds=60):
@@ -722,19 +735,19 @@ def test_synth_pyramid_threads_are_bit_identical_to_serial(monkeypatch, scene, t
 
 @pytest.mark.parametrize("threshold", [False, True])
 @pytest.mark.parametrize("stride", [14, 8, 4])
-def test_correlation_windows_threads_are_bit_identical_to_serial(monkeypatch, stride, threshold):
+def test_analytic_refiner_threads_are_bit_identical_to_serial(monkeypatch, stride, threshold):
     base = GridSpec(224, 224)
     scene = random_affine_scene(np.random.default_rng(stride))
     pyrA, pyrB = synth_pyramid(scene, base, seed=stride)
     grid, window = pyrA.grid(stride), CORR_WINDOWS[stride]
     assert grid.n_cells * window**2 * 32 // 2 >= BIG  # each of two blocks is large enough
     # Estimates near the truth, and some beyond the extent.
-    coords = scene_true_warp(scene, grid).target_coords.reshape(-1, 2)
+    coords = scene_true_warp(scene, grid).target_coords
     coords = coords + np.random.default_rng(1).uniform(-0.1, 0.1, coords.shape)
-    args = (pyrA.features(stride).reshape(grid.n_cells, -1), grid, pyrB.features(stride), coords, window)
-    serial, threaded = serial_and_threaded(monkeypatch, lambda: correlation_windows(*args), threshold)
-    for got, want in zip(threaded, serial):
-        assert got.shape == want.shape and np.array_equal(got, want)
+    state = WarpField(grid, coords, np.random.default_rng(2).uniform(0, 1, coords.shape[:2]))
+    serial, threaded = serial_and_threaded(monkeypatch, lambda: analytic_refiner(state, pyrA, pyrB, stride), threshold)
+    assert np.array_equal(threaded.target_coords, serial.target_coords)
+    assert np.array_equal(threaded.certainty, serial.certainty)
 
 
 SRC = str(Path(cascade.__file__).resolve().parents[1])

@@ -59,7 +59,8 @@ def test_loss_sweep_r0_row(tmp_path):
 
 
 def test_loss_sweep_bad_steps_is_data_error(tmp_path):
-    assert run("loss-sweep", "--steps", "1", "--out", str(tmp_path)) == 2
+    assert run("loss-sweep", "--steps", "1", "--out", str(tmp_path / "out")) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_descriptors_and_steer_pipeline(tmp_path, capsys):
@@ -177,11 +178,16 @@ def test_diffuse_outputs_expected_fractions(tmp_path):
 
 
 def test_diffuse_rejects_duplicate_and_nonfinite_scales(tmp_path, capsys):
-    for scales, message in (("0.1,0.1", "scales must be distinct"), ("nan", "finite")):
-        assert run("diffuse", "--grid", "8", "--scales", scales, "--out", str(tmp_path)) == 2
+    out = tmp_path / "out"
+    for flags, message in (
+        (["--scales", "0.1,0.1"], "scales must be distinct"),
+        (["--scales", "nan"], "finite"),
+        (["--threshold", "2"], "rel_threshold must lie in (0, 1)"),
+    ):
+        assert run("diffuse", "--grid", "8", *flags, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert message in err and len(err.strip().splitlines()) == 1
-    assert not (tmp_path / "multimodality.csv").exists()
+        assert not out.exists()
 
 
 def test_sample_deterministic_and_readable(tmp_path):
@@ -521,6 +527,17 @@ def test_synth_probs_without_in_extent_mass_fails_before_writing(tmp_path, capsy
     assert not out.exists()
 
 
+def test_synth_probs_via_gp_with_an_overflowing_beta_is_a_one_line_data_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("synth", "probs", "--via-gp", "--beta", "1000", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert err.startswith("error: kernel exp(beta * cos) overflows at beta=1000: "), err
+    assert not out.exists()
+
+
 def test_negative_seed_in_a_config_file_is_a_usage_error_naming_the_flag(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_with_config(tmp_path, ["cascade"], {"cascade": {"seed": -1, "out": str(out)}}) == 1
@@ -545,9 +562,9 @@ def test_negative_perturb_is_a_data_error_naming_the_flag(tmp_path, capsys):
 def test_loss_sweep_bad_scale_or_range_is_a_data_error(tmp_path, capsys, flags):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a RuntimeWarning would escape as an exception
-        assert run("loss-sweep", *flags, "--out", str(tmp_path)) == 2
+        assert run("loss-sweep", *flags, "--out", str(tmp_path / "out")) == 2
     assert_one_error(capsys.readouterr().err)
-    assert not (tmp_path / "loss_sweep.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -616,11 +633,11 @@ def test_decode_zero_row_is_a_data_error_naming_the_row(tmp_path, capsys):
 def test_loss_sweep_overflowing_rmax_or_huge_steps_is_a_data_error(tmp_path, capsys, flags, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow RuntimeWarning either
-        assert run("loss-sweep", *flags, "--out", str(tmp_path)) == 2
+        assert run("loss-sweep", *flags, "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert_one_error(err)
     assert message in err
-    assert not (tmp_path / "loss_sweep.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -759,10 +776,11 @@ def test_allocation_failure_is_a_one_line_data_error(tmp_path, capsys, monkeypat
         raise MemoryError("Unable to allocate 72.8 EiB for an array")
 
     monkeypatch.setattr(cli, "_sweep", no_memory)
-    assert run("diffuse", "--out", str(tmp_path)) == 2
+    assert run("diffuse", "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert_one_error(err)
     assert err.strip() == "error: Unable to allocate 72.8 EiB for an array"
+    assert not (tmp_path / "out").exists()
 
 
 def test_selftest_reports_a_failing_check(capsys, monkeypatch):

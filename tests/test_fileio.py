@@ -196,6 +196,24 @@ def test_pgm_ppm_headers(tmp_path):
     assert len(raw) == len(b"P6\n2 2\n255\n") + 12
 
 
+@pytest.mark.parametrize(
+    "writer, shape, message",
+    [
+        (write_pgm, (4,), "PGM payload must be 2D"),
+        (write_pgm, (2, 2, 1), "PGM payload must be 2D"),
+        (write_ppm, (4,), r"PPM payload must have shape \(H, W, 3\)"),
+        (write_ppm, (2, 2), r"PPM payload must have shape \(H, W, 3\)"),
+        (write_ppm, (2, 2, 4), r"PPM payload must have shape \(H, W, 3\)"),
+        (write_ppm, (2, 2, 3, 1), r"PPM payload must have shape \(H, W, 3\)"),
+    ],
+)
+def test_pgm_ppm_refuse_other_shapes_before_writing(tmp_path, writer, shape, message):
+    path = tmp_path / "im"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        writer(path, np.zeros(shape))
+    assert not path.exists()
+
+
 def test_warp_to_rgb_ranges():
     coords = np.array([[[-1.0, -1.0], [1.0, 1.0]]])
     cert = np.array([[0.0, 1.0]])

@@ -1,10 +1,13 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from matchkit import (
     KernelSpec,
+    PreparedGP,
     SupportSet,
     exp_cos_kernel,
     gp_posterior_mean,
@@ -55,6 +58,30 @@ def test_kernel_matrix_diagonal():
     gram = kernel_matrix(feats, feats, beta=10.0)
     assert np.allclose(np.diag(gram), math.exp(10.0), rtol=1e-12)
     assert np.allclose(gram, gram.T)
+
+
+@pytest.mark.parametrize("beta", [710.0, 1000.0, 1e300])
+def test_kernel_matrix_refuses_an_overflowing_beta(beta):
+    feats = np.random.default_rng(22).normal(size=(4, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning first
+        with pytest.raises(ValueError, match="^" + re.escape(f"kernel exp(beta * cos) overflows at beta={beta:g}: ")):
+            kernel_matrix(feats, feats, beta)
+        with pytest.raises(ValueError, match=re.escape(f"at beta={beta:g}: ")):
+            gp_posterior_mean(feats, SupportSet(feats, np.zeros((4, 2))), KernelSpec(beta, 1e-4))
+        # Just below the overflow the kernel is still finite.
+        assert np.all(np.isfinite(kernel_matrix(feats, feats, 709.0)))
+
+
+def test_prepared_gp_refuses_a_non_finite_cholesky_factor():
+    # An infinite jitter makes every pivot infinite; their ratio is NaN, which
+    # no comparison catches, so the factor itself must be checked.
+    rng = np.random.default_rng(23)
+    support = SupportSet(rng.normal(size=(5, 3)), rng.normal(size=(5, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"ill-conditioned \(pivot ratio below 1e-14, or a non-finite factor\)"):
+            PreparedGP(support, KernelSpec(10.0, np.inf))
 
 
 def test_gp_single_support_interpolates():

@@ -451,6 +451,17 @@ def test_l1_fit_refuses_misaligned_or_mismatched_pairs():
         fit_steering_l1({1: (sets[0], sets[1])}, init=np.eye(6))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_l1_fit_refuses_a_non_finite_init(bad):
+    sets = synth_equivariant(64, 8, noise_sigma=0.05, seed=40)
+    init = np.eye(8)
+    init[3, 5] = bad
+    with pytest.raises(ValueError, match="^init must be finite$"):
+        fit_steering_l1({1: (sets[0], sets[1])}, init=init)
+    with pytest.raises(ValueError, match="^init must be finite$"):
+        fit_steering_l1({1: (sets[0], sets[1])}, init=np.full((8, 8), np.nan))
+
+
 def test_back_to_back_mutual_nn_calls_on_different_shapes():
     rng = np.random.default_rng(40)
     b = MNN_BLOCK_ROWS
