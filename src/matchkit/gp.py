@@ -27,6 +27,9 @@ class KernelSpec:
     noise_variance: float = 1e-4
 
     def __post_init__(self) -> None:
+        for field in ("beta", "noise_variance"):
+            if not np.isfinite(getattr(self, field)):
+                raise ValueError(f"{field} must be finite, got {getattr(self, field)}")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
         if self.noise_variance < 0:

@@ -26,8 +26,16 @@ def kde_density(points: np.ndarray, h: float) -> np.ndarray:
 
     The density is ``sum_j exp(-||p_i - p_j||^2 / (2 h^2)) / (2 pi h^2)^(d/2)``
     over all points, so an isolated point has density ``(2 pi h^2)^(-d/2)``
-    and duplicated points scale it up by their multiplicity. Pairwise terms
-    are formed a row block at a time, in one buffer.
+    and duplicated points scale it up by their multiplicity.
+
+    The kernel is symmetric, so each unordered pair is evaluated once: a row
+    block is formed against the columns from its own first row onward (its
+    diagonal block and everything to its right), in one buffer. The block's
+    row sums go to its rows, and its column sums past the diagonal block go
+    to those later rows. With ``q = p / h`` and ``c = -|q|^2 / 2``, one gemm of
+    ``[q, c, 1]`` against ``[q, 1, c]`` gives each exponent
+    ``c_i + c_j + q_i . q_j``, clamped at 0 before ``exp``; each point's own
+    exponent is set to exactly 0.
     """
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"bandwidth must be positive and finite, got {h}")
@@ -37,20 +45,36 @@ def kde_density(points: np.ndarray, h: float) -> np.ndarray:
         raise ValueError("need at least one point")
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
-    norm = (2.0 * np.pi * h * h) ** (d / 2.0)
-    out = np.empty(m)
-    sq = (points**2).sum(axis=1)
+    left, right = np.empty((2, m, d + 2))
+    h = np.float64(h)
+    with np.errstate(over="ignore"):
+        norm = (2.0 * np.pi * h * h) ** (d / 2.0)
+        q = np.divide(points, h, out=left[:, :d])
+        c = np.multiply(-0.5, (q * q).sum(axis=1), out=left[:, d])
+        # The densities are at most m / norm, and each exponent's partial
+        # sums at most 4 max|c|: neither may overflow.
+        usable = 0 < h * h < np.inf and 0 < norm < np.inf and m / norm < np.inf and -4 * c.min() < np.inf
+    if not usable:
+        raise ValueError(
+            f"bandwidth {h:g} is out of range for these {d}-D points: "
+            "h^2, (2 pi h^2)^(d/2) or |p / h|^2 under- or overflows"
+        )
+    left[:, d + 1] = right[:, d] = 1.0
+    right[:, :d], right[:, d + 1] = q, c
+    ones = left[:, d + 1]
+    out = np.zeros(m)
     rows = max(1, KDE_BLOCK_ENTRIES // m)
-    buf = np.empty((min(rows, m), m))
+    buf = np.empty(min(rows, m) * m)
     for start in range(0, m, rows):
-        blk = slice(start, start + rows)  # the last block may be shorter
-        d2 = np.matmul(2.0 * points[blk], points.T, out=buf[: m - start])
-        np.subtract(sq[blk, None], d2, out=d2)
-        d2 += sq
-        np.maximum(d2, 0.0, out=d2)
-        d2 *= -0.5
-        d2 /= h * h
-        out[blk] = np.exp(d2, out=d2).sum(axis=1)
+        stop = min(start + rows, m)
+        e = buf[: (stop - start) * (m - start)].reshape(stop - start, m - start)
+        np.matmul(left[start:stop], right[start:].T, out=e)
+        # A point's own exponent cancels to 0 only up to eps |p / h|^2: set it.
+        np.fill_diagonal(e, 0.0)
+        np.minimum(e, 0.0, out=e)
+        np.exp(e, out=e)
+        out[start:stop] += e @ ones[start:]
+        out[stop:] += ones[: stop - start] @ e[:, stop - start :]
     return out / norm
 
 

@@ -39,6 +39,7 @@ from . import (
 )
 from .cascade import CORR_WINDOWS, run_cascade, scene_true_warp, stage_epes, synth_pyramid, upsample_warp
 from .grids import bilinear, bilinear_taps, containing_cells, in_extent
+from .sampling import KDE_BLOCK_ENTRIES
 from .steering import random_c4_steering
 
 
@@ -166,6 +167,17 @@ def _kde_brute() -> None:
     _check(np.max(np.abs(got - want)) < 1e-10, "kde brute-force mismatch")
 
 
+def _kde_row_blocks() -> None:
+    # Four row blocks or more, so column sums cross block boundaries.
+    m = int(2 * KDE_BLOCK_ENTRIES**0.5)
+    pts = np.random.default_rng(12).uniform(-1, 1, (m, 4))
+    h = 0.3
+    sq = (pts**2).sum(axis=1)
+    d2 = sq[:, None] - 2.0 * pts @ pts.T + sq[None, :]
+    want = np.exp(-0.5 * np.maximum(d2, 0.0) / (h * h)).sum(axis=1) / (2 * math.pi * h * h) ** 2
+    _check(np.max(np.abs(kde_density(pts, h) - want) / want) <= 1e-12, "blocked kde differs from the single expression")
+
+
 def _metric_oracles() -> None:
     _check(abs(auc(np.array([1.0]), 5.0) - 0.8) < 1e-12, "auc hand case mismatch")
     rot = np.array([0.5, 3.0, 20.0])
@@ -226,6 +238,7 @@ CHECKS = (
     ("joint normalization", _joint_normalization),
     ("steering lsq recovery", _steering_recovery),
     ("kde vs brute force", _kde_brute),
+    ("kde row blocks vs single expression", _kde_row_blocks),
     ("metric hand cases", _metric_oracles),
     ("correspondence csv round trip", _correspondence_csv_round_trip),
     ("pyramid levels are block means", _pyramid_block_means),

@@ -308,7 +308,11 @@ def _mutual_nn_indices(descs_a: np.ndarray, descs_b: np.ndarray):
         den = np.einsum("i,j->ij", na[start:stop], nb, out=den_buf[: stop - start])  # np.outer's bits
         np.divide(sim, den, out=sim)
         nn_ab[start:stop] = np.argmax(sim, axis=1)
-        top = np.argmax(sim, axis=0)
+        # argmax over axis 0 would copy the block into a third buffer; the
+        # spent denominators hold its transpose instead.
+        sim_t = den_buf.reshape(-1)[: sim.size].reshape(m, stop - start)
+        np.copyto(sim_t, sim.T)
+        top = np.argmax(sim_t, axis=1)
         top_sim = sim[top, cols]
         better = top_sim > col_max  # strict, so an earlier block keeps a tie
         col_max[better] = top_sim[better]

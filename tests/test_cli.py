@@ -840,6 +840,27 @@ def test_sample_refuses_a_bad_sensitivity_bandwidth_before_writing(tmp_path, cap
 
 
 @pytest.mark.parametrize(
+    "flags, h",
+    [
+        (["--bandwidth", "1e-200"], "1e-200"),  # h^2 underflows to 0
+        (["--sensitivity", "1e-170,0.1"], "1e-170"),
+        (["--bandwidth", "1e-100"], "1e-100"),  # (2 pi h^2)^2 underflows to 0
+        (["--bandwidth", "1e160"], "1e+160"),  # h^2 overflows: every density was 0
+        (["--bandwidth", "1e80"], "1e+80"),  # (2 pi h^2)^2 overflows
+    ],
+)
+def test_sample_refuses_an_under_or_overflowing_bandwidth(tmp_path, capsys, flags, h):
+    # Unrefused, these print RuntimeWarnings and then "ran out of positive-weight
+    # candidates", or sample with every density 0.
+    out = tmp_path / "out"
+    assert run("sample", "--n-matches", "30", *flags, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert err.startswith(f"error: bandwidth {h} is out of range for these 4-D points: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["steer", "fit", "--dir", "{missing}"], "error: [Errno 2] No such file or directory"),

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -75,13 +76,24 @@ def test_kernel_matrix_refuses_an_overflowing_beta(beta):
 
 def test_prepared_gp_refuses_a_non_finite_cholesky_factor():
     # An infinite jitter makes every pivot infinite; their ratio is NaN, which
-    # no comparison catches, so the factor itself must be checked.
+    # no comparison catches, so the factor itself must be checked. KernelSpec
+    # refuses that jitter, so a stand-in spec carries it past the dataclass.
     rng = np.random.default_rng(23)
     support = SupportSet(rng.normal(size=(5, 3)), rng.normal(size=(5, 2)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"ill-conditioned \(pivot ratio below 1e-14, or a non-finite factor\)"):
-            PreparedGP(support, KernelSpec(10.0, np.inf))
+            PreparedGP(support, SimpleNamespace(beta=10.0, noise_variance=np.inf))
+
+
+def test_kernel_spec_refuses_non_finite_values():
+    # Unrefused, a NaN or infinite value reaches PreparedGP, which blames an
+    # "ill-conditioned" system.
+    cases = [(10.0, np.nan, "noise_variance"), (10.0, np.inf, "noise_variance"), (np.nan, 1e-4, "beta")]
+    cases += [(np.inf, 1e-4, "beta"), (-np.inf, 1e-4, "beta")]
+    for beta, noise, field in cases:
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            KernelSpec(beta, noise)
 
 
 def test_gp_single_support_interpolates():

@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -76,6 +78,20 @@ def test_kde_rejects_bad_bandwidth():
             kde_density(np.zeros((3, 4)), h)
 
 
+def test_kde_refuses_bandwidths_that_under_or_overflow():
+    # Unrefused, each of these warns and gives NaN, infinite or all-zero densities.
+    pts = np.random.default_rng(74).uniform(-1, 1, (50, 4))
+    for h in (1e-200, 1e-170, 1e-100, 5e-78, 1e77, 1e160, 1e300):  # 5e-78: m / norm overflows
+        message = re.escape(f"bandwidth {h:g} is out of range for these 4-D points: ")
+        with pytest.raises(ValueError, match="^" + message):
+            kde_density(pts, h)
+    with pytest.raises(ValueError, match="out of range for these 1-D points"):
+        kde_density([[1e200], [0.0]], 1e-120)  # |p / h|^2 overflows, h^2 does not
+    # Just inside the range, distinct points keep only their self-kernels.
+    h = 1e-76
+    assert np.array_equal(kde_density(pts, h), np.full(50, 1.0 / (2 * np.pi * h * h) ** 2))
+
+
 def test_kde_rejects_nonfinite_points():
     for bad in (np.nan, np.inf):
         pts = np.zeros((5, 4))
@@ -93,6 +109,48 @@ def test_kde_blocks_match_single_block_oracle_at_block_boundaries():
         pts = rng.uniform(-1, 1, (m, 4))
         got, want = kde_density(pts, 0.3), single_block_kde(pts, 0.3)
         assert np.max(np.abs(got - want) / want) <= 1e-12, m
+
+
+def test_kde_permuted_points_give_permuted_densities():
+    # The column sums of each row block land on later rows: a permutation
+    # moves every pair across blocks and between the row and column roles.
+    rng = np.random.default_rng(75)
+    m = 1000
+    assert m // (KDE_BLOCK_ENTRIES // m) >= 3  # row blocks
+    for h in (0.05, 0.15, 0.6):
+        pts = rng.uniform(-1, 1, (m, 4))
+        perm = rng.permutation(m)
+        got, want = kde_density(pts[perm], h), kde_density(pts, h)[perm]
+        assert np.max(np.abs(got - want) / want) <= 1e-13, h
+
+
+def test_kde_duplicates_across_block_boundaries_get_equal_densities():
+    rng = np.random.default_rng(76)
+    m = 1000
+    rows = KDE_BLOCK_ENTRIES // m
+    pts = rng.uniform(-1, 1, (m, 4))
+    pairs = ((rows - 1, rows), (0, m - 1), (rows, 2 * rows + 1))  # across one, all and two boundaries
+    for i, j in pairs:
+        pts[j] = pts[i]
+    for h in (0.05, 0.15, 0.6):
+        dens = kde_density(pts, h)
+        for i, j in pairs:
+            assert abs(dens[i] - dens[j]) <= 1e-13 * dens[i], (h, i, j)
+
+
+def test_kde_peak_memory_is_one_block_plus_vectors():
+    # m^2 terms would be 512 MiB at m = 8192; the buffer holds at most
+    # KDE_BLOCK_ENTRIES of them, beside the (m, d + 2) gemm operands and a
+    # few length-m vectors.
+    m, d = 8192, 4
+    pts = np.random.default_rng(77).uniform(-1, 1, (m, d))
+    tracemalloc.start()
+    try:
+        kde_density(pts, 0.15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= KDE_BLOCK_ENTRIES * 8 + (2 * (d + 2) + 4) * m * 8, peak
 
 
 @PROPERTY

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -413,6 +415,21 @@ def test_blocked_mutual_nn_keeps_first_max_on_ties():
     assert 2 in ia and b + 3 not in ia  # the earlier of two equal rows wins
     assert_same_mutual_nn(descs_a, descs_b)
     assert_same_mutual_nn(descs_b, descs_a)
+
+
+def test_mutual_nn_peak_memory_is_two_blocks_plus_vectors():
+    # The similarity and denominator buffers hold MNN_BLOCK_ROWS rows each; the
+    # column argmax must not copy a third block (argmax over axis 0 does).
+    n = m = 4096
+    rng = np.random.default_rng(78)
+    a, b = rng.normal(size=(n, 16)), rng.normal(size=(m, 16))
+    tracemalloc.start()
+    try:
+        _mutual_nn_indices(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * MNN_BLOCK_ROWS * m * 8 + 8 * (n + m) * 8, peak
 
 
 def head(ds, n):
