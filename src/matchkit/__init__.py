@@ -6,7 +6,6 @@ from .anchors import (
     build_anchor_grid,
     closest_anchor,
     gaussian_anchor_probs,
-    mixture_density,
     to_warp,
 )
 from .cascade import (

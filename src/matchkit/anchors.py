@@ -15,15 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (
-    EXTENT_MIN,
-    ROW_SUM_TOL,
-    GridSpec,
-    WarpField,
-    _readonly,
-    containing_cells,
-    in_extent,
-)
+from .grids import EXTENT_MIN, ROW_SUM_TOL, GridSpec, WarpField, _readonly
 
 
 @dataclass(frozen=True)
@@ -83,22 +75,6 @@ class AnchorProbs:
             raise ValueError("matchability must lie in [0, 1]")
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "matchability", m)
-
-
-def mixture_density(probs: AnchorProbs, grid: AnchorGrid, x_a: int, x_b: np.ndarray) -> float:
-    """Evaluate the uniform-mixture conditional density at target point x_b.
-
-    The mixture places probability ``pi_k`` uniformly over anchor cell ``k``,
-    so the density at ``x_b`` is ``pi_{cell(x_b)} / cell_area`` and integrates
-    to one over the extent.
-    """
-    if probs.pi.shape[1] != grid.count:
-        raise ValueError("pi width does not match anchor count")
-    x_b = np.asarray(x_b, dtype=float)
-    if not in_extent(x_b):
-        raise ValueError(f"target point {x_b} outside extent")
-    row, col = containing_cells(x_b, grid.as_grid_spec())
-    return float(probs.pi[x_a, row * grid.cols + col] / grid.cell_area)
 
 
 def closest_anchor(grid: AnchorGrid, x: np.ndarray) -> np.ndarray:

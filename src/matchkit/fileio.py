@@ -121,13 +121,6 @@ def write_support_set(prefix, features: np.ndarray, embeddings: np.ndarray) -> N
     write_grid(str(prefix) + ".embeddings.rmgrid", embeddings)
 
 
-def read_support_set(prefix) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        read_grid(str(prefix) + ".features.rmgrid"),
-        read_grid(str(prefix) + ".embeddings.rmgrid"),
-    )
-
-
 def write_steering(path, w: np.ndarray) -> None:
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:

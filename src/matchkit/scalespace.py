@@ -139,19 +139,21 @@ def _gaussian_taps(sigma_extent: float, cell_side: float) -> np.ndarray:
 
 
 def _convolve_axis(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
-    """Zero-padded 1D convolution along one axis (mass may leak at edges)."""
+    """Zero-padded 1D convolution along one axis (mass may leak at edges).
+
+    The axis is copied to the front once, so each tap is one pass over
+    contiguous rows; only offsets shorter than the axis reach it at all."""
     if len(taps) == 1:
         return arr * taps[0]
-    moved = np.moveaxis(arr, axis, 0)
+    moved = np.ascontiguousarray(np.moveaxis(arr, axis, 0))
     out = np.zeros_like(moved)
+    tmp = np.empty_like(moved)
     n = moved.shape[0]
     radius = len(taps) // 2
-    for tap_idx, weight in enumerate(taps):
-        off = tap_idx - radius
-        lo = max(0, -off)
-        hi = min(n, n - off)
-        if lo < hi:
-            out[lo:hi] += weight * moved[lo + off : hi + off]
+    for off in range(max(-radius, 1 - n), min(radius, n - 1) + 1):
+        lo, hi = max(0, -off), min(n, n - off)
+        np.multiply(taps[off + radius], moved[lo + off : hi + off], out=tmp[: hi - lo])
+        np.add(out[lo:hi], tmp[: hi - lo], out=out[lo:hi])
     return np.moveaxis(out, 0, axis)
 
 
@@ -160,13 +162,15 @@ def diffuse(j: JointMatchDistribution, s: float) -> DiffusedJoint:
 
     All four coordinates (two source, two target) are blurred with separable
     1D passes. Kernels are truncated at radius ``4 s`` and the result is
-    renormalized, so mass stays exactly one.
+    renormalized, so mass stays exactly one. Each pass adds its taps in order
+    over a contiguous copy of its axis and skips the taps that miss the grid,
+    so its loop never runs longer than twice the axis, whatever ``s``.
     """
     if not (math.isfinite(s) and s >= 0):
         raise ValueError(f"scale must be finite and nonnegative, got {s}")
     if s == 0:
         return DiffusedJoint(j, 0.0)
-    vol = j.as_4d().copy()
+    vol = j.as_4d()
     sides = [
         j.source.cell_height,
         j.source.cell_width,
@@ -363,13 +367,24 @@ def _axis_log_likelihood(
     return (z - top - np.log(np.exp(z - top).sum(axis=-1, keepdims=True))) @ marginal
 
 
+# ``fit_comparison``'s line search: probes per bracket, and the final bracket
+# width over the first, that of 40 ternary steps.
+LINE_PROBES = 31
+LINE_SEARCH_SHRINK = (2 / 3) ** 40
+_PROBE_FRACTIONS = np.arange(1, LINE_PROBES + 1) / (LINE_PROBES + 1)
+
+
 def fit_comparison(cond: np.ndarray, anchor_grid: AnchorGrid) -> tuple[float, float]:
     """KL of a conditional against its best anchor mixture and best Gaussian.
 
     The anchor mixture projects the conditional onto anchor cells (block sums
     are the exact KL minimizer); the unimodal reference is the best discretized
     isotropic Gaussian found by grid search over all cell centers and 16
-    log-spaced sigmas in [0.01, 1], refined by coordinate descent. Returns
+    log-spaced sigmas in [0.01, 1], refined by at most 8 rounds of coordinate
+    descent over (mu_x, mu_y, log sigma). Each line search starts one grid step
+    either side, evaluates ``LINE_PROBES`` equally spaced probes in one call per
+    axis term, and shrinks its bracket to the first best probe's neighbours
+    until it is no wider than a 40-step ternary search would leave. Returns
     ``(kl_mixture, kl_unimodal)`` in nats. Entries must be finite and >= 0.
 
     The Gaussian is separable and normalized per axis, so ``KL(p||g) =
@@ -409,20 +424,24 @@ def fit_comparison(cond: np.ndarray, anchor_grid: AnchorGrid) -> tuple[float, fl
     value = float(grid[i, r, c])
     params = np.array([cx[c], cy[r], log_sigmas[i]])
     steps = np.array([tgt.cell_width, tgt.cell_height, log_sigmas[1] - log_sigmas[0]])
-    for _ in range(8):  # coordinate descent; both ternary probes in one call
+    for _ in range(8):  # coordinate descent
         for axis in range(3):
             lo, hi = params[axis] - steps[axis], params[axis] + steps[axis]
-            probes = np.tile(params, (2, 1))
+            tol = (hi - lo) * LINE_SEARCH_SHRINK
+            probes = np.tile(params, (LINE_PROBES, 1))
             # A mu_x probe changes only the x term, and a mu_y probe only the y term.
-            ll_x, ll_y = axis_term(probes, 0), axis_term(probes, 1)
-            for _ in range(40):
-                probes[:, axis] = (lo + (hi - lo) / 3, hi - (hi - lo) / 3)
+            if axis == 0:
+                ll_y = axis_term(params[None], 1)
+            if axis == 1:
+                ll_x = axis_term(params[None], 0)
+            while hi - lo > tol:
+                probes[:, axis] = xs = lo + (hi - lo) * _PROBE_FRACTIONS
                 if axis != 1:
                     ll_x = axis_term(probes, 0)
                 if axis != 0:
                     ll_y = axis_term(probes, 1)
-                kl1, kl2 = neg_entropy - ll_x - ll_y
-                lo, hi = (lo, probes[1, axis]) if kl1 <= kl2 else (probes[0, axis], hi)
+                j = int(np.argmin(neg_entropy - ll_x - ll_y))  # first minimum wins
+                lo, hi = xs[j - 1] if j else lo, xs[j + 1] if j + 1 < LINE_PROBES else hi
             params[axis] = 0.5 * (lo + hi)
         row = params[None]
         new_value = float((neg_entropy - axis_term(row, 0) - axis_term(row, 1))[0])

@@ -9,9 +9,22 @@ from matchkit import (
     build_anchor_grid,
     closest_anchor,
     gaussian_anchor_probs,
-    mixture_density,
     to_warp,
 )
+from matchkit.grids import containing_cells, in_extent
+
+
+def mixture_density(probs, grid, x_a, x_b):
+    """Oracle: the uniform-mixture conditional density of source cell ``x_a`` at
+    target point ``x_b``, ``pi_{cell(x_b)} / cell_area``; it integrates to one
+    over the extent."""
+    if probs.pi.shape[1] != grid.count:
+        raise ValueError("pi width does not match anchor count")
+    x_b = np.asarray(x_b, dtype=float)
+    if not in_extent(x_b):
+        raise ValueError(f"target point {x_b} outside extent")
+    row, col = containing_cells(x_b, grid.as_grid_spec())
+    return float(probs.pi[x_a, row * grid.cols + col] / grid.cell_area)
 
 
 def random_probs(rng, source, k):

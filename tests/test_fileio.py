@@ -91,8 +91,13 @@ def test_steering_round_trip(tmp_path):
         write_steering(path, np.ones((3, 4)))
 
 
+def read_support_set(prefix):
+    """The two RMGRID1 tensors ``write_support_set`` writes, read back."""
+    return read_grid(f"{prefix}.features.rmgrid"), read_grid(f"{prefix}.embeddings.rmgrid")
+
+
 def test_support_set_round_trip(tmp_path):
-    from matchkit.fileio import read_support_set, write_support_set
+    from matchkit.fileio import write_support_set
 
     rng = np.random.default_rng(94)
     feats = rng.normal(size=(12, 6)).astype(np.float32)

@@ -19,10 +19,12 @@ from matchkit import (
     translation_scene,
     two_translation_scene,
 )
+from matchkit import scalespace
 from matchkit.scalespace import (
     Mode,
     _axis_log_likelihood,
     _count_modes_stack,
+    _gaussian_taps,
     _sweep,
     boundary_distances,
     find_modes,
@@ -160,6 +162,54 @@ def test_diffuse_entropy_monotone_in_scale():
     values = [entropy(diffuse(base, s).joint.probs) for s in (0.0, 0.05, 0.1, 0.2)]
     for lo, hi in zip(values[:-1], values[1:]):
         assert hi >= lo - 1e-9
+
+
+def strided_convolve_axis(arr, taps, axis):
+    """Oracle: every tap of the kernel, added in order over a strided view of the axis."""
+    if len(taps) == 1:
+        return arr * taps[0]
+    moved = np.moveaxis(arr, axis, 0)
+    out = np.zeros_like(moved)
+    n = moved.shape[0]
+    radius = len(taps) // 2
+    for tap_idx, weight in enumerate(taps):
+        off = tap_idx - radius
+        lo = max(0, -off)
+        hi = min(n, n - off)
+        if lo < hi:
+            out[lo:hi] += weight * moved[lo + off : hi + off]
+    return np.moveaxis(out, 0, axis)
+
+
+def strided_diffuse(j, s):
+    vol = j.as_4d().copy()
+    sides = [j.source.cell_height, j.source.cell_width, j.target.cell_height, j.target.cell_width]
+    for axis, side in enumerate(sides):
+        vol = strided_convolve_axis(vol, _gaussian_taps(s, side), axis)
+    return normalize_joint(vol, j.source, j.target).probs
+
+
+DIFFUSE_CASES = [
+    *(("two-translation 16x16", (16, 16), (16, 16), s) for s in (0.05, 0.1, 0.2)),
+    *(("two-translation 12x16->8x24", (12, 16), (8, 24), s) for s in (0.05, 0.1, 0.2)),
+    *(("two-translation 5x7->9x3", (5, 7), (9, 3), s) for s in (0.05, 0.1, 0.2)),
+    *(("random 5x7->9x3", (5, 7), (9, 3), s) for s in (0.1, 0.3)),
+    # Radius 32,000 cells: every tap but 31 per axis misses the grid.
+    ("two-translation 16x16, radius past the axis", (16, 16), (16, 16), 1e3),
+]
+
+
+@pytest.mark.parametrize(
+    "name, src_shape, tgt_shape, s", DIFFUSE_CASES, ids=[f"{c[0]} s={c[3]}" for c in DIFFUSE_CASES]
+)
+def test_diffuse_matches_strided_loop_oracle(name, src_shape, tgt_shape, s):
+    src, tgt = GridSpec(*src_shape), GridSpec(*tgt_shape)
+    if name.startswith("random"):
+        rng = np.random.default_rng(45)
+        j = normalize_joint(rng.uniform(0, 1, (src.n_cells, tgt.n_cells)), src, tgt)
+    else:
+        j = rasterize_scene(two_translation_scene(), src, tgt)
+    assert np.array_equal(diffuse(j, s).joint.probs, strided_diffuse(j, s))
 
 
 def gaussian_bump(g, mu, sigma):
@@ -489,6 +539,42 @@ def test_separable_fit_matches_brute_force(cond, power):
     kl_mix, kl_uni = fit_comparison(cond, anchors)
     assert kl_mix == want_mix
     assert abs(kl_uni - want_uni) <= 1e-8
+
+
+def boundary_conditional(s, cell):
+    """Row ``cell`` of the 16x16 two-translation joint diffused at ``s``, as a grid."""
+    g = GridSpec(16, 16)
+    row = diffuse(rasterize_scene(two_translation_scene(), g, g), s).joint.probs[cell]
+    return (row / row.sum()).reshape(16, 16)
+
+
+# The benchmark's regime: cells 119 and 120 straddle the boundary at x = 0
+# (columns 7 and 8), cell 56 sits on it three rows up, and cell 0 is the far
+# corner, whose own image leaves the frame.
+@pytest.mark.parametrize("s", [0.1, 0.2])
+@pytest.mark.parametrize("cell", [119, 120, 56, 0])
+def test_fit_comparison_matches_brute_force_on_boundary_conditionals(s, cell):
+    cond = boundary_conditional(s, cell)
+    anchors = build_anchor_grid(16, 16)
+    want_mix, want_uni, (mu, sigma) = brute_force_fit(cond, anchors)
+    assert gaussian_bump(GridSpec(16, 16), mu, sigma).min() > 1e-300  # the floor is not hit
+    kl_mix, kl_uni = fit_comparison(cond, anchors)
+    assert kl_mix == want_mix
+    assert abs(kl_uni - want_uni) <= 1e-8
+
+
+def test_fit_comparison_line_search_call_count(monkeypatch):
+    # Work pinned as a count, not a time: 8 full descent rounds of three line
+    # searches, each shrinking its bracket 6 times with one call per axis term.
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return _axis_log_likelihood(*args)
+
+    monkeypatch.setattr(scalespace, "_axis_log_likelihood", counting)
+    fit_comparison(boundary_conditional(0.2, 56), build_anchor_grid(16, 16))
+    assert len(calls) <= 300, len(calls)
 
 
 def test_axis_log_likelihood_exact_where_gaussian_underflows():
