@@ -65,7 +65,6 @@ from .steering import (
     apply_steering,
     fit_steering_l1,
     fit_steering_lsq,
-    mutual_nn_match,
     random_c4_steering,
     rotate_keypoints,
     rotation_matching_eval,

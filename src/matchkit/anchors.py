@@ -131,7 +131,8 @@ _erf = np.frompyfunc(math.erf, 1, 1)
 
 
 def _gauss_cdf(z: np.ndarray, mu: np.ndarray, sigma: float) -> np.ndarray:
-    u = (z - mu) / (sigma * math.sqrt(2.0))
+    with np.errstate(over="ignore"):  # an infinite u is erf's +-1, its limit
+        u = (z - mu) / (sigma * math.sqrt(2.0))
     erf, near = np.sign(u), np.abs(u) < 6.0  # erf(u) is exactly +-1.0 where |u| >= 6: call it only nearer
     erf[near] = _erf(u[near]).astype(float)
     return 0.5 * (1.0 + erf)

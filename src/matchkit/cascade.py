@@ -35,7 +35,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .grids import EXTENT_MIN, GridSpec, WarpField, _axis_taps, bilinear, bilinear_taps, containing_cells, in_extent
+from .grids import EXTENT_MIN, GridSpec, WarpField, _axis_taps, containing_cells, in_extent
 from .scalespace import AffineRegion, SceneSpec, identity_scene
 
 # Refiner strides, coarse to fine, each with its correlation window (0: pass-through).
@@ -235,13 +235,31 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _upsampled_coords(field: WarpField, new_grid: GridSpec):
-    """``upsample_warp``'s target coordinates, and the lattice taps that gave them."""
-    old, tc = field.grid, field.target_coords
-    new_x, new_y = new_grid.axis_centers_x(), new_grid.axis_centers_y()[:, None]
-    taps = bilinear_taps((old.height, old.width), new_x, new_y)
-    flow_x, flow_y = tc[..., 0] - old.axis_centers_x(), tc[..., 1] - old.axis_centers_y()[:, None]
-    return np.stack([bilinear(flow_x, taps) + new_x, bilinear(flow_y, taps) + new_y], axis=-1), taps
+def _blend(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``(1 - f)·a + f·b``, computed in place in the fresh gathers ``a`` and ``b``."""
+    a *= 1 - f
+    b *= f
+    a += b
+    return a
+
+
+def _hop(old: GridSpec, new: GridSpec, x: np.ndarray, y: np.ndarray, *values: np.ndarray) -> np.ndarray:
+    """Bilinearly carry target coordinates ``x``, ``y`` (and value planes) from ``old``'s cell centres to ``new``'s.
+
+    The coordinates travel as a flow (target minus source position) and are
+    re-anchored at the new centres. All planes are stacked and share each
+    axis's two ``_axis_taps`` taps, computed once; rows are blended first,
+    then columns, each as ``(1 - f)·a + f·b``. Returns the ``2 + len(values)``
+    planes on ``new``, stacked.
+    """
+    r0, r1, fy = _axis_taps(new.axis_centers_y(), old.height)
+    c0, c1, fx = _axis_taps(new.axis_centers_x(), old.width)
+    planes = np.stack([x - old.axis_centers_x(), y - old.axis_centers_y()[:, None], *values])
+    rows = _blend(np.take(planes, r0, axis=-2), np.take(planes, r1, axis=-2), fy[:, None])
+    out = _blend(np.take(rows, c0, axis=-1), np.take(rows, c1, axis=-1), fx)
+    out[0] += new.axis_centers_x()
+    out[1] += new.axis_centers_y()[:, None]
+    return out
 
 
 def upsample_warp(field: WarpField, new_grid: GridSpec) -> WarpField:
@@ -253,10 +271,11 @@ def upsample_warp(field: WarpField, new_grid: GridSpec) -> WarpField:
     interpolation reproduces the linear anchor term exactly); at the clamped
     border it extends the local flow instead of freezing coordinates, so a
     uniform translation stays uniform after upsampling. The x-flow, y-flow
-    and certainty planes share one set of lattice taps.
+    and certainty planes go through one separable hop (``_hop``).
     """
-    coords, taps = _upsampled_coords(field, new_grid)
-    return WarpField(new_grid, coords, np.clip(bilinear(field.certainty, taps), 0.0, 1.0))
+    tc = field.target_coords
+    x, y, cert = _hop(field.grid, new_grid, tc[..., 0], tc[..., 1], field.certainty)
+    return WarpField(new_grid, np.stack([x, y], axis=-1), np.clip(cert, 0.0, 1.0))
 
 
 def analytic_refiner(
@@ -312,7 +331,8 @@ def analytic_refiner(
         )
         sims = np.where(valid, sims, -1.0)
         peak = sims.max(axis=(1, 2))
-        soft = np.exp((sims - peak[:, None, None]) / temperature)
+        with np.errstate(over="ignore"):  # a weight that overflows to -inf is exp's 0, its limit
+            soft = np.exp((sims - peak[:, None, None]) / temperature)
         soft /= soft.reshape(len(soft), -1).sum(axis=1)[:, None, None]
         win_x = EXTENT_MIN + (cc + 0.5) * tgt.cell_width
         win_y = EXTENT_MIN + (rr + 0.5) * tgt.cell_height
@@ -375,49 +395,29 @@ def matchable_mask(scene: SceneSpec, grid: GridSpec) -> np.ndarray:
     return in_extent(scene.map_points(grid.cell_centers())).reshape(grid.height, grid.width)
 
 
-def _axis_resampler(sizes: Sequence[int]) -> np.ndarray:
-    """``upsample_warp``'s 2-tap ``_axis_taps`` hops along an axis of ``sizes[0]``, ``sizes[1]``, ... cells, as one matrix."""
-    out = np.eye(sizes[0])
-    for old, new in zip(sizes, sizes[1:]):
-        i0, i1, f = _axis_taps(GridSpec(1, new).axis_centers_x(), old)
-        out = (1 - f)[:, None] * out[i0] + f[:, None] * out[i1]
-    return out
-
-
 def stage_epes(stages: list[tuple[int, WarpField]], scene: SceneSpec) -> list[tuple[int, float]]:
     """Per-stage EPE over the matchable cells at the base resolution, in extent units.
 
     Mean errors over grids of different sizes are not comparable, so each
-    stage's output is carried to the last stage's grid, where the scene's
-    truth and matchable mask are mapped once. The first hop samples the two
-    flow planes as ``upsample_warp`` does. When it has the next stage's target
-    coordinates, as before a window-0 (pass-through) stage, the rest of the
-    chain is the next stage's, so that EPE is reused, exactly. Otherwise the
-    rest of the chain, linear in the flow and separable, is applied as one
-    matrix per axis, ``M_y F M_x^T``: equal up to rounding.
+    stage's target coordinates are carried to the last stage's grid through
+    the chain of ``_hop``s that ``upsample_warp`` would take (coordinates
+    only), and compared there with the scene's truth, mapped once. A
+    pass-through stage's warp is its predecessor's first hop, so the two
+    share one EPE exactly.
     """
     if not stages:
         return []
     grids = [w.grid for _, w in stages]
-    centers = grids[-1].cell_centers()
-    true = scene.map_points(centers)
+    true = scene.map_points(grids[-1].cell_centers())
     keep = in_extent(true)
     if not np.any(keep):
         raise ValueError("no matchable cells to evaluate")
-    epes: list[float] = []  # last stage first
-    for i in reversed(range(len(stages))):
-        coords = stages[i][1].target_coords
-        if i + 1 < len(stages):
-            coords = _upsampled_coords(stages[i][1], grids[i + 1])[0]
-            if np.array_equal(coords, stages[i + 1][1].target_coords):
-                epes.append(epes[-1])  # the rest of the chain is the next stage's
-                continue
-        if i + 2 < len(stages):
-            rest = grids[i + 1 :]
-            my, mx = _axis_resampler([g.height for g in rest]), _axis_resampler([g.width for g in rest])
-            flow = my @ np.moveaxis(coords - rest[0].cell_centers().reshape(coords.shape), -1, 0) @ mx.T
-            coords = np.moveaxis(flow, 0, -1).reshape(-1, 2) + centers
-        d = coords.reshape(-1, 2) - true
-        err = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])  # np.linalg.norm's bits, without its slow length-2 sum
-        epes.append(float(err[keep].mean()))
-    return [(stride, e) for (stride, _), e in zip(stages, reversed(epes))]
+    out = []
+    for i, (stride, w) in enumerate(stages):
+        x, y = w.target_coords[..., 0], w.target_coords[..., 1]
+        for old, new in zip(grids[i:], grids[i + 1 :]):
+            x, y = _hop(old, new, x, y)
+        dx, dy = x.reshape(-1) - true[:, 0], y.reshape(-1) - true[:, 1]
+        err = np.sqrt(dx * dx + dy * dy)  # np.linalg.norm's bits, without its slow length-2 sum
+        out.append((stride, float(err[keep].mean())))
+    return out

@@ -128,9 +128,11 @@ class DiffusedJoint:
     sigma: float
 
 
-def _gaussian_taps(sigma_extent: float, cell_side: float) -> np.ndarray:
-    """Sampled 1D Gaussian kernel, truncated at radius 4*sigma, sum 1."""
-    radius = int(math.floor(4.0 * sigma_extent / cell_side))
+def _gaussian_taps(sigma_extent: float, cell_side: float, n: int) -> np.ndarray:
+    """Sampled 1D Gaussian kernel, truncated at radius 4*sigma and at the ``n - 1``
+    cells an axis of ``n`` cells can reach, sum 1. ``diffuse`` renormalizes the
+    joint, so dropping the taps that miss the axis changes its result only by rounding."""
+    radius = int(math.floor(min(4.0 * sigma_extent / cell_side, n - 1)))
     if radius < 1:
         return np.array([1.0])
     offs = np.arange(-radius, radius + 1) * cell_side
@@ -142,7 +144,7 @@ def _convolve_axis(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     """Zero-padded 1D convolution along one axis (mass may leak at edges).
 
     The axis is copied to the front once, so each tap is one pass over
-    contiguous rows; only offsets shorter than the axis reach it at all."""
+    contiguous rows. The kernel's radius must be below the axis length."""
     if len(taps) == 1:
         return arr * taps[0]
     moved = np.ascontiguousarray(np.moveaxis(arr, axis, 0))
@@ -150,7 +152,7 @@ def _convolve_axis(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     tmp = np.empty_like(moved)
     n = moved.shape[0]
     radius = len(taps) // 2
-    for off in range(max(-radius, 1 - n), min(radius, n - 1) + 1):
+    for off in range(-radius, radius + 1):
         lo, hi = max(0, -off), min(n, n - off)
         np.multiply(taps[off + radius], moved[lo + off : hi + off], out=tmp[: hi - lo])
         np.add(out[lo:hi], tmp[: hi - lo], out=out[lo:hi])
@@ -161,24 +163,18 @@ def diffuse(j: JointMatchDistribution, s: float) -> DiffusedJoint:
     """Convolve the joint with an isotropic Gaussian of std ``s``.
 
     All four coordinates (two source, two target) are blurred with separable
-    1D passes. Kernels are truncated at radius ``4 s`` and the result is
-    renormalized, so mass stays exactly one. Each pass adds its taps in order
-    over a contiguous copy of its axis and skips the taps that miss the grid,
-    so its loop never runs longer than twice the axis, whatever ``s``.
+    1D passes. Kernels are truncated at radius ``4 s``, and at the axis
+    length, and the result is renormalized, so mass stays exactly one. Each
+    pass adds its taps in order over a contiguous copy of its axis, so its
+    time and memory never grow past twice the axis, whatever ``s``.
     """
     if not (math.isfinite(s) and s >= 0):
         raise ValueError(f"scale must be finite and nonnegative, got {s}")
     if s == 0:
         return DiffusedJoint(j, 0.0)
     vol = j.as_4d()
-    sides = [
-        j.source.cell_height,
-        j.source.cell_width,
-        j.target.cell_height,
-        j.target.cell_width,
-    ]
-    for axis, side in enumerate(sides):
-        vol = _convolve_axis(vol, _gaussian_taps(s, side), axis)
+    for axis, n in enumerate(vol.shape):
+        vol = _convolve_axis(vol, _gaussian_taps(s, 2.0 / n, n), axis)
     return DiffusedJoint(normalize_joint(vol, j.source, j.target), s)
 
 

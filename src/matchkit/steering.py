@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import CorrespondenceSet, _readonly
+from .grids import _readonly
 
 R90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 MNN_BLOCK_ROWS = 128  # similarity rows per block in mutual nearest-neighbour search
@@ -322,18 +322,6 @@ def _mutual_nn_indices(descs_a: np.ndarray, descs_b: np.ndarray):
     ia = ids[mutual]
     ib = nn_ab[mutual]
     return ia, ib, col_max[ib]
-
-
-def mutual_nn_match(a: DescriptorSet, b: DescriptorSet) -> CorrespondenceSet:
-    """Cosine-similarity mutual nearest neighbors as weighted correspondences.
-
-    Pair weights are the similarities, floored at zero to keep the
-    correspondence container's nonnegative-weight contract.
-    """
-    ia, ib, sims = _mutual_nn_indices(a.descs, b.descs)
-    if ia.size == 0:
-        raise ValueError("no mutual nearest neighbors found")
-    return CorrespondenceSet(a.coords[ia], b.coords[ib], np.maximum(sims, 0.0))
 
 
 @dataclass(frozen=True)

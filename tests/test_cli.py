@@ -190,6 +190,24 @@ def test_diffuse_rejects_duplicate_and_nonfinite_scales(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_diffuse_scale_past_every_axis_runs(tmp_path, capsys):
+    # 4s / side overflows to inf: the kernel keeps only the taps that reach the grid.
+    assert run("diffuse", "--scales", "1e308", "--out", str(tmp_path / "out")) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cascade", "--temperature", "1e-320", "--base", "56"],  # softargmax weights overflow to 0
+        ["synth", "probs", "--sigma", "1e-320"],  # erf arguments overflow to +-inf
+    ],
+)
+def test_tiny_widths_run_without_overflow_warnings(tmp_path, capsys, argv):
+    assert run(*argv, "--out", str(tmp_path / "out")) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_sample_deterministic_and_readable(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run("sample", "--n-matches", "40", "--seed", "5", "--out", str(out1)) == 0

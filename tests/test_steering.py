@@ -9,7 +9,6 @@ from matchkit import (
     apply_steering,
     fit_steering_l1,
     fit_steering_lsq,
-    mutual_nn_match,
     random_c4_steering,
     rotate_keypoints,
     rotation_matching_eval,
@@ -298,37 +297,15 @@ def test_apply_steering_validates():
 
 def test_mutual_nn_identity_and_permutation():
     rng = np.random.default_rng(19)
-    coords = rng.uniform(-1, 1, (12, 2))
     descs = np.linalg.qr(rng.normal(size=(12, 12)))[0]  # orthonormal rows
-    a = DescriptorSet(coords, descs)
-    matches = mutual_nn_match(a, a)
-    assert len(matches) == 12
-    assert np.allclose(matches.xa, matches.xb)
+    ia, ib, _ = _mutual_nn_indices(descs, descs)
+    assert np.array_equal(ia, np.arange(12))
+    assert np.array_equal(ib, np.arange(12))
 
     perm = rng.permutation(12)
-    b = DescriptorSet(coords[perm], descs[perm])
-    matches = mutual_nn_match(a, b)
-    assert len(matches) == 12
-    assert np.allclose(matches.xa, matches.xb)  # same keypoints recovered
-
-
-def test_mutual_nn_matches_brute_force():
-    rng = np.random.default_rng(20)
-    a = DescriptorSet(rng.uniform(-1, 1, (15, 2)), rng.normal(size=(15, 6)))
-    b = DescriptorSet(rng.uniform(-1, 1, (13, 2)), rng.normal(size=(13, 6)))
-    na = a.descs / np.linalg.norm(a.descs, axis=1, keepdims=True)
-    nb = b.descs / np.linalg.norm(b.descs, axis=1, keepdims=True)
-    sim = na @ nb.T
-    pairs = []
-    for i in range(15):
-        j = int(np.argmax(sim[i]))
-        if int(np.argmax(sim[:, j])) == i:
-            pairs.append((i, j))
-    got = mutual_nn_match(a, b)
-    assert len(got) == len(pairs)
-    for idx, (i, j) in enumerate(pairs):
-        assert np.allclose(got.xa[idx], a.coords[i])
-        assert np.allclose(got.xb[idx], b.coords[j])
+    ia, ib, _ = _mutual_nn_indices(descs, descs[perm])
+    assert np.array_equal(ia, np.arange(12))
+    assert np.array_equal(perm[ib], ia)  # the same rows recovered
 
 
 def test_rotation_matching_eval_k0_equal():
