@@ -60,7 +60,6 @@ from .scalespace import (
 )
 from .steering import (
     DescriptorSet,
-    RotationAction,
     SteeringMatrix,
     apply_steering,
     fit_steering_l1,

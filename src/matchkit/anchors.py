@@ -34,10 +34,6 @@ class AnchorGrid:
         return self.rows * self.cols
 
     @property
-    def cell_area(self) -> float:
-        return (2.0 / self.rows) * (2.0 / self.cols)
-
-    @property
     def anchors(self) -> np.ndarray:
         """Anchor coordinates, shape (K, 2), row-major."""
         return self.as_grid_spec().cell_centers()

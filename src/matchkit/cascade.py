@@ -306,8 +306,8 @@ def analytic_refiner(
     window = CORR_WINDOWS[stride]
     if window == 0:
         return state
-    if temperature <= 0:
-        raise ValueError("softargmax temperature must be positive")
+    if not temperature > 0:  # also refuses NaN
+        raise ValueError(f"softargmax temperature must be positive, got {temperature}")
     tgt = pyr_b.grid(stride)
     feats_a = pyr_a.features(stride).reshape(grid.n_cells, -1)
     feats_b = pyr_b.features(stride).reshape(tgt.n_cells, -1)

@@ -401,12 +401,12 @@ def _cmd_sample(a) -> int:
     what = "cells with positive certainty and an in-extent target"
     if n == 0:
         raise ValueError(f"the warp has no candidates ({what})")
-    if n < a.n_matches:
-        note = f"note: --n-matches {a.n_matches} capped to the {n} candidates ({what})"
-        print(note, file=sys.stderr)
     cs = balanced_sample(warp, n, h=a.bandwidth, seed=a.seed)
     rows = [(h, spatial_entropy(balanced_sample(warp, n, h=h, seed=a.seed))) for h in a.sensitivity or ()]
-    out = _out_dir(a)  # after every draw, so a refused bandwidth writes nothing
+    # After every draw, so that a refused bandwidth prints one error line and writes nothing.
+    if n < a.n_matches:
+        print(f"note: --n-matches {a.n_matches} capped to the {n} candidates ({what})", file=sys.stderr)
+    out = _out_dir(a)
     write_correspondences_csv(out / "matches.csv", cs)
     if a.sensitivity:
         write_csv(out / "bandwidth_sensitivity.csv", "bandwidth,spatial_entropy", rows)

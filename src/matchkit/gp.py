@@ -67,8 +67,9 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, beta: float) -> np.ndarray:
     b = np.atleast_2d(np.asarray(b, dtype=float))
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
-    if np.any(na == 0) or np.any(nb == 0):
-        raise ValueError("kernel inputs must have nonzero norm")
+    for name, norms in (("a", na), ("b", nb)):
+        if not np.all((norms > 0) & (norms < np.inf)):  # also refuses NaN
+            raise ValueError(f"kernel input {name} must have finite, nonzero row norms")
     cos = (a @ b.T) / np.outer(na, nb)
     with np.errstate(over="ignore"):
         k = np.exp(beta * cos)
@@ -104,6 +105,8 @@ class PreparedGP:
         self._weights = np.linalg.solve(chol.T, np.linalg.solve(chol, support.embeddings))
 
     def posterior_mean(self, queries: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(queries)):
+            raise ValueError("queries must be finite")
         k_star = kernel_matrix(queries, self.support.features, self.spec.beta)
         return k_star @ self._weights
 

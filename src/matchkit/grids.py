@@ -36,10 +36,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def in_extent(coords: np.ndarray, eps: float = EXTENT_EPS) -> np.ndarray:
-    """Boolean mask of which ``(..., 2)`` coordinates lie inside [-1, 1]^2."""
+def in_extent(coords: np.ndarray) -> np.ndarray:
+    """Boolean mask of which ``(..., 2)`` coordinates lie inside [-1, 1]^2, within ``EXTENT_EPS``."""
     coords = np.asarray(coords, dtype=float)
-    inside = (coords >= EXTENT_MIN - eps) & (coords <= EXTENT_MAX + eps)
+    inside = (coords >= EXTENT_MIN - EXTENT_EPS) & (coords <= EXTENT_MAX + EXTENT_EPS)
     return inside[..., 0] & inside[..., 1]  # np.all over a length-2 axis is several times slower
 
 
@@ -99,9 +99,7 @@ def bilinear_taps(shape: tuple[int, int], x: np.ndarray, y: np.ndarray):
     """The four bilinear corners of ``(x, y)`` on an ``(H, W)`` grid's cell centers.
 
     Returns ``(flat cell index, weight)`` pairs in the corner order 00, 01,
-    10, 11 (row offset, then column offset). ``x`` and ``y`` broadcast: a
-    lattice passes a row of x and a column of y, so its taps are computed
-    once per axis; scattered points pass two arrays of one shape. Queries
+    10, 11 (row offset, then column offset). ``x`` and ``y`` broadcast. Queries
     outside the hull of cell centers clamp to the edge values, so the weights
     always sum to 1.
     """

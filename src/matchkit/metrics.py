@@ -7,8 +7,8 @@ are strict everywhere ("error lower than tau").
 
 Pose errors follow the two-view convention: rotation error is the geodesic
 angle between rotations; translation error is the angle between translation
-directions, sign-invariant by default because a two-view translation is
-recoverable only up to scale and sign.
+directions, sign-invariant because a two-view translation is recoverable
+only up to scale and sign.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ def _aligned_pixel_errors(
 ) -> np.ndarray:
     if len(pred) != len(gt):
         raise ValueError(f"pred has {len(pred)} pairs, gt has {len(gt)}")
-    if ref_resolution <= 0:
-        raise ValueError("reference resolution must be positive")
+    if not 0 < ref_resolution < np.inf:  # also refuses NaN
+        raise ValueError(f"ref_resolution must be positive and finite, got {ref_resolution}")
     if np.max(np.abs(pred.xa - gt.xa)) > 1e-6:
         raise ValueError("pred and gt source points are not index-aligned")
     d = pred.xb - gt.xb
@@ -56,6 +56,8 @@ def pck(
     ref_resolution: float = DEFAULT_REF_RESOLUTION,
 ) -> float:
     """Percentage of correspondences with pixel error strictly below tau."""
+    if not tau_px > 0:  # also refuses NaN
+        raise ValueError(f"tau_px must be positive, got {tau_px}")
     err = _aligned_pixel_errors(pred, gt, ref_resolution)
     return float(100.0 * np.mean(err < tau_px))
 
@@ -72,24 +74,24 @@ def pose_errors(
     t_est: np.ndarray,
     R_gt: np.ndarray,
     t_gt: np.ndarray,
-    signed_translation: bool = False,
 ) -> tuple[float, float]:
     """(rotation error, translation angle error) in degrees.
 
     Rotation error is ``arccos((trace(R_est^T R_gt) - 1) / 2)``. Translation
-    error is the angle between the unit translation directions; by default the
-    cosine's absolute value is used, making the measure sign-invariant.
+    error is the angle between the unit translation directions; the cosine's
+    absolute value is used, making the measure sign-invariant.
     """
     R_est = np.asarray(R_est, dtype=float)
     R_gt = np.asarray(R_gt, dtype=float)
     for name, R in (("R_est", R_est), ("R_gt", R_gt)):
-        if R.shape != (3, 3) or np.max(np.abs(R.T @ R - np.eye(3))) > ORTHONORMAL_TOL:
+        if R.shape != (3, 3) or not np.max(np.abs(R.T @ R - np.eye(3))) <= ORTHONORMAL_TOL:  # also refuses NaN
             raise ValueError(f"{name} is not orthonormal within {ORTHONORMAL_TOL}")
     t_est = np.asarray(t_est, dtype=float).reshape(3)
     t_gt = np.asarray(t_gt, dtype=float).reshape(3)
     ne, ng = np.linalg.norm(t_est), np.linalg.norm(t_gt)
-    if ne == 0 or ng == 0:
-        raise ValueError("translations must be nonzero")
+    for name, norm in (("t_est", ne), ("t_gt", ng)):
+        if not 0 < norm < np.inf:
+            raise ValueError(f"{name} must have a finite, nonzero norm")
     # Angles are evaluated with arctan2(sin, cos) rather than arccos(cos):
     # mathematically identical on [0, 180] but exact for identical inputs and
     # well conditioned near 0.
@@ -101,9 +103,7 @@ def pose_errors(
     rot_deg = float(np.degrees(np.arctan2(sin_r, cos_r)))
     te, tg = t_est / ne, t_gt / ng
     sin_t = np.linalg.norm(np.cross(te, tg))
-    cos_t = float(te @ tg)
-    if not signed_translation:
-        cos_t = abs(cos_t)
+    cos_t = abs(float(te @ tg))
     trans_deg = float(np.degrees(np.arctan2(sin_t, cos_t)))
     return rot_deg, trans_deg
 
@@ -120,8 +120,8 @@ def auc(errors: np.ndarray, tau: float) -> float:
         raise ValueError("need at least one error value")
     if not np.all(np.isfinite(errors)):
         raise ValueError("errors must be finite")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < np.inf:  # also refuses NaN
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     ordered = np.sort(errors)
     inside = np.unique(ordered[(ordered > 0) & (ordered < tau)])
     breaks = np.concatenate([[0.0], inside, [tau]])
@@ -151,6 +151,9 @@ def maa(
     trans_errors = np.asarray(trans_errors, dtype=float).ravel()
     if rot_errors.shape != trans_errors.shape or rot_errors.size == 0:
         raise ValueError("rotation and translation errors must be nonempty and aligned")
+    for name, errors in (("rot_errors", rot_errors), ("trans_errors", trans_errors)):
+        if not np.all(np.isfinite(errors)):
+            raise ValueError(f"{name} must be finite")
     if rot_thresholds is None and trans_thresholds is None:
         rot_thresholds, trans_thresholds = default_maa_thresholds()
     rot_thresholds = np.asarray(rot_thresholds, dtype=float).ravel()

@@ -19,6 +19,7 @@ from .metrics import entropy
 
 WEIGHT_FLOOR = 1e-12
 KDE_BLOCK_ENTRIES = 200_000  # pairwise terms per block: a buffer that stays in cache
+ENTROPY_BINS = 4  # spatial_entropy's bins per axis
 
 
 def kde_density(points: np.ndarray, h: float) -> np.ndarray:
@@ -122,8 +123,9 @@ def certainty_sample(warp: WarpField, n: int, seed: int = 0) -> CorrespondenceSe
     return CorrespondenceSet(coords_a[picks], coords_b[picks], cert[picks])
 
 
-def spatial_entropy(cs: CorrespondenceSet, bins: int = 4) -> float:
-    """Shannon entropy (nats) of sampled source points over a bins x bins grid."""
+def spatial_entropy(cs: CorrespondenceSet) -> float:
+    """Shannon entropy (nats) of sampled source points over an ``ENTROPY_BINS`` square grid."""
+    bins = ENTROPY_BINS
     rows, cols = containing_cells(cs.xa, GridSpec(bins, bins))
     counts = np.bincount(rows * bins + cols, minlength=bins * bins)
     return entropy(counts / counts.sum())

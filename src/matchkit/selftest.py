@@ -38,7 +38,7 @@ from . import (
     two_translation_scene,
 )
 from .cascade import CORR_WINDOWS, run_cascade, scene_true_warp, stage_epes, synth_pyramid, upsample_warp
-from .grids import bilinear, bilinear_taps, containing_cells, in_extent
+from .grids import containing_cells, in_extent
 from .sampling import KDE_BLOCK_ENTRIES
 from .steering import random_c4_steering
 
@@ -66,14 +66,6 @@ def _bilinear_midpoint() -> None:
     got, _ = bilinear_sample(field, (a + b) / 2)
     want = (field.target_coords[1, 1] + field.target_coords[1, 2]) / 2
     _check(np.allclose(got, want, atol=1e-12), "bilinear midpoint mismatch")
-
-
-def _bilinear_lattice_vs_scattered() -> None:
-    rng = np.random.default_rng(11)
-    values, x, y = rng.uniform(-1, 1, (5, 7, 3)), rng.uniform(-1.3, 1.3, 9), rng.uniform(-1.3, 1.3, (4, 1))
-    scattered = [np.ascontiguousarray(a) for a in np.broadcast_arrays(x, y)]  # the lattice reaches past the hull
-    got, want = (bilinear(values, bilinear_taps((5, 7), *xy)).tobytes() for xy in ((x, y), scattered))
-    _check(got == want, "lattice and scattered taps give different bytes")
 
 
 def _to_warp_two_anchor_midpoint() -> None:
@@ -228,7 +220,6 @@ def _correspondence_csv_round_trip() -> None:
 CHECKS = (
     ("pixel round trip", _pixel_round_trip),
     ("bilinear midpoint identity", _bilinear_midpoint),
-    ("bilinear lattice vs scattered taps", _bilinear_lattice_vs_scattered),
     ("warp decode midpoint", _to_warp_two_anchor_midpoint),
     ("closest anchor vs brute force", _closest_anchor_brute),
     ("charbonnier closed forms", _charbonnier_values),

@@ -6,7 +6,7 @@ descriptions of an image rotated k quarter turns can be matched against the
 original by multiplying the original descriptions with W^k.
 
 This module estimates W from paired descriptor sets: a least-squares fit
-(ridge-regularized normal equations) and a robust L1 fit by subgradient
+(normal equations with a fixed ridge) and a robust L1 fit by subgradient
 descent over all three rotation multiples jointly, where the k-fold matrix
 power is differentiated with the product rule. A synthetic generator
 produces exactly-equivariant descriptor sets (plus optional noise) so the
@@ -24,6 +24,8 @@ from .grids import _readonly
 
 R90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 MNN_BLOCK_ROWS = 128  # similarity rows per block in mutual nearest-neighbour search
+LSQ_RIDGE = 1e-8  # added to the least-squares Gram diagonal
+L1_PATIENCE = 50  # stagnant L1 iterations before the step halves
 
 
 @dataclass(frozen=True)
@@ -76,23 +78,10 @@ class SteeringMatrix:
         return np.linalg.matrix_power(self.w, k)
 
 
-@dataclass(frozen=True)
-class RotationAction:
-    """k quarter turns about ``center`` (the extent center by default)."""
-
-    k: int
-    center: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", int(self.k) % 4)
-
-
-def rotate_keypoints(coords: np.ndarray, action: RotationAction) -> np.ndarray:
-    """x -> center + R90^k (x - center), with R90: (u, v) -> (-v, u)."""
+def rotate_keypoints(coords: np.ndarray, k: int) -> np.ndarray:
+    """x -> R90^k x, k quarter turns (mod 4) about the extent center, with R90: (u, v) -> (-v, u)."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    rot = np.linalg.matrix_power(R90, action.k)
-    center = np.asarray(action.center, dtype=float)
-    return (coords - center) @ rot.T + center
+    return coords @ np.linalg.matrix_power(R90, int(k) % 4).T
 
 
 def random_c4_steering(dim: int, seed: int = 0) -> SteeringMatrix:
@@ -141,31 +130,26 @@ def synth_equivariant(
         descs = base @ w_true.power(k).T
         if noise_sigma > 0:
             descs = descs + rng.normal(0.0, noise_sigma, descs.shape)
-        sets.append(DescriptorSet(rotate_keypoints(coords, RotationAction(k)), descs))
+        sets.append(DescriptorSet(rotate_keypoints(coords, k), descs))
     return sets
 
 
-def fit_steering_lsq(
-    base: DescriptorSet, rotated: DescriptorSet, ridge: float = 1e-8
-) -> tuple[SteeringMatrix, float]:
+def fit_steering_lsq(base: DescriptorSet, rotated: DescriptorSet) -> tuple[SteeringMatrix, float]:
     """Least-squares W from one rotation step; returns (W, RMS residual).
 
-    Solves the normal equations ``W (G^T G + ridge I) = G_rot^T G``. With
-    ridge 0 a rank-deficient system raises instead of silently regularizing.
+    Solves the normal equations ``W (G^T G + LSQ_RIDGE I) = G_rot^T G``. A
+    system that stays singular, because the Gram entries dwarf the ridge,
+    raises instead.
     """
     if len(base) != len(rotated):
         raise ValueError("descriptor sets must be index-aligned")
     g = base.descs
     gr = rotated.descs
-    gram = g.T @ g
-    if ridge > 0:
-        gram = gram + ridge * np.eye(gram.shape[0])
+    gram = g.T @ g + LSQ_RIDGE * np.eye(g.shape[1])
     try:
         wt = np.linalg.solve(gram, g.T @ gr)
     except np.linalg.LinAlgError as exc:
-        raise ValueError("rank-deficient fit; supply more pairs or a positive ridge") from exc
-    if ridge == 0 and np.linalg.cond(gram) > 1e12:
-        raise ValueError("rank-deficient fit; supply more pairs or a positive ridge")
+        raise ValueError("rank-deficient fit; supply more pairs") from exc
     w = wt.T
     residual = float(np.sqrt(np.mean((gr - g @ w.T) ** 2)))
     return SteeringMatrix(w), residual
@@ -186,13 +170,12 @@ def fit_steering_l1(
     step: float = 5e-3,
     seed: int = 0,
     init: np.ndarray | None = None,
-    patience: int = 50,
 ) -> L1FitResult:
     """Robust multi-rotation fit: subgradient descent on the summed L1 loss.
 
     Each iteration draws one rotation multiple k from the available pairs and
     steps along that term's subgradient. The step is constant but halves
-    whenever the full multi-k loss stagnates for ``patience`` iterations or
+    whenever the full multi-k loss stagnates for ``L1_PATIENCE`` iterations or
     goes non-finite, and the trajectory then restarts from the best iterate
     (re-evaluated, not stored); a step too large so backs off instead of failing.
     One residual and one sign buffer, allocated once per call and shared by every
@@ -261,7 +244,7 @@ def fit_steering_l1(
                 since_improvement = 0
             else:
                 since_improvement += 1
-            if since_improvement >= patience or not np.isfinite(loss):
+            if since_improvement >= L1_PATIENCE or not np.isfinite(loss):
                 current_step *= 0.5
                 since_improvement = 0
                 if current_step < 1e-18:

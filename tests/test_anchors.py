@@ -16,15 +16,15 @@ from matchkit.grids import containing_cells, in_extent
 
 def mixture_density(probs, grid, x_a, x_b):
     """Oracle: the uniform-mixture conditional density of source cell ``x_a`` at
-    target point ``x_b``, ``pi_{cell(x_b)} / cell_area``; it integrates to one
-    over the extent."""
+    target point ``x_b``, ``pi_{cell(x_b)}`` over the anchor cell's area
+    ``(2 / rows) * (2 / cols)``; it integrates to one over the extent."""
     if probs.pi.shape[1] != grid.count:
         raise ValueError("pi width does not match anchor count")
     x_b = np.asarray(x_b, dtype=float)
     if not in_extent(x_b):
         raise ValueError(f"target point {x_b} outside extent")
     row, col = containing_cells(x_b, grid.as_grid_spec())
-    return float(probs.pi[x_a, row * grid.cols + col] / grid.cell_area)
+    return float(probs.pi[x_a, row * grid.cols + col] / ((2.0 / grid.rows) * (2.0 / grid.cols)))
 
 
 def random_probs(rng, source, k):
@@ -37,7 +37,6 @@ def test_build_anchor_grid_small():
     g1 = build_anchor_grid(1, 1)
     assert g1.count == 1
     assert np.allclose(g1.anchors, [[0.0, 0.0]])
-    assert g1.cell_area == 4.0
 
     g2 = build_anchor_grid(2, 2)
     assert sorted(map(tuple, g2.anchors.tolist())) == [
@@ -52,7 +51,8 @@ def test_build_anchor_grid_paper_scale():
     g = build_anchor_grid(64, 64)
     assert g.count == 4096
     # Uniform tight cover: cell side 2/64 on both axes.
-    assert np.isclose(g.cell_area, (2 / 64) ** 2)
+    spec = g.as_grid_spec()
+    assert spec.cell_width == spec.cell_height == 2 / 64
     assert np.isclose(g.anchors[0, 0], -1 + 1 / 64)
 
 

@@ -309,6 +309,15 @@ def test_refiner_orthogonal_construction():
     assert abs((inside * lattice[None, :]).sum() / inside.sum() - expected) > 0.1
 
 
+@pytest.mark.parametrize("temperature", [float("nan"), 0.0, -1.0])
+def test_refiner_refuses_a_temperature_that_is_not_positive(temperature):
+    pyr = FeaturePyramid({4: np.eye(4).reshape(2, 2, 4)})
+    grid = pyr.grid(4)
+    state = WarpField(grid, grid.cell_centers().reshape(2, 2, 2), np.full((2, 2), 0.5))
+    with pytest.raises(ValueError, match=f"^softargmax temperature must be positive, got {temperature}$"):
+        analytic_refiner(state, pyr, pyr, 4, temperature)
+
+
 def test_refiner_refuses_zero_norm_cells_and_mismatched_widths():
     grid = GridSpec(2, 2)
     state = WarpField(grid, grid.cell_centers().reshape(2, 2, 2), np.full((2, 2), 0.5))

@@ -892,6 +892,7 @@ def test_sample_refuses_an_under_or_overflowing_bandwidth(tmp_path, capsys, flag
         (["cascade", "--offset", "1e200,0", "--base", "56"], "error: no matchable cells to evaluate"),
         (["synth", "translation", "--offset", "1e200,0"], "truth.rmgrid: values must be finite and fit in float32"),
         (["synth", "descriptors", "--dim", "3"], "error: descriptor dimension must be even"),
+        (["sample", "--bandwidth", "1e-200"], "error: bandwidth 1e-200 is out of range"),
     ],
 )
 def test_refused_runs_leave_no_out_directory(tmp_path, capsys, argv, message):

@@ -53,6 +53,21 @@ def test_kernel_rejects_zero_norm():
         exp_cos_kernel(np.zeros(3), np.ones(3))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s: kernel_matrix([1.0, np.nan], [1.0, 0.0], 10.0), "kernel input a must have finite"),
+        (lambda s: kernel_matrix([1.0, 0.0], [np.inf, 0.0], 10.0), "kernel input b must have finite"),
+        (lambda s: gp_posterior_mean(np.array([[np.nan, 1.0]]), s), "queries must be finite"),
+    ],
+)
+def test_kernel_and_posterior_mean_refuse_non_finite_inputs(call, message):
+    # Unrefused, a NaN query gave a NaN posterior mean.
+    support = SupportSet(np.eye(2), np.eye(2))
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(support)
+
+
 def test_kernel_matrix_diagonal():
     rng = np.random.default_rng(22)
     feats = rng.normal(size=(7, 5))

@@ -150,8 +150,6 @@ def test_pose_errors_translation_sign_invariant():
     t = np.array([0.0, 0.0, 2.0])
     _, trans = pose_errors(r, -t, r, t)
     assert trans == 0.0
-    _, trans_signed = pose_errors(r, -t, r, t, signed_translation=True)
-    assert np.isclose(trans_signed, 180.0)
 
 
 def test_pose_rotation_error_bi_invariant():
@@ -261,6 +259,32 @@ def test_maa_matches_brute_force_on_random_sets():
                 count += 1
         total += count / 50
     assert np.isclose(got, total / 10)
+
+
+NAN = float("nan")
+NAN_R = np.where(np.eye(3) > 0, NAN, 0.0)
+ALIGNED = CorrespondenceSet(np.zeros((2, 2)), np.zeros((2, 2)), np.ones(2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pose_errors(NAN_R, np.ones(3), np.eye(3), np.ones(3)), "R_est is not orthonormal"),
+        (lambda: pose_errors(np.eye(3), np.ones(3), NAN_R, np.ones(3)), "R_gt is not orthonormal"),
+        (lambda: pose_errors(np.eye(3), [1.0, NAN, 0.0], np.eye(3), np.ones(3)), "t_est must have a finite"),
+        (lambda: pose_errors(np.eye(3), np.ones(3), np.eye(3), [np.inf, 0.0, 0.0]), "t_gt must have a finite"),
+        (lambda: auc(np.ones(3), NAN), "tau must be positive and finite, got nan"),
+        (lambda: auc(np.ones(3), np.inf), "tau must be positive and finite, got inf"),
+        (lambda: epe(ALIGNED, ALIGNED, NAN), "ref_resolution must be positive and finite, got nan"),
+        (lambda: pck(ALIGNED, ALIGNED, NAN), "tau_px must be positive, got nan"),
+        (lambda: maa([1.0, NAN], [1.0, 1.0]), "rot_errors must be finite"),
+        (lambda: maa([1.0, 1.0], [np.inf, 1.0]), "trans_errors must be finite"),
+    ],
+)
+def test_metrics_refuse_nan_naming_the_argument(call, message):
+    # Unrefused, each returned a number: NaN compares False with every bound.
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
 
 
 def test_maa_mismatched_thresholds():

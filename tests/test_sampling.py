@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from matchkit import (
     kde_density,
     spatial_entropy,
 )
+from matchkit import sampling
 from matchkit.sampling import KDE_BLOCK_ENTRIES, _draw_without_replacement
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
@@ -352,7 +354,7 @@ def test_weights_always_finite():
     )
 )
 def test_spatial_entropy_bins_match_truncation_oracle(points):
-    # At power-of-two bin counts, including the default 4, the cell lookup
+    # At power-of-two bin counts, including ENTROPY_BINS = 4, the cell lookup
     # floor((x + 1) / (2 / bins)) equals the truncation (x + 1) / 2 * bins
     # bit for bit, so every point lands in the same bin as before.
     xa = np.array(points, dtype=float)
@@ -362,4 +364,6 @@ def test_spatial_entropy_bins_match_truncation_oracle(points):
         iy = np.clip(((xa[:, 1] + 1.0) / 2.0 * bins).astype(int), 0, bins - 1)
         p = np.bincount(iy * bins + ix, minlength=bins * bins) / len(xa)
         nz = p[p > 0]
-        assert spatial_entropy(cs, bins) == float(-(nz * np.log(nz)).sum())
+        with mock.patch.object(sampling, "ENTROPY_BINS", bins):
+            assert spatial_entropy(cs) == float(-(nz * np.log(nz)).sum())
+    assert sampling.ENTROPY_BINS == 4

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from matchkit import (
-    RotationAction,
     SteeringMatrix,
     apply_steering,
     fit_steering_l1,
@@ -14,6 +13,7 @@ from matchkit import (
     rotation_matching_eval,
     synth_equivariant,
 )
+from matchkit import steering
 from matchkit.steering import MNN_BLOCK_ROWS, DescriptorSet, _mutual_nn_indices
 
 
@@ -95,9 +95,9 @@ def assert_same_fit(got, want):
 
 def test_rotate_keypoints_basics():
     pts = np.array([[1.0, 0.0]])
-    assert np.allclose(rotate_keypoints(pts, RotationAction(0)), pts)
-    assert np.allclose(rotate_keypoints(pts, RotationAction(1)), [[0.0, 1.0]])
-    assert np.allclose(rotate_keypoints(pts, RotationAction(2)), [[-1.0, 0.0]])
+    assert np.allclose(rotate_keypoints(pts, 0), pts)
+    assert np.allclose(rotate_keypoints(pts, 1), [[0.0, 1.0]])
+    assert np.allclose(rotate_keypoints(pts, 2), [[-1.0, 0.0]])
 
 
 def test_rotate_keypoints_four_turns_identity():
@@ -105,14 +105,15 @@ def test_rotate_keypoints_four_turns_identity():
     pts = rng.uniform(-1, 1, (200, 2))
     out = pts
     for _ in range(4):
-        out = rotate_keypoints(out, RotationAction(1))
+        out = rotate_keypoints(out, 1)
     assert np.max(np.abs(out - pts)) < 1e-12
 
 
-def test_rotate_about_offset_center():
-    pts = np.array([[0.5, 0.2]])
-    out = rotate_keypoints(pts, RotationAction(1, center=(0.5, 0.2)))
-    assert np.allclose(out, pts)
+def test_rotate_keypoints_takes_k_mod_4():
+    pts = np.random.default_rng(61).uniform(-1, 1, (20, 2))
+    for k in range(4):
+        for other in (k - 4, k + 4, k + 8):
+            assert np.array_equal(rotate_keypoints(pts, other), rotate_keypoints(pts, k))
 
 
 def test_random_c4_steering_is_involution_root():
@@ -143,7 +144,7 @@ def test_synth_equivariant_construction():
     for k in (1, 2, 3):
         assert np.allclose(sets[k].descs, base.descs @ w.power(k).T, atol=1e-12)
         assert np.allclose(
-            sets[k].coords, rotate_keypoints(base.coords, RotationAction(k)), atol=1e-12
+            sets[k].coords, rotate_keypoints(base.coords, k), atol=1e-12
         )
     # Group consistency: one extra quarter turn links consecutive sets.
     for k in (1, 2, 3):
@@ -179,12 +180,14 @@ def test_lsq_residual_tracks_noise():
     assert resid > 0.01 / 3
 
 
-def test_lsq_rank_deficient_without_ridge():
-    coords = np.zeros((2, 2))
-    descs = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])  # rank 1 < D
-    a = DescriptorSet(coords, descs)
-    with pytest.raises(ValueError, match="rank"):
-        fit_steering_lsq(a, a, ridge=0.0)
+def test_lsq_rank_deficient_beyond_the_ridge():
+    # Rank 1 < D, with Gram entries so large that adding LSQ_RIDGE leaves them
+    # unchanged: the system stays exactly singular.
+    descs = np.array([[1.0, 1.0], [2.0, 2.0]]) * 2.0**20
+    a = DescriptorSet(np.zeros((2, 2)), descs)
+    assert np.array_equal(descs.T @ descs + steering.LSQ_RIDGE * np.eye(2), descs.T @ descs)
+    with pytest.raises(ValueError, match="^rank-deficient fit; supply more pairs$"):
+        fit_steering_lsq(a, a)
 
 
 def test_l1_fit_zero_at_truth():
@@ -327,21 +330,23 @@ def test_steering_rescues_rotated_matching():
         assert acc.without_steering < 0.5
 
 
-def test_l1_fit_matches_loop_oracle_through_halvings_and_restarts():
+def test_l1_fit_matches_loop_oracle_through_halvings_and_restarts(monkeypatch):
     w_true = random_c4_steering(16, seed=30)
     sets = synth_equivariant(96, 16, w_true=w_true, noise_sigma=0.05, seed=31)
-    cases = [
-        ({k: (sets[0], sets[k]) for k in (1, 2, 3)}, dict(iters=400, step=2e-3, patience=8)),
-        ({2: (sets[0], sets[2]), 3: (sets[0], sets[3])}, dict(iters=300, step=1e-3, patience=5)),
-        ({1: (sets[0], sets[1])}, dict(iters=60, step=1e-3)),
+    cases = [  # (pairs, patience, fit arguments)
+        ({k: (sets[0], sets[k]) for k in (1, 2, 3)}, 8, dict(iters=400, step=2e-3)),
+        ({2: (sets[0], sets[2]), 3: (sets[0], sets[3])}, 5, dict(iters=300, step=1e-3)),
+        ({1: (sets[0], sets[1])}, steering.L1_PATIENCE, dict(iters=60, step=1e-3)),
     ]
-    for seed, (pairs, kwargs) in enumerate(cases):
+    for seed, (pairs, patience, kwargs) in enumerate(cases):
+        monkeypatch.setattr(steering, "L1_PATIENCE", patience)
         got = fit_fields(fit_steering_l1(pairs, seed=seed, **kwargs))
-        want = loop_fit_steering_l1(pairs, seed=seed, **kwargs)
+        want = loop_fit_steering_l1(pairs, seed=seed, patience=patience, **kwargs)
         assert_same_fit(got, want)
     assert got[4] == 1e-3  # the last case never stagnates
     # The first two cases halve the step (and so restart) several times.
-    for pairs, kwargs in cases[:2]:
+    for pairs, patience, kwargs in cases[:2]:
+        monkeypatch.setattr(steering, "L1_PATIENCE", patience)
         assert fit_steering_l1(pairs, seed=0, **kwargs).final_step <= kwargs["step"] / 4
 
 
@@ -413,25 +418,27 @@ def head(ds, n):
     return DescriptorSet(ds.coords[:n], ds.descs[:n])
 
 
-def test_l1_fit_matches_loop_oracle_with_per_k_bases_and_lengths():
+def test_l1_fit_matches_loop_oracle_with_per_k_bases_and_lengths(monkeypatch):
     # Every k views the same two buffers at its own shape, so pairs with
     # different bases and row counts per k must still match the oracle bit
     # for bit, through restarts.
     sets = synth_equivariant(96, 8, noise_sigma=0.05, seed=37)
     pairs = {2: (head(sets[0], 64), head(sets[2], 64)), 3: (sets[1], sets[3])}
-    kwargs = dict(iters=300, step=2e-3, seed=5, patience=6)
+    kwargs = dict(iters=300, step=2e-3, seed=5)
+    monkeypatch.setattr(steering, "L1_PATIENCE", 6)
     got = fit_fields(fit_steering_l1(pairs, **kwargs))
-    assert_same_fit(got, loop_fit_steering_l1(pairs, **kwargs))
+    assert_same_fit(got, loop_fit_steering_l1(pairs, patience=6, **kwargs))
     assert got[4] < 2e-3  # the step halved, so the fit restarted from its best iterate
 
 
-def test_back_to_back_l1_fits_are_identical():
+def test_back_to_back_l1_fits_are_identical(monkeypatch):
     sets = synth_equivariant(64, 8, noise_sigma=0.05, seed=38)
     pairs = {k: (sets[0], sets[k]) for k in (1, 2, 3)}
-    first = fit_fields(fit_steering_l1(pairs, iters=200, step=5e-3, seed=1, patience=5))
+    monkeypatch.setattr(steering, "L1_PATIENCE", 5)
+    first = fit_fields(fit_steering_l1(pairs, iters=200, step=5e-3, seed=1))
     other = {1: (sets[1], sets[2])}
     fit_steering_l1(other, iters=50, step=1e-3, seed=2)
-    assert_same_fit(fit_fields(fit_steering_l1(pairs, iters=200, step=5e-3, seed=1, patience=5)), first)
+    assert_same_fit(fit_fields(fit_steering_l1(pairs, iters=200, step=5e-3, seed=1)), first)
 
 
 def test_l1_fit_refuses_misaligned_or_mismatched_pairs():
