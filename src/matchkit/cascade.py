@@ -12,13 +12,15 @@ upsampled warp through.
 Stages are strictly isolated: each consumes the previous stage's output as a
 fixed input, so recomputing one stage never changes an earlier one.
 
-Two steps split their array work over a thread pool with one worker per CPU
-the process may use: ``synth_pyramid`` builds the source and the target
-pyramid on separate workers, and ``analytic_refiner`` gathers and decodes
-one block of source rows per worker. numpy releases the interpreter lock
-inside that work, each task computes what the serial code computes on
-disjoint data, and the results are bit-identical to the serial path. Work
-too small to repay a thread runs serially (``PARALLEL_MIN_ELEMENTS``).
+Two steps split their array work into one task per CPU the process may
+use: ``synth_pyramid`` builds the source and the target pyramid as two
+tasks, and ``analytic_refiner`` gathers and decodes one block of source rows
+per task. The caller runs the first task; threads started for the call run
+the rest and are joined before it returns, so no thread outlives a call.
+numpy releases the interpreter lock inside that work, each task computes
+what the serial code computes on disjoint data, and the results are
+bit-identical to the serial path. Work too small to repay a thread runs
+serially (``PARALLEL_MIN_ELEMENTS``).
 
 Real encoder features are out of scope at desk scale; ``synth_pyramid``
 builds smooth band-limited random feature fields (per affine region, row
@@ -29,7 +31,6 @@ makes end-to-end refinement accuracy measurable.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -42,7 +43,7 @@ from .scalespace import AffineRegion, SceneSpec, identity_scene
 CORR_WINDOWS = {14: 15, 8: 7, 4: 5, 2: 0, 1: 0}
 FREQ_SCALE = 3.2  # std of the feature field's frequencies: its inverse correlation length
 
-# Smallest task, in array elements, worth a pool thread. Below it a thread
+# Smallest task, in array elements, worth a thread. Below it a thread
 # costs more than it saves: its own malloc arena raised the peak RSS of the
 # all-base-56 `sparse-boundary` benchmark workload from 81 to 87 MB, and its
 # ops got slower. Base-56 tasks stay below it (pyramid 0.1M elements, refiner
@@ -52,10 +53,6 @@ PARALLEL_MIN_ELEMENTS = 1 << 18
 
 _LOGIT_EPS = 1e-7
 
-_executor = None  # the concurrent.futures.ThreadPoolExecutor, made (and its module imported) on first use
-_executor_lock = threading.Lock()
-_in_worker = threading.local()
-
 
 def _usable_cpus() -> int:
     try:
@@ -64,43 +61,25 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _mark_worker() -> None:
-    _in_worker.active = True
-
-
-def _forget_executor() -> None:
-    """A forked child inherits the executor object but none of its threads."""
-    global _executor, _executor_lock
-    _executor, _executor_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_executor)
-
-
 def _parallel_map(fn: Callable, items: Sequence, elements: int) -> list:
-    """``[fn(x) for x in items]``, on the shared thread pool when that can pay.
+    """``[fn(x) for x in items]``, over threads of its own when that can pay.
 
     ``elements`` is the size of one task in array elements. The tasks run
-    serially when the process may use one CPU, when there is one task, when
-    a task is smaller than ``PARALLEL_MIN_ELEMENTS``, or when the caller is
-    itself a pool worker (a nested map that waited on the pool could
-    deadlock). An exception from a task is raised here, that of the first
-    failing task in input order, after every task has finished.
+    serially when the process may use one CPU, when there is one task, or
+    when a task is smaller than ``PARALLEL_MIN_ELEMENTS``. Otherwise the
+    caller runs the first task and ``cpus - 1`` threads, joined before the
+    return, run the rest. An exception from a task is raised here, that of
+    the first failing task in input order, after every task has finished.
     """
-    global _executor
     cpus = _usable_cpus()
-    nested = getattr(_in_worker, "active", False)
-    if cpus < 2 or len(items) < 2 or elements < PARALLEL_MIN_ELEMENTS or nested:
+    if cpus < 2 or len(items) < 2 or elements < PARALLEL_MIN_ELEMENTS:
         return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor, wait  # ~8 ms: paid by processes that use the pool
-    with _executor_lock:
-        if _executor is None:
-            _executor = ThreadPoolExecutor(cpus, thread_name_prefix="matchkit", initializer=_mark_worker)
-        executor = _executor
-    futures = [executor.submit(fn, item) for item in items]
-    wait(futures)
-    return [f.result() for f in futures]
+    from concurrent.futures import ThreadPoolExecutor  # ~8 ms: paid by processes that use threads
+
+    with ThreadPoolExecutor(cpus - 1, thread_name_prefix="matchkit") as pool:
+        rest = [pool.submit(fn, item) for item in items[1:]]
+        first = fn(items[0])
+    return [first, *(f.result() for f in rest)]
 
 
 @dataclass(frozen=True)
@@ -205,7 +184,7 @@ def synth_pyramid(
     region by region with ``FeatureField.lattice``. Each coarser level pools
     the coarsest finer level whose stride divides its own (2 from 1, 4 from 2,
     8 from 4, 14 from 2): a block mean of the stride-1 level up to rounding.
-    The two pyramids are built on separate pool workers when they are large
+    The two pyramids are built on separate threads when they are large
     enough (see ``_parallel_map``).
     """
     validate_base(base)
@@ -296,7 +275,7 @@ def analytic_refiner(
     coordinates, including virtual out-of-extent ones, whose similarity of
     -1 suppresses them. The certainty logit grows by the window's maximum
     correlation. One block of source rows per CPU is gathered and decoded
-    on the thread pool (see ``_parallel_map``).
+    on its own thread (see ``_parallel_map``).
     """
     if stride not in CORR_WINDOWS:
         raise ValueError(f"stride must be one of {tuple(CORR_WINDOWS)}, got {stride}")

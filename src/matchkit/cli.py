@@ -189,9 +189,12 @@ def _synth_descriptors(a) -> tuple[SteeringMatrix, list[DescriptorSet]]:
 
 def _write_descriptor_sets(a, w_true: SteeringMatrix, sets: list[DescriptorSet]) -> Path:
     """Make --out and write rot0..rot3.rmdesc and w_true.rmsteer to it."""
+    paths = [Path(a.out) / f"rot{k}.rmdesc" for k in range(len(sets))]
+    for path, ds in zip(paths, sets):
+        float32_payload(path, ds.descs)  # refused before --out is made
     out = _out_dir(a)
-    for k, ds in enumerate(sets):
-        write_descriptors(out / f"rot{k}.rmdesc", ds.coords, ds.descs)
+    for path, ds in zip(paths, sets):
+        write_descriptors(path, ds.coords, ds.descs)
     write_steering(out / "w_true.rmsteer", w_true.w)
     return out
 
@@ -365,6 +368,7 @@ def _cmd_steer_apply(a) -> int:
     coords, descs = read_descriptors(a.desc)
     w = SteeringMatrix(read_steering(a.w))
     steered = apply_steering(w, a.k, descs)
+    float32_payload(Path(a.out) / "steered.rmdesc", steered)  # refused before --out is made
     out = _out_dir(a)
     write_descriptors(out / "steered.rmdesc", coords, steered)
     print(f"wrote steered descriptors to {out / 'steered.rmdesc'}")

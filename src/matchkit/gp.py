@@ -63,6 +63,8 @@ def exp_cos_kernel(f: np.ndarray, g: np.ndarray, beta: float = 10.0) -> float:
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, beta: float) -> np.ndarray:
     """Pairwise exponential cosine kernel between rows of ``a`` and ``b``."""
+    if not 0 < beta < np.inf:  # also refuses NaN
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     na = np.linalg.norm(a, axis=1)

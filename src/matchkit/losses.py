@@ -38,8 +38,8 @@ class CoarseLossConfig:
     anchor_grid: AnchorGrid
 
     def __post_init__(self) -> None:
-        if self.marginal_weight <= 0:
-            raise ValueError("marginal weight must be positive")
+        if not 0 < self.marginal_weight < np.inf:  # also refuses NaN
+            raise ValueError(f"marginal weight must be positive and finite, got {self.marginal_weight}")
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ class FineLossConfig:
     scales: tuple[int, ...] = (0, 1, 2, 3)
 
     def __post_init__(self) -> None:
-        if self.c <= 0:
-            raise ValueError("base scale c must be positive")
+        if not 0 < self.c < np.inf:  # also refuses NaN
+            raise ValueError(f"base scale c must be positive and finite, got {self.c}")
         if any((int(i) != i or i < 0) for i in self.scales):
             raise ValueError("scale exponents must be nonnegative integers")
 

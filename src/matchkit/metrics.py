@@ -118,8 +118,8 @@ def auc(errors: np.ndarray, tau: float) -> float:
     errors = np.asarray(errors, dtype=float).ravel()
     if errors.size == 0:
         raise ValueError("need at least one error value")
-    if not np.all(np.isfinite(errors)):
-        raise ValueError("errors must be finite")
+    if not np.all((errors >= 0) & (errors < np.inf)):  # also refuses NaN
+        raise ValueError("errors must be finite and nonnegative")
     if not 0 < tau < np.inf:  # also refuses NaN
         raise ValueError(f"tau must be positive and finite, got {tau}")
     ordered = np.sort(errors)
@@ -152,14 +152,17 @@ def maa(
     if rot_errors.shape != trans_errors.shape or rot_errors.size == 0:
         raise ValueError("rotation and translation errors must be nonempty and aligned")
     for name, errors in (("rot_errors", rot_errors), ("trans_errors", trans_errors)):
-        if not np.all(np.isfinite(errors)):
-            raise ValueError(f"{name} must be finite")
+        if not np.all((errors >= 0) & (errors < np.inf)):  # also refuses NaN
+            raise ValueError(f"{name} must be finite and nonnegative")
     if rot_thresholds is None and trans_thresholds is None:
         rot_thresholds, trans_thresholds = default_maa_thresholds()
     rot_thresholds = np.asarray(rot_thresholds, dtype=float).ravel()
     trans_thresholds = np.asarray(trans_thresholds, dtype=float).ravel()
     if rot_thresholds.shape != trans_thresholds.shape or rot_thresholds.size == 0:
         raise ValueError("threshold lists must be nonempty and of equal length")
+    for name, thresholds in (("rot_thresholds", rot_thresholds), ("trans_thresholds", trans_thresholds)):
+        if not np.all((thresholds > 0) & (thresholds < np.inf)):  # also refuses NaN
+            raise ValueError(f"{name} must be positive and finite")
     accs = [
         np.mean((rot_errors < rt) & (trans_errors < tt))
         for rt, tt in zip(rot_thresholds, trans_thresholds)

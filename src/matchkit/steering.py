@@ -115,8 +115,8 @@ def synth_equivariant(
     """
     if n < 1:
         raise ValueError(f"need at least one keypoint, got n={n}")
-    if noise_sigma < 0:
-        raise ValueError("noise sigma must be nonnegative")
+    if not 0 <= noise_sigma < np.inf:  # also refuses NaN
+        raise ValueError(f"noise sigma must be nonnegative and finite, got {noise_sigma}")
     if w_true is None:
         w_true = random_c4_steering(dim, seed=seed)
     if w_true.dim != dim:
@@ -145,9 +145,13 @@ def fit_steering_lsq(base: DescriptorSet, rotated: DescriptorSet) -> tuple[Steer
         raise ValueError("descriptor sets must be index-aligned")
     g = base.descs
     gr = rotated.descs
-    gram = g.T @ g + LSQ_RIDGE * np.eye(g.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        gram = g.T @ g + LSQ_RIDGE * np.eye(g.shape[1])
+        moment = g.T @ gr
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(moment))):
+        raise ValueError("descriptors too large for a least-squares fit: the Gram matrix overflows")
     try:
-        wt = np.linalg.solve(gram, g.T @ gr)
+        wt = np.linalg.solve(gram, moment)
     except np.linalg.LinAlgError as exc:
         raise ValueError("rank-deficient fit; supply more pairs") from exc
     w = wt.T

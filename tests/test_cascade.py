@@ -634,7 +634,7 @@ def test_cascade_monotone_epe_on_random_scenes():
     assert failures == 0
 
 
-# --- the thread pool behind synth_pyramid and analytic_refiner -----------
+# --- the threads behind synth_pyramid and analytic_refiner ---------------
 
 
 def run_with_timeout(fn, seconds=60):
@@ -672,7 +672,8 @@ def test_parallel_map_keeps_input_order(two_cpus):
 
     got = cascade._parallel_map(task, range(4), BIG)
     assert [k for k, _ in got] == [0, 1, 2, 3]
-    assert all(name.startswith("matchkit") for _, name in got)
+    assert got[0][1] == threading.current_thread().name  # the caller runs the first task
+    assert all(name.startswith("matchkit") for _, name in got[1:])
 
 
 @pytest.mark.parametrize("cpus, elements", [(1, BIG), (2, BIG - 1)])
@@ -700,28 +701,20 @@ def test_parallel_map_reraises_the_first_failure_in_input_order(two_cpus):
     assert sorted(done) == [0, 3]  # every task ran before the error surfaced
 
 
-def test_nested_parallel_map_runs_serially_without_deadlock(two_cpus):
-    def inner(k):
-        return k, threading.current_thread().name
-
+def test_nested_parallel_map_does_not_deadlock(two_cpus):
     def outer(k):
-        return cascade._parallel_map(inner, [k, k + 10, k + 20], BIG)
+        return cascade._parallel_map(lambda j: j, [k, k + 10, k + 20], BIG)
 
     got = run_with_timeout(lambda: cascade._parallel_map(outer, range(4), BIG))
-    assert [[k for k, _ in row] for row in got] == [[k, k + 10, k + 20] for k in range(4)]
-    for row in got:  # each inner map stayed on its outer task's thread
-        assert len({name for _, name in row}) == 1 and row[0][1].startswith("matchkit")
+    assert got == [[k, k + 10, k + 20] for k in range(4)]
 
 
-def test_concurrent_first_use_creates_one_pool(monkeypatch, two_cpus):
-    # Eight callers race to create the pool, with frequent thread switches.
-    monkeypatch.setattr(cascade, "_executor", None)
-    workers, results = set(), []
+def test_concurrent_callers_each_get_their_own_results(two_cpus):
+    # Eight callers map at once, with frequent thread switches.
+    results = []
     lock = threading.Lock()
 
     def task(k):
-        with lock:
-            workers.add(threading.get_ident())
         return k * k
 
     def caller(c):
@@ -740,10 +733,7 @@ def test_concurrent_first_use_creates_one_pool(monkeypatch, two_cpus):
         assert not any(t.is_alive() for t in callers)
     finally:
         sys.setswitchinterval(old_interval)
-        if cascade._executor is not None:
-            cascade._executor.shutdown()
     assert sorted(results) == [(c, [k * k for k in range(c, c + 6)]) for c in range(8)]
-    assert len(workers) <= 2  # one pool of two workers served every caller
 
 
 def serial_and_threaded(monkeypatch, fn, threshold=False):
@@ -764,7 +754,7 @@ def serial_and_threaded(monkeypatch, fn, threshold=False):
 )
 def test_synth_pyramid_threads_are_bit_identical_to_serial(monkeypatch, scene, threshold):
     base = GridSpec(224, 224)
-    assert base.n_cells * 32 >= BIG  # the threaded run really uses the pool
+    assert base.n_cells * 32 >= BIG  # the threaded run really starts a thread
     serial, threaded = serial_and_threaded(monkeypatch, lambda: synth_pyramid(scene, base, seed=7), threshold)
     for got, want in zip(threaded, serial):
         assert list(got.levels) == list(want.levels)
@@ -799,12 +789,14 @@ def run_fresh(code):
     return proc.stdout.split()
 
 
-def test_small_work_starts_no_thread():
+def test_no_thread_outlives_a_call():
     # Base-56 work stays below PARALLEL_MIN_ELEMENTS, so it never pays for a
-    # pool thread (and the memory arena that comes with one), even with two CPUs.
+    # thread (and the memory arena that comes with one), even with two CPUs,
+    # nor for importing concurrent.futures. Base-224 work starts threads and
+    # joins them before returning.
     counts = run_fresh(
         """
-import threading
+import sys, threading
 import numpy as np
 import matchkit as mk
 from matchkit import cascade
@@ -815,13 +807,12 @@ scene = affine_scene([[1.01, 0.02], [-0.02, 0.99]], (0.05, -0.03))
 pa, pb = mk.synth_pyramid(scene, mk.GridSpec(56, 56))
 true14 = mk.scene_true_warp(scene, mk.GridSpec(4, 4))
 mk.run_cascade(pa, pb, mk.WarpField(true14.grid, true14.target_coords, np.full((4, 4), 0.5)))
-print(threading.active_count())
+print(threading.active_count(), 'concurrent.futures' in sys.modules)
 mk.synth_pyramid(scene, mk.GridSpec(224, 224))
-print(threading.active_count())
+print(threading.active_count(), 'concurrent.futures' in sys.modules)
 """
     )
-    assert counts[:2] == ["1", "1"]
-    assert int(counts[2]) > 1  # large work does use the pool
+    assert counts == ["1", "1", "False", "1", "True"]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -17,6 +17,7 @@ from matchkit.fileio import (
     read_steering,
     write_descriptors,
     write_grid,
+    write_steering,
 )
 
 
@@ -667,7 +668,7 @@ def test_loss_sweep_overflowing_rmax_or_huge_steps_is_a_data_error(tmp_path, cap
             "values must be finite and fit in float32",
             "truth.rmgrid",
         ),
-        # At base 224 the source pyramid is built on a pool thread, which raises.
+        # At base 224 the two pyramids are built at once; the source one, on the calling thread, raises.
         (["cascade", "--offset", "1e308,0", "--base", "224"], "feature field phases are not finite", "stage_epe.csv"),
     ],
 )
@@ -828,7 +829,7 @@ def test_decode_refuses_a_bad_corr_or_lambda_before_writing(tmp_path, capsys):
     bad_header.write_text("xa,ya,xb,yb\n0,0,0,0\n")
     probs = ["decode", "--probs", str(pr / "probs.rmgrid")]
     cases = [
-        (["--corr", str(sm / "matches.csv"), "--lambda", "0"], "error: marginal weight must be positive"),
+        (["--corr", str(sm / "matches.csv"), "--lambda", "0"], "error: marginal weight must be positive and finite, got 0.0"),
         (["--corr", str(bad_header)], f"error: {bad_header}: expected header 'xa,ya,xb,yb,weight'"),
     ]
     for i, (flags, message) in enumerate(cases):
@@ -893,11 +894,22 @@ def test_sample_refuses_an_under_or_overflowing_bandwidth(tmp_path, capsys, flag
         (["synth", "translation", "--offset", "1e200,0"], "truth.rmgrid: values must be finite and fit in float32"),
         (["synth", "descriptors", "--dim", "3"], "error: descriptor dimension must be even"),
         (["sample", "--bandwidth", "1e-200"], "error: bandwidth 1e-200 is out of range"),
+        (["synth", "descriptors", "--noise", "1e300"], "rot0.rmdesc: values must be finite and fit in float32"),
+        (
+            ["steer", "apply", "--k", "2", "--desc", "{desc}", "--w", "{huge_w}"],
+            "steered.rmdesc: values must be finite and fit in float32",
+        ),
+        (["steer", "fit", "--synthetic", "--noise", "1e300"], "error: descriptors too large for a least-squares fit"),
+        (["eval", "--pose-errors", "{negative_pose}"], "error: rot_errors must be finite and nonnegative"),
     ],
 )
 def test_refused_runs_leave_no_out_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
-    argv = [word.format(missing=tmp_path / "missing") for word in argv]
+    inputs = {name: tmp_path / name for name in ("missing", "desc", "huge_w", "negative_pose")}
+    write_descriptors(inputs["desc"], np.zeros((4, 2)), np.eye(4))
+    write_steering(inputs["huge_w"], 3e38 * np.eye(4))  # steering unit descriptors by W^2 leaves float32 range
+    inputs["negative_pose"].write_text("rot_deg,trans_deg\n-5,1\n")
+    argv = [word.format(**inputs) for word in argv]
     assert run(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert_one_error(err)

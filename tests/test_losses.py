@@ -20,6 +20,7 @@ from matchkit import (
     fine_loss,
     gradient_sweep,
 )
+from matchkit import kernel_matrix, synth_equivariant
 from matchkit.losses import MAX_SWEEP_STEPS, coarse_loss_raw
 
 
@@ -359,3 +360,20 @@ def test_gradient_sweep_rejects_bad_scale_and_range(kwargs):
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
             gradient_sweep(**kwargs)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda x: CoarseLossConfig(x, build_anchor_grid(4, 4)), "marginal weight must be positive and finite"),
+        (lambda x: FineLossConfig(c=x), "base scale c must be positive and finite"),
+        (lambda x: synth_equivariant(8, 4, noise_sigma=x), "noise sigma must be nonnegative and finite"),
+        (lambda x: kernel_matrix(np.eye(2), np.eye(2), beta=x), "beta must be positive and finite"),
+    ],
+)
+def test_parameters_refuse_nan_and_inf(make, message, bad):
+    # Unrefused, NaN passed each `x <= 0` guard: a NaN or infinite loss,
+    # noise-free descriptor sets, an all-NaN kernel.
+    with pytest.raises(ValueError, match=f"^{message}, got {bad}$"):
+        make(bad)

@@ -287,6 +287,23 @@ def test_metrics_refuse_nan_naming_the_argument(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: maa([1, 2], [0.1, 0.2], [NAN, 5], [1, 1]), "rot_thresholds must be positive and finite"),
+        (lambda: maa([1, 2], [0.1, 0.2], [np.inf, 5], [np.inf, 1]), "rot_thresholds must be positive and finite"),
+        (lambda: maa([1, 2], [0.1, 0.2], [1, 5], [0, 1]), "trans_thresholds must be positive and finite"),
+        (lambda: maa([-1, 2], [0.1, 0.2]), "rot_errors must be finite and nonnegative"),
+        (lambda: maa([1, 2], [0.1, -0.2]), "trans_errors must be finite and nonnegative"),
+        (lambda: auc([-3, 1], 5), "errors must be finite and nonnegative"),
+    ],
+)
+def test_metrics_refuse_bad_thresholds_and_negative_errors(call, message):
+    # Unrefused, these returned 0.5, 1.0, 0.5, 0.5, 0.5 and 0.9.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_maa_mismatched_thresholds():
     with pytest.raises(ValueError):
         maa(np.zeros(3), np.zeros(3), np.array([1.0]), np.array([1.0, 2.0]))
