@@ -20,7 +20,6 @@ from .cascade import (
 )
 from .gp import (
     KernelSpec,
-    PreparedGP,
     SupportSet,
     exp_cos_kernel,
     gp_posterior_mean,

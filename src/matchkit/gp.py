@@ -2,8 +2,8 @@
 
 Source descriptors are regressed onto embedded target coordinates through an
 exponential cosine kernel. The posterior mean ``K_*X (K_XX + sigma^2 I)^-1 E``
-is computed with a Cholesky factorization (never an explicit inverse), and a
-prepared solver caches the factorization for repeated queries.
+is computed without an explicit inverse: the Cholesky factor of the jittered
+Gram matrix vets its conditioning, and one solve gives the weights.
 """
 
 from __future__ import annotations
@@ -80,42 +80,25 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, beta: float) -> np.ndarray:
     return k
 
 
-class PreparedGP:
-    """Cached Cholesky solve for one support set; immutable and shareable."""
-
-    def __init__(self, support: SupportSet, spec: KernelSpec):
-        self.support = support
-        self.spec = spec
-        gram = kernel_matrix(support.features, support.features, spec.beta)
-        gram[np.diag_indices_from(gram)] += spec.noise_variance
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(
-                "kernel system is ill-conditioned (non-positive pivot); "
-                "add noise variance or remove duplicate support features"
-            ) from exc
-        pivots = np.diag(chol)
-        if not np.all(np.isfinite(chol)) or (pivots.min() / pivots.max()) ** 2 < 1e-14:
-            raise ValueError(
-                "kernel system is ill-conditioned (pivot ratio below 1e-14, or a non-finite factor); "
-                "add noise variance or remove duplicate support features"
-            )
-        # (K_XX + sigma^2 I)^-1 E = L^-T (L^-1 E), each factor applied with a
-        # general LU solve: numpy has no triangular solver, and any other
-        # solve would change the posterior means in their last bits.
-        self._weights = np.linalg.solve(chol.T, np.linalg.solve(chol, support.embeddings))
-
-    def posterior_mean(self, queries: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(queries)):
-            raise ValueError("queries must be finite")
-        k_star = kernel_matrix(queries, self.support.features, self.spec.beta)
-        return k_star @ self._weights
-
-
 def gp_posterior_mean(
     queries: np.ndarray, support: SupportSet, spec: KernelSpec = KernelSpec()
 ) -> np.ndarray:
     """Posterior mean of embedded coordinates at each query descriptor."""
-    return PreparedGP(support, spec).posterior_mean(queries)
-
+    if not np.all(np.isfinite(queries)):
+        raise ValueError("queries must be finite")
+    gram = kernel_matrix(support.features, support.features, spec.beta)
+    gram[np.diag_indices_from(gram)] += spec.noise_variance
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(
+            "kernel system is ill-conditioned (non-positive pivot); "
+            "add noise variance or remove duplicate support features"
+        ) from exc
+    pivots = np.diag(chol)
+    if not np.all(np.isfinite(chol)) or (pivots.min() / pivots.max()) ** 2 < 1e-14:
+        raise ValueError(
+            "kernel system is ill-conditioned (pivot ratio below 1e-14, or a non-finite factor); "
+            "add noise variance or remove duplicate support features"
+        )
+    return kernel_matrix(queries, support.features, spec.beta) @ np.linalg.solve(gram, support.embeddings)

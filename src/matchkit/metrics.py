@@ -39,14 +39,26 @@ def _aligned_pixel_errors(
     if np.max(np.abs(pred.xa - gt.xa)) > 1e-6:
         raise ValueError("pred and gt source points are not index-aligned")
     d = pred.xb - gt.xb
-    return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) * ref_resolution  # np.linalg.norm's bits, faster
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        err = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) * ref_resolution  # np.linalg.norm's bits, faster
+    _refuse_overflow(err, ref_resolution)
+    return err
+
+
+def _refuse_overflow(px: np.ndarray, ref_resolution: float) -> None:
+    if not np.all(np.isfinite(px)):
+        raise ValueError(f"ref_resolution={ref_resolution:g} is too large: the pixel errors overflow")
 
 
 def epe(
     pred: CorrespondenceSet, gt: CorrespondenceSet, ref_resolution: float = DEFAULT_REF_RESOLUTION
 ) -> float:
     """Mean end-point error in pixels at the reference resolution."""
-    return float(_aligned_pixel_errors(pred, gt, ref_resolution).mean())
+    err = _aligned_pixel_errors(pred, gt, ref_resolution)
+    with np.errstate(over="ignore"):  # the sum can overflow where no single error does
+        mean = err.mean()
+    _refuse_overflow(mean, ref_resolution)
+    return float(mean)
 
 
 def pck(
@@ -56,8 +68,8 @@ def pck(
     ref_resolution: float = DEFAULT_REF_RESOLUTION,
 ) -> float:
     """Percentage of correspondences with pixel error strictly below tau."""
-    if not tau_px > 0:  # also refuses NaN
-        raise ValueError(f"tau_px must be positive, got {tau_px}")
+    if not 0 < tau_px < np.inf:  # also refuses NaN
+        raise ValueError(f"tau_px must be positive and finite, got {tau_px}")
     err = _aligned_pixel_errors(pred, gt, ref_resolution)
     return float(100.0 * np.mean(err < tau_px))
 
@@ -111,9 +123,10 @@ def pose_errors(
 def auc(errors: np.ndarray, tau: float) -> float:
     """Area under the recall curve up to tau, normalized to [0, 1].
 
-    Recall(t) is the fraction of errors strictly below t, a step function
-    with jumps at the sorted error values; integrating it piecewise between
-    the breakpoints {0} + errors + {tau} is exact.
+    Recall(t) is the fraction of errors strictly below t, so each error e
+    adds max(tau - e, 0) / n to the integral of recall over [0, tau]: the
+    AUC is the mean of those hinge terms, each divided by tau (so that no
+    sum can overflow).
     """
     errors = np.asarray(errors, dtype=float).ravel()
     if errors.size == 0:
@@ -122,13 +135,7 @@ def auc(errors: np.ndarray, tau: float) -> float:
         raise ValueError("errors must be finite and nonnegative")
     if not 0 < tau < np.inf:  # also refuses NaN
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    ordered = np.sort(errors)
-    inside = np.unique(ordered[(ordered > 0) & (ordered < tau)])
-    breaks = np.concatenate([[0.0], inside, [tau]])
-    # On the open interval (lo, hi) recall is constant: the share of errors <= lo.
-    below = np.searchsorted(ordered, breaks[:-1], side="right") / errors.size
-    area = np.cumsum(np.diff(breaks) * below)[-1]  # summed left to right
-    return float(area / tau)
+    return float(np.mean(np.maximum(tau - errors, 0.0) / tau))
 
 
 def default_maa_thresholds() -> tuple[np.ndarray, np.ndarray]:

@@ -155,7 +155,10 @@ def fit_steering_lsq(base: DescriptorSet, rotated: DescriptorSet) -> tuple[Steer
     except np.linalg.LinAlgError as exc:
         raise ValueError("rank-deficient fit; supply more pairs") from exc
     w = wt.T
-    residual = float(np.sqrt(np.mean((gr - g @ w.T) ** 2)))
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        residual = float(np.sqrt(np.mean((gr - g @ w.T) ** 2)))
+    if not np.isfinite(residual):
+        raise ValueError("descriptors too large for a least-squares fit: the residual overflows")
     return SteeringMatrix(w), residual
 
 

@@ -901,14 +901,21 @@ def test_sample_refuses_an_under_or_overflowing_bandwidth(tmp_path, capsys, flag
         ),
         (["steer", "fit", "--synthetic", "--noise", "1e300"], "error: descriptors too large for a least-squares fit"),
         (["eval", "--pose-errors", "{negative_pose}"], "error: rot_errors must be finite and nonnegative"),
+        (
+            ["eval", "--pred", "{pred}", "--gt", "{gt}", "--ref-res", "1e308"],
+            "error: ref_resolution=1e+308 is too large: the pixel errors overflow",
+        ),
     ],
 )
 def test_refused_runs_leave_no_out_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
-    inputs = {name: tmp_path / name for name in ("missing", "desc", "huge_w", "negative_pose")}
+    inputs = {name: tmp_path / name for name in ("missing", "desc", "huge_w", "negative_pose", "pred", "gt")}
     write_descriptors(inputs["desc"], np.zeros((4, 2)), np.eye(4))
     write_steering(inputs["huge_w"], 3e38 * np.eye(4))  # steering unit descriptors by W^2 leaves float32 range
     inputs["negative_pose"].write_text("rot_deg,trans_deg\n-5,1\n")
+    # pred is gt shifted by 0.5 in x: at --ref-res 1e308 the four errors sum past the float range.
+    inputs["gt"].write_text("xa,ya,xb,yb,weight\n" + "0.0,0.0,0.0,0.1,1.0\n" * 4)
+    inputs["pred"].write_text("xa,ya,xb,yb,weight\n" + "0.0,0.0,0.5,0.1,1.0\n" * 4)
     argv = [word.format(**inputs) for word in argv]
     assert run(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err

@@ -5,14 +5,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from matchkit import (
+    GridSpec,
     KernelSpec,
-    PreparedGP,
     SupportSet,
+    affine_scene,
     exp_cos_kernel,
     gp_posterior_mean,
     kernel_matrix,
+    synth_pyramid,
 )
 
 
@@ -98,11 +101,11 @@ def test_prepared_gp_refuses_a_non_finite_cholesky_factor():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"ill-conditioned \(pivot ratio below 1e-14, or a non-finite factor\)"):
-            PreparedGP(support, SimpleNamespace(beta=10.0, noise_variance=np.inf))
+            gp_posterior_mean(support.features, support, SimpleNamespace(beta=10.0, noise_variance=np.inf))
 
 
 def test_kernel_spec_refuses_non_finite_values():
-    # Unrefused, a NaN or infinite value reaches PreparedGP, which blames an
+    # Unrefused, a NaN or infinite value reaches the Cholesky factorization, which blames an
     # "ill-conditioned" system.
     cases = [(10.0, np.nan, "noise_variance"), (10.0, np.inf, "noise_variance"), (np.nan, 1e-4, "beta")]
     cases += [(np.inf, 1e-4, "beta"), (-np.inf, 1e-4, "beta")]
@@ -160,14 +163,19 @@ def test_gp_duplicate_supports_at_zero_noise_raise():
         gp_posterior_mean(feats, SupportSet(feats, emb), KernelSpec(10.0, 0.0))
 
 
-def test_prepared_gp_caches_factorization():
-    from matchkit import PreparedGP
-
-    rng = np.random.default_rng(27)
-    support = SupportSet(rng.normal(size=(7, 5)), rng.normal(size=(7, 2)))
-    spec = KernelSpec(10.0, 1e-3)
-    prepared = PreparedGP(support, spec)
-    q1 = rng.normal(size=(4, 5))
-    q2 = rng.normal(size=(6, 5))
-    assert np.allclose(prepared.posterior_mean(q1), gp_posterior_mean(q1, support, spec))
-    assert np.allclose(prepared.posterior_mean(q2), gp_posterior_mean(q2, support, spec))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gp_matches_cho_solve_at_benchmark_scale(seed):
+    # The coarse encoder's size: 256 stride-14 supports of a base-224 pyramid,
+    # D = 32, regressed onto the stride-14 cell centres.
+    rng = np.random.default_rng(seed)
+    angle, scale = rng.uniform(-0.05, 0.05), rng.uniform(0.96, 1.04)
+    c, s = np.cos(angle), np.sin(angle)
+    scene = affine_scene(scale * np.array([[c, -s], [s, c]]), rng.uniform(-0.14, 0.14, 2))
+    pyr_a, pyr_b = synth_pyramid(scene, GridSpec(224, 224), seed=seed)
+    support = SupportSet(pyr_b.features(14).reshape(-1, 32), pyr_b.grid(14).cell_centers())
+    queries = pyr_a.features(14).reshape(-1, 32)
+    assert len(support.features) == 256
+    spec = KernelSpec()
+    gram = kernel_matrix(support.features, support.features, spec.beta) + spec.noise_variance * np.eye(256)
+    want = kernel_matrix(queries, support.features, spec.beta) @ cho_solve(cho_factor(gram), support.embeddings)
+    np.testing.assert_allclose(gp_posterior_mean(queries, support, spec), want, rtol=0, atol=1e-12)

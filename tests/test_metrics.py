@@ -66,11 +66,16 @@ def test_epe_and_pck_equal_the_norm_oracle_to_the_byte(scale, ref):
     xa = rng.uniform(-0.5, 0.5, (500, 2))
     gt = CorrespondenceSet(xa, rng.uniform(-0.5, 0.5, (500, 2)) * scale, np.ones(500))
     pred = CorrespondenceSet(xa, rng.uniform(-0.5, 0.5, (500, 2)) * scale, np.ones(500))
-    with np.errstate(over="ignore"):  # at ref 1e308 the pixel errors overflow to inf
-        err = np.linalg.norm(pred.xb - gt.xb, axis=1) * ref
-        assert np.float64(epe(pred, gt, ref)).tobytes() == np.float64(err.mean()).tobytes()
-        for tau in (1e-300, 1.0, 3.0, 1e200, np.inf):
-            assert pck(pred, gt, tau, ref) == float(100.0 * np.mean(err < tau))
+    err = np.linalg.norm(pred.xb - gt.xb, axis=1) * ref
+    with np.errstate(over="ignore"):  # at ref 1e308 the sum of the pixel errors overflows
+        mean = err.mean()
+    if np.isfinite(mean):
+        assert np.float64(epe(pred, gt, ref)).tobytes() == np.float64(mean).tobytes()
+    else:
+        with pytest.raises(ValueError, match="^ref_resolution=1e\\+308 is too large"):
+            epe(pred, gt, ref)
+    for tau in (1e-300, 1.0, 3.0, 1e200):
+        assert pck(pred, gt, tau, ref) == float(100.0 * np.mean(err < tau))
 
 
 def test_epe_length_mismatch():
@@ -176,6 +181,7 @@ def test_pose_errors_validation():
 def test_auc_extremes():
     assert auc(np.zeros(7), 10.0) == 1.0
     assert auc(np.full(7, 99.0), 10.0) == 0.0
+    assert auc(np.zeros(7), 1e308) == 1.0  # the hinge terms sum without overflow
 
 
 def test_auc_hand_case():
@@ -276,7 +282,8 @@ ALIGNED = CorrespondenceSet(np.zeros((2, 2)), np.zeros((2, 2)), np.ones(2))
         (lambda: auc(np.ones(3), NAN), "tau must be positive and finite, got nan"),
         (lambda: auc(np.ones(3), np.inf), "tau must be positive and finite, got inf"),
         (lambda: epe(ALIGNED, ALIGNED, NAN), "ref_resolution must be positive and finite, got nan"),
-        (lambda: pck(ALIGNED, ALIGNED, NAN), "tau_px must be positive, got nan"),
+        (lambda: pck(ALIGNED, ALIGNED, NAN), "tau_px must be positive and finite, got nan"),
+        (lambda: pck(ALIGNED, ALIGNED, np.inf), "tau_px must be positive and finite, got inf"),
         (lambda: maa([1.0, NAN], [1.0, 1.0]), "rot_errors must be finite"),
         (lambda: maa([1.0, 1.0], [np.inf, 1.0]), "trans_errors must be finite"),
     ],
@@ -302,6 +309,22 @@ def test_metrics_refuse_bad_thresholds_and_negative_errors(call, message):
     # Unrefused, these returned 0.5, 1.0, 0.5, 0.5, 0.5 and 0.9.
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+def test_epe_and_pck_refuse_an_overflowing_ref_resolution():
+    # Unrefused, epe warned "overflow encountered in reduce" and returned inf,
+    # which `eval` wrote into its JSON as Infinity.
+    origin = CorrespondenceSet(np.zeros((4, 2)), np.zeros((4, 2)), np.ones(4))
+    half = CorrespondenceSet(np.zeros((4, 2)), np.full((4, 2), [0.5, 0.0]), np.ones(4))
+    with pytest.raises(ValueError, match="^ref_resolution=1e\\+308 is too large: the pixel errors overflow$"):
+        epe(half, origin, 1e308)  # each error is finite, their sum is not
+    corners = CorrespondenceSet(np.zeros((2, 2)), [[1.0, 1.0], [0.0, 0.0]], np.ones(2))
+    far = CorrespondenceSet(np.zeros((2, 2)), [[-1.0, -1.0], [0.0, 0.0]], np.ones(2))
+    # One error of 2.83e308 px.
+    with pytest.raises(ValueError, match="^ref_resolution=1e\\+308 is too large"):
+        epe(corners, far, 1e308)
+    with pytest.raises(ValueError, match="^ref_resolution=1e\\+308 is too large"):
+        pck(corners, far, 3.0, 1e308)
 
 
 def test_maa_mismatched_thresholds():

@@ -190,6 +190,17 @@ def test_lsq_rank_deficient_beyond_the_ridge():
         fit_steering_lsq(a, a)
 
 
+def test_lsq_refuses_an_overflowing_residual():
+    # Huge rotated rows leave G^T G and G^T G_rot finite, but the residual's
+    # squares overflow: unrefused, numpy warned and the RMS residual was inf.
+    rng = np.random.default_rng(12)
+    base = rng.normal(size=(64, 8))
+    rotated = 1e200 * (base @ rng.normal(size=(8, 8)).T)
+    coords = np.zeros((64, 2))
+    with pytest.raises(ValueError, match="^descriptors too large for a least-squares fit: the residual overflows$"):
+        fit_steering_lsq(DescriptorSet(coords, base), DescriptorSet(coords, rotated))
+
+
 def test_l1_fit_zero_at_truth():
     w_true = random_c4_steering(16, seed=8)
     sets = synth_equivariant(64, 16, w_true=w_true, noise_sigma=0.0, seed=9)
