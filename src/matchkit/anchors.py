@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import EXTENT_MIN, ROW_SUM_TOL, GridSpec, WarpField, _readonly
+from .grids import EXTENT_MIN, ROW_SUM_TOL, GridSpec, WarpField, _axis_taps, _readonly
 
 
 @dataclass(frozen=True)
@@ -77,17 +77,16 @@ def closest_anchor(grid: AnchorGrid, x: np.ndarray) -> np.ndarray:
     """Index of the nearest anchor center; ties go to the lower index.
 
     Works per axis (the tiling is uniform, so the nearest anchor factorizes),
-    with exact midpoints resolved toward the smaller coordinate, hence the
-    smaller row-major index.
+    on the bilinear taps' continuous cell coordinate: the lower tap, unless the
+    fraction past it exceeds 1/2. Exact midpoints so go toward the smaller
+    coordinate, hence the smaller row-major index.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("query point must be finite")
-    u = (x[..., 0] - EXTENT_MIN) / (2.0 / grid.cols) - 0.5
-    v = (x[..., 1] - EXTENT_MIN) / (2.0 / grid.rows) - 0.5
-    col = np.clip(np.ceil(u - 0.5), 0, grid.cols - 1).astype(int)
-    row = np.clip(np.ceil(v - 0.5), 0, grid.rows - 1).astype(int)
-    return row * grid.cols + col
+    c0, _, fx = _axis_taps(x[..., 0], grid.cols)
+    r0, _, fy = _axis_taps(x[..., 1], grid.rows)
+    return (r0 + (fy > 0.5)) * grid.cols + c0 + (fx > 0.5)
 
 
 def to_warp(probs: AnchorProbs, grid: AnchorGrid) -> WarpField:

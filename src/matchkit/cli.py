@@ -14,16 +14,21 @@ Subcommands:
 Every subcommand accepts --seed, --out and --config. The config file is JSON
 with one object of option values per subcommand ("steer fit" and so on), read
 as the flags it stands for, placed before the command line's own flags.
-Exit codes: 0 success, 1 usage error, 2 data error. Seeded subcommands are
-deterministic: identical invocations produce byte-identical outputs.
+Exit codes: 0 success, 1 usage error, 2 data error. A run that exits non-zero
+writes nothing: --out is made only when the run succeeds. Seeded subcommands
+are deterministic: identical invocations produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +57,6 @@ from . import auc as auc_metric
 from . import epe as epe_metric
 from .cascade import FeatureField, stage_epes
 from .fileio import (
-    float32_payload,
     read_correspondences_csv,
     read_csv,
     read_descriptors,
@@ -128,13 +132,7 @@ def _seed(text: str) -> int:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _out_dir(a) -> Path:
-    out = Path(a.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _grid_size(text: str) -> tuple[int, int]:
@@ -167,10 +165,10 @@ def _scene_from_kind(kind: str, seed: int, offset=None) -> SceneSpec:
     return two_translation_scene((-mag, 0.0), (mag, 0.0))
 
 
-def _save_warp(out: Path, stem: str, warp: WarpField) -> None:
+def _save_warp(stage: Path, stem: str, warp: WarpField) -> None:
     payload = np.concatenate([warp.target_coords, warp.certainty[..., None]], axis=-1)
-    write_grid(out / f"{stem}.rmgrid", payload)
-    write_ppm(out / f"{stem}.ppm", warp_to_rgb(warp.target_coords, warp.certainty))
+    write_grid(stage / f"{stem}.rmgrid", payload)
+    write_ppm(stage / f"{stem}.ppm", warp_to_rgb(warp.target_coords, warp.certainty))
 
 
 def _load_warp(path) -> WarpField:
@@ -187,35 +185,28 @@ def _synth_descriptors(a) -> tuple[SteeringMatrix, list[DescriptorSet]]:
     return w_true, synth_equivariant(a.n, a.dim, w_true=w_true, noise_sigma=a.noise, seed=a.seed)
 
 
-def _write_descriptor_sets(a, w_true: SteeringMatrix, sets: list[DescriptorSet]) -> Path:
-    """Make --out and write rot0..rot3.rmdesc and w_true.rmsteer to it."""
-    paths = [Path(a.out) / f"rot{k}.rmdesc" for k in range(len(sets))]
-    for path, ds in zip(paths, sets):
-        float32_payload(path, ds.descs)  # refused before --out is made
-    out = _out_dir(a)
-    for path, ds in zip(paths, sets):
-        write_descriptors(path, ds.coords, ds.descs)
-    write_steering(out / "w_true.rmsteer", w_true.w)
-    return out
+def _write_descriptor_sets(stage: Path, w_true: SteeringMatrix, sets: list[DescriptorSet]) -> None:
+    """Write rot0..rot3.rmdesc and w_true.rmsteer to ``stage``."""
+    for k, ds in enumerate(sets):
+        write_descriptors(stage / f"rot{k}.rmdesc", ds.coords, ds.descs)
+    write_steering(stage / "w_true.rmsteer", w_true.w)
 
 
-def _cmd_synth(a) -> int:
+def _cmd_synth(a, stage: Path) -> int:
     if a.kind == "descriptors":
-        out = _write_descriptor_sets(a, *_synth_descriptors(a))
-        print(f"wrote rot0..rot3.rmdesc and w_true.rmsteer to {out}")
+        _write_descriptor_sets(stage, *_synth_descriptors(a))
+        print(f"wrote rot0..rot3.rmdesc and w_true.rmsteer to {a.out}")
         return 0
     if a.kind != "probs":
         scene = _scene_from_kind(a.kind, a.seed, a.offset)
         base = GridSpec(a.base, a.base)
         truth = scene_true_warp(scene, base)
-        float32_payload(Path(a.out) / "truth.rmgrid", truth.target_coords)  # refused before --out is made
+        _save_warp(stage, "truth", truth)
         pyr_a, pyr_b = synth_pyramid(scene, base, seed=a.seed)
-        out = _out_dir(a)
-        _save_warp(out, "truth", truth)
         for stride in sorted(pyr_a.levels):
-            write_grid(out / f"source_stride{stride}.rmgrid", pyr_a.features(stride))
-            write_grid(out / f"target_stride{stride}.rmgrid", pyr_b.features(stride))
-        print(f"wrote truth warp and pyramid levels to {out}")
+            write_grid(stage / f"source_stride{stride}.rmgrid", pyr_a.features(stride))
+            write_grid(stage / f"target_stride{stride}.rmgrid", pyr_b.features(stride))
+        print(f"wrote truth warp and pyramid levels to {a.out}")
         return 0
     grid = build_anchor_grid(*a.anchors)
     source = GridSpec(*a.grid)
@@ -230,21 +221,20 @@ def _cmd_synth(a) -> int:
         support = SupportSet(field(tgt_grid.cell_centers()), tgt_grid.cell_centers())
         targets = gp_posterior_mean(field(targets), support, KernelSpec(a.beta, 1e-4))
         targets = np.clip(targets, -0.999, 0.999)
-    pi = gaussian_anchor_probs(grid, targets, sigma=a.sigma)  # refuses a row with no mass before any write
-    out = _out_dir(a)
+    pi = gaussian_anchor_probs(grid, targets, sigma=a.sigma)
     if a.via_gp:
-        write_support_set(out / "support", support.features, support.embeddings)
+        write_support_set(stage / "support", support.features, support.embeddings)
     match = rng.uniform(0.5, 1.0, source.n_cells)
-    write_grid(out / "probs.rmgrid", np.concatenate([pi, match[:, None]], axis=1))
+    write_grid(stage / "probs.rmgrid", np.concatenate([pi, match[:, None]], axis=1))
     _write_json(
-        out / "probs.json",
+        stage / "probs.json",
         {"anchors": {"rows": grid.rows, "cols": grid.cols}, "grid": {"height": source.height, "width": source.width}},
     )
-    print(f"wrote probs.rmgrid ({source.n_cells} x {grid.count}+1) to {out}")
+    print(f"wrote probs.rmgrid ({source.n_cells} x {grid.count}+1) to {a.out}")
     return 0
 
 
-def _cmd_decode(a) -> int:
+def _cmd_decode(a, stage: Path) -> int:
     data = read_grid(a.probs)
     grid = build_anchor_grid(*a.anchors)
     source = GridSpec(*a.grid)
@@ -259,15 +249,12 @@ def _cmd_decode(a) -> int:
         raise ValueError(f"{a.probs}: anchor probability row {bad[0]} sums to {sums[bad[0]]}")
     pi = data[:, :-1] / sums[:, None]
     probs = AnchorProbs(source, pi, np.clip(data[:, -1], 0.0, 1.0))
-    warp = to_warp(probs, grid)
-    if a.corr:  # every input is checked before --out is made
+    _save_warp(stage, "warp", to_warp(probs, grid))
+    if a.corr:
         corr = read_correspondences_csv(a.corr)
         res = coarse_loss(probs, np.ones(source.n_cells, bool), corr, CoarseLossConfig(a.marginal_weight, grid))
-    out = _out_dir(a)
-    _save_warp(out, "warp", warp)
-    if a.corr:
         _write_json(
-            out / "coarse_loss.json",
+            stage / "coarse_loss.json",
             {
                 "marginal_weight": a.marginal_weight,
                 "total": res.value,
@@ -275,40 +262,38 @@ def _cmd_decode(a) -> int:
                 "marginal_term": res.marginal_term,
             },
         )
-    print(f"decoded warp written to {out}")
+    print(f"decoded warp written to {a.out}")
     return 0
 
 
-def _cmd_loss_sweep(a) -> int:
+def _cmd_loss_sweep(a, stage: Path) -> int:
     rows = gradient_sweep(c=a.c, rmin=a.rmin, rmax=a.rmax, steps=a.steps)
-    out = _out_dir(a)
-    write_csv(out / "loss_sweep.csv", "r,loss,grad_magnitude", rows.tolist())
-    print(f"wrote {out / 'loss_sweep.csv'} ({rows.shape[0]} rows)")
+    write_csv(stage / "loss_sweep.csv", "r,loss,grad_magnitude", rows.tolist())
+    print(f"wrote {a.out / 'loss_sweep.csv'} ({rows.shape[0]} rows)")
     return 0
 
 
-def _cmd_diffuse(a) -> int:
+def _cmd_diffuse(a, stage: Path) -> int:
     scene = two_translation_scene((-a.offset, 0.0), (a.offset, 0.0))
     grid = GridSpec(a.grid, a.grid)
     mid = (grid.height // 2) * grid.width + grid.width // 2 - 1  # boundary-adjacent cell
     sweep, rows = _sweep(scene, grid, grid, a.scales, a.threshold, row=mid)
-    out = _out_dir(a)
     write_csv(
-        out / "multimodality.csv",
+        stage / "multimodality.csv",
         "s,boundary_dist_bin,fraction_multimodal,n_cells",
         [(s, b, frac, n) for s, b, frac, n in sweep.table()],
     )
     for s, row in zip(a.scales, rows):
         if row.sum() > 0:
             write_grid(
-                out / f"conditional_s{s!r}.rmgrid",
+                stage / f"conditional_s{s!r}.rmgrid",
                 (row / row.sum()).reshape(grid.height, grid.width),
             )
-    print(f"wrote {out / 'multimodality.csv'} and conditional snapshots")
+    print(f"wrote {a.out / 'multimodality.csv'} and conditional snapshots")
     return 0
 
 
-def _cmd_cascade(a) -> int:
+def _cmd_cascade(a, stage: Path) -> int:
     if a.perturb < 0:
         raise ValueError(f"--perturb must be nonnegative, got {a.perturb}")
     scene = _scene_from_kind(a.kind, a.seed, a.offset)
@@ -327,15 +312,14 @@ def _cmd_cascade(a) -> int:
     rows = [
         (stride, e, e / fine_cell) for stride, e in stage_epes(stages, scene)
     ]
-    out = _out_dir(a)
-    write_csv(out / "stage_epe.csv", "stride,epe_extent,epe_fine_cells", rows)
-    _save_warp(out, "final", final)
-    write_pgm(out / "certainty.pgm", final.certainty)
-    print(f"wrote per-stage EPE and final warp to {out}")
+    write_csv(stage / "stage_epe.csv", "stride,epe_extent,epe_fine_cells", rows)
+    _save_warp(stage, "final", final)
+    write_pgm(stage / "certainty.pgm", final.certainty)
+    print(f"wrote per-stage EPE and final warp to {a.out}")
     return 0
 
 
-def _cmd_steer_fit(a) -> int:
+def _cmd_steer_fit(a, stage: Path) -> int:
     if not (a.synthetic or a.dir):
         raise UsageError("steer fit needs --synthetic or --dir")
     if a.method == "l1" and a.step <= 0:
@@ -357,42 +341,39 @@ def _cmd_steer_fit(a) -> int:
         report["initial_loss"] = res.initial_loss
         report["final_loss"] = res.final_loss
         report["iterations"] = res.iterations
-    out = _write_descriptor_sets(a, w_true, sets) if a.synthetic else _out_dir(a)
-    write_steering(out / "w_fit.rmsteer", w.w)
-    _write_json(out / "fit_report.json", report)
-    print(f"wrote w_fit.rmsteer and fit_report.json to {out}")
+    if a.synthetic:
+        _write_descriptor_sets(stage, w_true, sets)
+    write_steering(stage / "w_fit.rmsteer", w.w)
+    _write_json(stage / "fit_report.json", report)
+    print(f"wrote w_fit.rmsteer and fit_report.json to {a.out}")
     return 0
 
 
-def _cmd_steer_apply(a) -> int:
+def _cmd_steer_apply(a, stage: Path) -> int:
     coords, descs = read_descriptors(a.desc)
     w = SteeringMatrix(read_steering(a.w))
-    steered = apply_steering(w, a.k, descs)
-    float32_payload(Path(a.out) / "steered.rmdesc", steered)  # refused before --out is made
-    out = _out_dir(a)
-    write_descriptors(out / "steered.rmdesc", coords, steered)
-    print(f"wrote steered descriptors to {out / 'steered.rmdesc'}")
+    write_descriptors(stage / "steered.rmdesc", coords, apply_steering(w, a.k, descs))
+    print(f"wrote steered descriptors to {a.out / 'steered.rmdesc'}")
     return 0
 
 
-def _cmd_steer_eval(a) -> int:
+def _cmd_steer_eval(a, stage: Path) -> int:
     ca, da = read_descriptors(a.base)
     cb, db = read_descriptors(a.rotated)
     w = SteeringMatrix(read_steering(a.w))
     acc = rotation_matching_eval(DescriptorSet(ca, da), DescriptorSet(cb, db), w, a.k)
-    out = _out_dir(a)
     payload = {
         "k": a.k,
         "n_keypoints": acc.n_keypoints,
         "accuracy_without": acc.without_steering,
         "accuracy_with": acc.with_steering,
     }
-    _write_json(out / "steer_eval.json", payload)
+    _write_json(stage / "steer_eval.json", payload)
     print(json.dumps(payload, sort_keys=True))
     return 0
 
 
-def _cmd_sample(a) -> int:
+def _cmd_sample(a, stage: Path) -> int:
     if a.warp:
         warp = _load_warp(a.warp)
     else:
@@ -407,18 +388,17 @@ def _cmd_sample(a) -> int:
         raise ValueError(f"the warp has no candidates ({what})")
     cs = balanced_sample(warp, n, h=a.bandwidth, seed=a.seed)
     rows = [(h, spatial_entropy(balanced_sample(warp, n, h=h, seed=a.seed))) for h in a.sensitivity or ()]
-    # After every draw, so that a refused bandwidth prints one error line and writes nothing.
+    # After every draw, so that a refused bandwidth prints one error line.
     if n < a.n_matches:
         print(f"note: --n-matches {a.n_matches} capped to the {n} candidates ({what})", file=sys.stderr)
-    out = _out_dir(a)
-    write_correspondences_csv(out / "matches.csv", cs)
+    write_correspondences_csv(stage / "matches.csv", cs)
     if a.sensitivity:
-        write_csv(out / "bandwidth_sensitivity.csv", "bandwidth,spatial_entropy", rows)
-    print(f"wrote {n} matches to {out / 'matches.csv'}")
+        write_csv(stage / "bandwidth_sensitivity.csv", "bandwidth,spatial_entropy", rows)
+    print(f"wrote {n} matches to {a.out / 'matches.csv'}")
     return 0
 
 
-def _cmd_eval(a) -> int:
+def _cmd_eval(a, stage: Path) -> int:
     report: dict = {}
     if a.pose_errors:
         rot, trans = read_csv(a.pose_errors, "rot_deg,trans_deg").T
@@ -435,13 +415,12 @@ def _cmd_eval(a) -> int:
         report["robustness_32px"] = robustness(pred, gt, a.ref_res)
     if not report:
         raise UsageError("eval needs --pose-errors and/or --pred with --gt")
-    out = _out_dir(a)
-    _write_json(out / "metrics.json", report)
+    _write_json(stage / "metrics.json", report)
     print(json.dumps(report, sort_keys=True))
     return 0
 
 
-def _cmd_selftest(_a) -> int:
+def _cmd_selftest(_a, _stage: Path) -> int:
     results = run_selftest()
     failed = 0
     for name, ok, detail in results:
@@ -462,7 +441,7 @@ def build_parser() -> _Parser:
     # Options that several subcommands share, each declared once in a parent parser.
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=_seed, default=0)
-    common.add_argument("--out", default="out")
+    common.add_argument("--out", type=Path, default="out")
     common.add_argument("--config", help="JSON file with option values per subcommand")
     descriptors = _Parser(add_help=False)
     descriptors.add_argument("--n", type=int, default=256)
@@ -575,6 +554,25 @@ def _config_flags(sp: _Parser, path: str, section: str) -> list[str]:
     return flags
 
 
+def _run(a) -> int:
+    """Run ``a``'s handler on an empty staging directory, then copy what it wrote to --out.
+
+    Handlers write only to the stage, and their stdout is held back with it, so
+    a run refused at any point prints one error line and writes nothing:
+    --out is made, with parents, only after the handler has returned 0.
+    """
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as held:
+        stage = Path(tmp)
+        code = a.handler(a, stage)
+        staged = sorted(stage.iterdir())
+        if code == 0 and staged:
+            a.out.mkdir(parents=True, exist_ok=True)
+            for path in staged:
+                shutil.copyfile(path, a.out / path.name)
+    sys.stdout.write(held.getvalue())
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -587,7 +585,7 @@ def main(argv=None) -> int:
             words = len(section.split())
             flags = _config_flags(parser.sections[section], args.config, section)
             args = parser.parse_args([*argv[:words], *flags, *argv[words:]])
-        return args.handler(args)
+        return _run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, _ArgumentError):

@@ -31,22 +31,16 @@ STEER_MAGIC = b"RMSTEER1"
 MAX_GRID_RANK = 8
 
 
-def float32_payload(path, values) -> np.ndarray:
-    """``values`` as little-endian float32, refused (naming ``path``) unless all are finite there."""
-    with np.errstate(over="ignore"):
-        payload = np.asarray(values, dtype="<f4")
-    if not np.all(np.isfinite(payload)):
-        raise ValueError(f"{path}: values must be finite and fit in float32")
-    return payload
-
-
 def _write_record(path, magic: bytes, fields, payload: np.ndarray) -> None:
     """Magic, then each header field as a u32 LE, then the float32 LE payload.
 
     A value that is not finite as a float32 (NaN, infinite or out of range)
-    is refused before the file is opened.
+    is refused, naming the file, before the file is opened.
     """
-    payload = float32_payload(path, payload)
+    with np.errstate(over="ignore"):
+        payload = np.asarray(payload, dtype="<f4")
+    if not np.all(np.isfinite(payload)):
+        raise ValueError(f"{Path(path).name}: values must be finite and fit in float32")
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack(f"<{len(fields)}I", *fields))

@@ -144,13 +144,17 @@ def coarse_loss_raw(
     np.add.at(d_pi, (cells[live], kdag[live]), -(w[live] / wsum) / clamped[live])
 
     marginal, d_match_unit = _bce_mean(matchability, mask)
-    value = conditional + cfg.marginal_weight * marginal
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        value = conditional + cfg.marginal_weight * marginal
+        d_matchability = cfg.marginal_weight * d_match_unit
+    if not (np.isfinite(value) and np.all(np.isfinite(d_matchability))):
+        raise ValueError(f"marginal weight {cfg.marginal_weight:g} is too large: the coarse loss overflows")
     return CoarseLossResult(
         value=value,
         conditional_term=conditional,
         marginal_term=marginal,
         d_pi=d_pi,
-        d_matchability=cfg.marginal_weight * d_match_unit,
+        d_matchability=d_matchability,
     )
 
 

@@ -681,7 +681,7 @@ def test_offset_beyond_float_range_is_a_data_error(tmp_path, capsys, argv, messa
     assert_one_error(err)
     assert message in err, err
     if argv[0] == "synth":
-        assert err.startswith(f"error: {out / missing}: "), err
+        assert err.startswith(f"error: {missing}: "), err
     assert not (out / missing).exists()
 
 
@@ -905,23 +905,74 @@ def test_sample_refuses_an_under_or_overflowing_bandwidth(tmp_path, capsys, flag
             ["eval", "--pred", "{pred}", "--gt", "{gt}", "--ref-res", "1e308"],
             "error: ref_resolution=1e+308 is too large: the pixel errors overflow",
         ),
+        (["steer", "fit", "--dir", "{steer_dir}", "--method", "lsq"], "w_fit.rmsteer: values must be finite and fit in float32"),
+        (
+            ["decode", "--probs", "{probs}", "--corr", "{gt}", "--lambda", "1e308"],
+            "error: marginal weight 1e+308 is too large: the coarse loss overflows",
+        ),
     ],
 )
 def test_refused_runs_leave_no_out_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
-    inputs = {name: tmp_path / name for name in ("missing", "desc", "huge_w", "negative_pose", "pred", "gt")}
+    inputs = write_refused_run_inputs(tmp_path)
+    argv = [word.format(**inputs) for word in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning on the way
+        assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert_one_error(err)
+    assert message in err, err
+    assert not out.exists()
+
+
+def write_refused_run_inputs(tmp_path):
+    """The input files of the refused runs above, by the name their argv uses."""
+    names = ("missing", "desc", "huge_w", "negative_pose", "pred", "gt", "steer_dir", "probs")
+    inputs = {name: tmp_path / name for name in names}
     write_descriptors(inputs["desc"], np.zeros((4, 2)), np.eye(4))
     write_steering(inputs["huge_w"], 3e38 * np.eye(4))  # steering unit descriptors by W^2 leaves float32 range
     inputs["negative_pose"].write_text("rot_deg,trans_deg\n-5,1\n")
     # pred is gt shifted by 0.5 in x: at --ref-res 1e308 the four errors sum past the float range.
     inputs["gt"].write_text("xa,ya,xb,yb,weight\n" + "0.0,0.0,0.0,0.1,1.0\n" * 4)
     inputs["pred"].write_text("xa,ya,xb,yb,weight\n" + "0.0,0.0,0.5,0.1,1.0\n" * 4)
+    # Tiny base descriptors and huge rotated ones: the least-squares W is finite, but not in float32.
+    rng = np.random.default_rng(0)
+    inputs["steer_dir"].mkdir()
+    coords = rng.uniform(-1, 1, (64, 2))
+    for k in range(4):
+        scale = 1e-4 if k == 0 else 3e37
+        write_descriptors(inputs["steer_dir"] / f"rot{k}.rmdesc", coords, scale * rng.normal(size=(64, 8)))
+    # Uniform anchor rows, matchability 0.001: at --lambda 1e308 the weighted cross-entropy overflows.
+    write_grid(inputs["probs"], np.concatenate([np.full((36, 64), 1 / 64), np.full((36, 1), 0.001)], axis=1))
+    return inputs
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["steer", "fit", "--dir", "{steer_dir}", "--method", "lsq"],
+        ["decode", "--probs", "{probs}", "--corr", "{gt}", "--lambda", "1e308"],  # refused after warp.rmgrid
+    ],
+)
+def test_refused_runs_leave_an_existing_out_unchanged(tmp_path, capsys, argv):
+    inputs = write_refused_run_inputs(tmp_path)
     argv = [word.format(**inputs) for word in argv]
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "sentinel.txt").write_bytes(b"kept\n")
+    (out / "w_fit.rmsteer").write_bytes(b"an earlier fit")  # a file the refused run would have written
+    before = read_bytes_tree(out)
     assert run(*argv, "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    assert_one_error(err)
-    assert message in err, err
-    assert not out.exists()
+    assert_one_error(capsys.readouterr().err)
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)
+    assert read_bytes_tree(out) == before
+    # An --out that is a file is refused when the run would make it, and keeps its bytes.
+    assert run("loss-sweep", "--steps", "5", "--out", str(out / "sentinel.txt")) == 2
+    captured = capsys.readouterr()
+    assert_one_error(captured.err)
+    assert captured.out == ""  # no "wrote" line for a directory that was never made
+    assert (out / "sentinel.txt").read_bytes() == b"kept\n"
+    assert read_bytes_tree(out) == before
 
 
 def test_steer_eval_refuses_descriptor_sets_of_different_widths(tmp_path, capsys):

@@ -131,6 +131,20 @@ def test_coarse_loss_uniform_pi_gives_log_k():
     assert np.isclose(res.conditional_term, 2.7726, atol=1e-4)
 
 
+def test_coarse_loss_refuses_a_marginal_weight_that_overflows():
+    source = GridSpec(2, 2)
+    grid = build_anchor_grid(4, 4)
+    probs = AnchorProbs(source, np.full((4, 16), 1 / 16), np.full(4, 0.001))
+    corr = CorrespondenceSet(np.zeros((1, 2)), np.zeros((1, 2)), np.ones(1))
+    mask = np.ones(4, bool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning on the way
+        res = coarse_loss(probs, mask, corr, CoarseLossConfig(1e300, grid))
+        assert np.isfinite(res.value) and np.all(np.isfinite(res.d_matchability))
+        with pytest.raises(ValueError, match=r"^marginal weight 1e\+308 is too large: the coarse loss overflows$"):
+            coarse_loss(probs, mask, corr, CoarseLossConfig(1e308, grid))
+
+
 EMPTY_CORR = CorrespondenceSet(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
 
 
