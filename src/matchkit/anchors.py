@@ -157,4 +157,5 @@ def gaussian_anchor_probs(grid: AnchorGrid, means: np.ndarray, sigma: float) -> 
     if np.any(total == 0):
         x, y = means[np.flatnonzero(total == 0)[0]]
         raise ValueError(f"sigma {sigma:g} leaves no mass inside the extent for the mean ({x:g}, {y:g})")
-    return pi / total
+    pi /= total
+    return pi

@@ -25,13 +25,16 @@ serially (``PARALLEL_MIN_ELEMENTS``).
 Real encoder features are out of scope at desk scale; ``synth_pyramid``
 builds smooth band-limited random feature fields (per affine region, row
 phasors times column phasors) whose ground-truth warp is known exactly, which
-makes end-to-end refinement accuracy measurable.
+makes end-to-end refinement accuracy measurable. Its pyramids store only the
+levels a refining stage reads and rebuild the others on each access.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -84,21 +87,31 @@ def _parallel_map(fn: Callable, items: Sequence, elements: int) -> list:
 
 @dataclass(frozen=True)
 class FeaturePyramid:
-    """Per-stride ``(H, W, D)`` feature arrays sharing one base resolution."""
+    """Per-stride ``(H, W, D)`` feature levels sharing one base resolution.
 
-    levels: Mapping[int, np.ndarray]
+    A level is an array, or a function that builds it on each access and is
+    not cached, so the pyramid stays immutable and needs no lock. Every
+    level's grid is the common base of the arrays divided by its stride.
+    """
+
+    levels: Mapping[int, np.ndarray | Callable[[], np.ndarray]]
 
     def __post_init__(self) -> None:
-        if not self.levels:
-            raise ValueError("pyramid has no levels")
-        if len({(s * f.shape[0], s * f.shape[1]) for s, f in self.levels.items()}) != 1:
+        bases = {(s * f.shape[0], s * f.shape[1]) for s, f in self.levels.items() if not callable(f)}
+        if not bases:
+            raise ValueError("pyramid stores no levels")
+        if len(bases) != 1:
             raise ValueError("pyramid level grids are inconsistent with a common base")
+        object.__setattr__(self, "_base", bases.pop())
 
     def grid(self, stride: int) -> GridSpec:
-        return GridSpec(*self.levels[stride].shape[:2])
+        if stride not in self.levels:
+            raise KeyError(stride)
+        return GridSpec(self._base[0] // stride, self._base[1] // stride)
 
     def features(self, stride: int) -> np.ndarray:
-        return self.levels[stride]
+        level = self.levels[stride]
+        return level() if callable(level) else level
 
 
 def validate_base(base: GridSpec) -> None:
@@ -139,20 +152,21 @@ class FeatureField:
         np.sin(theta, out=out[..., 1])
         return out.reshape(theta.shape[0], -1)
 
-    def lattice(self, region: AffineRegion, grid: GridSpec, out: np.ndarray, where: np.ndarray):
-        """Write the field at ``A p + t``, ``p`` a ``grid`` cell centre, into complex ``out`` where ``where`` holds.
+    def lattice(self, region: AffineRegion, grid: GridSpec, rows: slice, out: np.ndarray, where: np.ndarray):
+        """Write the field at ``A p + t`` into complex ``out`` where ``where`` holds.
 
-        A pair's phase ``(A^T w).p + w.t + psi`` is affine in ``p``, so it is a row phasor times a column phasor:
-        ``H + W`` cos/sin calls per pair, not ``H * W``. ``out.view(float)`` is the call's ``(H, W, D)``, to a few ulp.
+        ``p`` runs over the cell centres of ``grid``'s ``rows``. A pair's phase ``(A^T w).p + w.t + psi`` is affine
+        in ``p``, so it is a row phasor times a column phasor: ``H + W`` cos/sin calls per pair, not ``H * W``.
+        ``out.view(float)`` is the call's ``(rows, W, D)``, to a few ulp.
         """
         with np.errstate(over="ignore", invalid="ignore"):  # refused below if a cell uses them
             freqs = self.freqs @ region.linear  # row j: (A^T w_j)^T
             theta_x = np.multiply.outer(grid.axis_centers_x(), freqs[:, 0]) + (self.freqs @ region.offset + self.phases)
-            theta_y = np.multiply.outer(grid.axis_centers_y(), freqs[:, 1])
+            theta_y = np.multiply.outer(grid.axis_centers_y()[rows], freqs[:, 1])
             row, col = (np.cos(theta) + 1j * np.sin(theta) for theta in (theta_x, theta_y))
         used = np.concatenate([theta_x[where.any(axis=0)], theta_y[where.any(axis=1)]])
-        _check_phases(used, lambda: region.map_points(grid.cell_centers()[where.ravel()]))
-        np.multiply(col[:, None], row, out=out, where=where[..., None])
+        _check_phases(used, lambda: region.map_points(grid.cell_centers().reshape(grid.height, -1, 2)[rows][where]))
+        np.multiply(col[:, None], row, out=out, where=True if where.all() else where[..., None])  # True: unmasked
 
 
 def _check_phases(theta: np.ndarray, points: Callable[[], np.ndarray]) -> None:
@@ -184,23 +198,47 @@ def synth_pyramid(
     region by region with ``FeatureField.lattice``. Each coarser level pools
     the coarsest finer level whose stride divides its own (2 from 1, 4 from 2,
     8 from 4, 14 from 2): a block mean of the stride-1 level up to rounding.
-    The two pyramids are built on separate threads when they are large
-    enough (see ``_parallel_map``).
+
+    A pyramid stores only the levels a refining stage reads (window > 0:
+    strides 14, 8 and 4, 1.07 MB at base 224 and D = 32 instead of 17.1 MB
+    for all five). They are built in bands of ``lcm(*CORR_WINDOWS)`` = 56 base
+    rows, which every stride divides, so each band pools on its own and the
+    whole stride-1 level is never allocated. A pass-through level (strides 2
+    and 1) is rebuilt by the same code, the whole grid as one band, on each
+    access (3–6 ms at base 224). The two pyramids are built on separate
+    threads when they are large enough (see ``_parallel_map``).
     """
     validate_base(base)
     field = FeatureField(feature_dim, seed)
-    centers = base.cell_centers()
+    stored = [s for s, window in CORR_WINDOWS.items() if window]
+
+    def bands(spec: SceneSpec, band: int, top: int):
+        """Per ``band`` base rows: the first row, and the levels of strides up to ``top`` (stride 1 in one buffer)."""
+        centers = base.cell_centers().reshape(base.height, base.width, 2)
+        level1 = np.empty((band, base.width, feature_dim // 2), complex)  # fresh pages per band would each fault
+        for y in range(0, base.height, band):
+            rows = slice(y, y + band)
+            region = spec.region_index(centers[rows].reshape(-1, 2)).reshape(band, base.width)
+            for i, r in enumerate(spec.regions):
+                field.lattice(r, base, rows, level1, region == i)
+            levels = {1: level1.view(float)}  # (rows, W, D): cos and sin interleaved per pair
+            for s in sorted(CORR_WINDOWS)[1:]:
+                if s <= top:
+                    parent = max(t for t in levels if s % t == 0)
+                    levels[s] = _pool(levels[parent], s // parent)
+            yield y, levels
 
     def build(spec: SceneSpec) -> FeaturePyramid:
-        region = spec.region_index(centers).reshape(base.height, base.width)
-        level1 = np.empty((base.height, base.width, feature_dim // 2), complex)
-        for i, r in enumerate(spec.regions):
-            field.lattice(r, base, level1, region == i)
-        levels = {1: level1.view(float)}  # (H, W, D): cos and sin interleaved per pair
-        for s in sorted(CORR_WINDOWS)[1:]:
-            parent = max(t for t in levels if s % t == 0)
-            levels[s] = _pool(levels[parent], s // parent)
-        return FeaturePyramid({s: levels[s] for s in CORR_WINDOWS})
+        arrays = {s: np.empty((base.height // s, base.width // s, feature_dim)) for s in stored}
+        band = math.lcm(*CORR_WINDOWS)
+        for y, levels in bands(spec, band, max(stored)):
+            for s in stored:
+                arrays[s][y // s : (y + band) // s] = levels[s]
+
+        def rebuild(s: int) -> np.ndarray:
+            return next(bands(spec, base.height, s))[1][s]
+
+        return FeaturePyramid({s: arrays.get(s, partial(rebuild, s)) for s in CORR_WINDOWS})
 
     return tuple(_parallel_map(build, [scene, identity_scene()], base.n_cells * feature_dim))
 

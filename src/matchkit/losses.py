@@ -139,7 +139,7 @@ def coarse_loss_raw(
     clamped = np.maximum(picked, LOG_EPS)
     conditional = float(np.sum(w * -np.log(clamped)) / wsum)
 
-    d_pi = np.zeros_like(pi)
+    d_pi = np.zeros(pi.shape)  # untouched pages stay zero pages; zeros_like would write them all
     live = picked > LOG_EPS
     np.add.at(d_pi, (cells[live], kdag[live]), -(w[live] / wsum) / clamped[live])
 

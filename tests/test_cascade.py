@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,22 @@ def test_feature_pyramid_grids_come_from_the_arrays():
         FeaturePyramid({2: np.zeros((3, 5, 4)), 1: np.zeros((6, 9, 4))})
     with pytest.raises(ValueError, match="no levels"):
         FeaturePyramid({})
+    with pytest.raises(KeyError):
+        pyrA.grid(3)
+
+
+def test_feature_pyramid_builds_a_function_level_on_each_access():
+    calls = []
+
+    def level1():
+        calls.append(1)
+        return np.ones((6, 10, 4))
+
+    pyr = FeaturePyramid({2: np.zeros((3, 5, 4)), 1: level1})
+    assert pyr.grid(1) == GridSpec(6, 10) and calls == []  # the grid comes from the stored array
+    assert pyr.features(1) is not pyr.features(1) and calls == [1, 1]  # not cached
+    with pytest.raises(ValueError, match="stores no levels"):
+        FeaturePyramid({1: level1})
 
 
 def test_validate_base():
@@ -145,6 +162,118 @@ def three_strip_scene():
             AffineRegion(lambda p: p[:, 1] >= 0.4, np.array([[0.95, -0.04], [0.04, 0.95]]), np.array([0.0, -0.2])),
         )
     )
+
+
+def two_halves_scene():
+    """Top and bottom halves with their own motion: at base 224 the split y = 0 is the edge between two bands."""
+    return SceneSpec(
+        (
+            AffineRegion(lambda p: p[:, 1] < 0.0, np.array([[1.02, 0.0], [0.01, 0.99]]), np.array([0.1, 0.0])),
+            AffineRegion(lambda p: p[:, 1] >= 0.0, np.eye(2), np.array([-0.1, 0.05])),
+        )
+    )
+
+
+def whole_grid_pyramids(scene, base, feature_dim, seed):
+    """Every level of both pyramids built from the whole stride-1 level at once: the oracle of the banded build."""
+    field = FeatureField(feature_dim, seed)
+    out = []
+    for spec in (scene, identity_scene()):
+        region = spec.region_index(base.cell_centers()).reshape(base.height, base.width)
+        level1 = np.empty((base.height, base.width, feature_dim // 2), complex)
+        for i, r in enumerate(spec.regions):
+            field.lattice(r, base, slice(None), level1, region == i)
+        levels = {1: level1.view(float)}
+        for s, parent in sorted(POOL_PARENT.items())[1:]:
+            levels[s] = cascade._pool(levels[parent], s // parent)
+        out.append(levels)
+    return out
+
+
+@pytest.mark.parametrize("base", [56, 224])
+@pytest.mark.parametrize(
+    "scene",
+    [
+        affine_scene([[1.02, 0.03], [-0.03, 0.98]], (0.1, -0.05)),
+        two_translation_scene((-0.2, 0.0), (0.2, 0.05)),  # a vertical boundary inside every band
+        three_strip_scene(),  # at base 224 each boundary falls inside a band
+        two_halves_scene(),  # at base 224 the boundary is a band edge
+        translation_scene((2.5, -1.5)),
+    ],
+    ids=["affine", "two-translation", "three-strip", "two-halves", "out-of-extent"],
+)
+def test_banded_synth_pyramid_equals_the_whole_grid_build(monkeypatch, scene, base):
+    grid = GridSpec(base, base)
+    want = whole_grid_pyramids(scene, grid, 32, seed=base)
+    for pair in serial_and_threaded(monkeypatch, lambda: synth_pyramid(scene, grid, seed=base)):
+        for pyr, levels in zip(pair, want):
+            assert list(pyr.levels) == list(CORR_WINDOWS)
+            stored = [s for s, f in pyr.levels.items() if isinstance(f, np.ndarray)]
+            assert stored == [s for s, w in CORR_WINDOWS.items() if w]  # the levels a refining stage reads
+            for s in CORR_WINDOWS:
+                got = pyr.features(s)
+                assert got.flags.c_contiguous and np.array_equal(got, levels[s])
+
+
+def test_lattice_writes_a_whole_band_as_the_masked_write_does():
+    field, base = FeatureField(32, seed=3), GridSpec(224, 224)
+    region = affine_scene([[1.02, 0.03], [-0.03, 0.98]], (0.1, -0.05)).regions[0]
+    rows = slice(56, 112)
+    whole = np.empty((56, 224, 16), complex)
+    field.lattice(region, base, rows, whole, np.ones((56, 224), bool))
+    where = np.ones((56, 224), bool)
+    where[7, 9] = False
+    masked = np.full_like(whole, np.nan)
+    field.lattice(region, base, rows, masked, where)
+    assert np.array_equal(masked[where], whole[where]) and np.isnan(masked[7, 9]).all()
+
+
+# Strides 14, 8 and 4 at base 224 and D = 32: (16² + 28² + 56²) · 32 · 8 bytes.
+STORED_BYTES_224 = 1_069_056
+
+
+def test_a_base_224_pair_retains_only_the_levels_a_stage_reads(monkeypatch):
+    monkeypatch.setattr(cascade, "_usable_cpus", lambda: 1)
+    scene = two_translation_scene((-0.2, 0.0), (0.2, 0.05))
+    synth_pyramid(scene, GridSpec(224, 224), seed=3)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        pair = synth_pyramid(scene, GridSpec(224, 224), seed=3)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    for pyr in pair:
+        assert sum(f.nbytes for f in pyr.levels.values() if isinstance(f, np.ndarray)) == STORED_BYTES_224
+    assert retained <= 2 * STORED_BYTES_224 + 16_384  # the level arrays plus a few small objects
+
+
+def test_the_cascade_never_builds_a_pass_through_level(monkeypatch):
+    base = GridSpec(224, 224)
+    scene = random_affine_scene(np.random.default_rng(21))
+    pyrA, pyrB = synth_pyramid(scene, base, seed=21)
+    states = {s: scene_true_warp(scene, pyrA.grid(s)) for s, w in CORR_WINDOWS.items() if w == 0}
+    coarse = scene_true_warp(scene, pyrA.grid(14))
+    # Building a pass-through level allocates the whole stride-1 level. Sixteen
+    # serial row blocks keep each refiner's gather far below that size.
+    level1_bytes = base.n_cells * 32 * 8
+    monkeypatch.setattr(cascade, "_usable_cpus", lambda: 16)
+    monkeypatch.setattr(cascade, "PARALLEL_MIN_ELEMENTS", 1 << 62)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, call in [
+            ("grid", lambda: [pyrA.grid(s) for s in CORR_WINDOWS]),
+            ("analytic_refiner", lambda: [analytic_refiner(w, pyrA, pyrB, s) for s, w in states.items()]),
+            ("run_cascade", lambda: run_cascade(pyrA, pyrB, coarse)),
+            ("features(2)", lambda: pyrA.features(2)),  # the measure sees a build
+        ]:
+            tracemalloc.reset_peak()
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peaks.pop("features(2)") > level1_bytes
+    assert all(peak < level1_bytes for peak in peaks.values()), peaks
 
 
 @pytest.mark.parametrize("feature_dim", [4, 32])
