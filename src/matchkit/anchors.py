@@ -100,7 +100,8 @@ def to_warp(probs: AnchorProbs, grid: AnchorGrid) -> WarpField:
     if probs.pi.shape[1] != grid.count:
         raise ValueError("pi width does not match anchor count")
     pi = probs.pi
-    kstar = np.argmax(pi, axis=1)  # first max wins, matching the tie rule
+    # First max wins (the tie rule); argmax of the max mask, as argmax copies a read-only pi whole.
+    kstar = np.argmax(pi == pi.max(axis=1, keepdims=True), axis=1)
     krow, kcol = kstar // grid.cols, kstar % grid.cols
 
     anchors = grid.anchors

@@ -12,26 +12,24 @@ upsampled warp through.
 Stages are strictly isolated: each consumes the previous stage's output as a
 fixed input, so recomputing one stage never changes an earlier one.
 
-Two steps split their array work into one task per CPU the process may
-use: ``synth_pyramid`` builds the source and the target pyramid as two
-tasks, and ``analytic_refiner`` gathers and decodes one block of source rows
-per task. The caller runs the first task; threads started for the call run
-the rest and are joined before it returns, so no thread outlives a call.
-numpy releases the interpreter lock inside that work, each task computes
-what the serial code computes on disjoint data, and the results are
-bit-identical to the serial path. Work too small to repay a thread runs
-serially (``PARALLEL_MIN_ELEMENTS``).
+``analytic_refiner`` splits its array work into one task per CPU the
+process may use: one block of source rows per task. The caller runs the
+first task; threads started for the call run the rest and are joined before
+it returns, so no thread outlives a call. numpy releases the interpreter lock
+inside that work, each task computes what the serial code computes on
+disjoint rows, and the results are bit-identical to the serial path. Work too
+small to repay a thread runs serially (``PARALLEL_MIN_ELEMENTS``).
 
 Real encoder features are out of scope at desk scale; ``synth_pyramid``
 builds smooth band-limited random feature fields (per affine region, row
 phasors times column phasors) whose ground-truth warp is known exactly, which
 makes end-to-end refinement accuracy measurable. Its pyramids store only the
-levels a refining stage reads and rebuild the others on each access.
+levels a refining stage reads and build the others on each access, every
+level straight from the regions' per-axis phasors.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -49,9 +47,8 @@ FREQ_SCALE = 3.2  # std of the feature field's frequencies: its inverse correlat
 # Smallest task, in array elements, worth a thread. Below it a thread
 # costs more than it saves: its own malloc arena raised the peak RSS of the
 # all-base-56 `sparse-boundary` benchmark workload from 81 to 87 MB, and its
-# ops got slower. Base-56 tasks stay below it (pyramid 0.1M elements, refiner
-# stages at most 0.16M); base-224 ones are above (pyramid 1.6M, refiner row
-# blocks 0.6M-1.3M on two CPUs).
+# ops got slower. Base-56 refiner stages stay below it (at most 0.16M
+# elements); base-224 ones are above (row blocks 0.6M-1.3M on two CPUs).
 PARALLEL_MIN_ELEMENTS = 1 << 18
 
 _LOGIT_EPS = 1e-7
@@ -129,8 +126,9 @@ class FeatureField:
     their displacement: ``sum_j cos(w_j . delta) / n_pairs``. That makes
     local correlation surfaces symmetric around the true match with no
     location-dependent fluctuations. The frequencies are drawn with standard
-    deviation ``FREQ_SCALE``. A call evaluates scattered points, ``lattice``
-    the cell centres of a grid; a phase ``w.y + psi`` that overflows is refused.
+    deviation ``FREQ_SCALE``. A call evaluates scattered points, ``phasors``
+    the per-axis factors of the field on a grid's cell centres; a phase
+    ``w.y + psi`` that overflows is refused.
     """
 
     def __init__(self, feature_dim: int, seed: int):
@@ -152,21 +150,21 @@ class FeatureField:
         np.sin(theta, out=out[..., 1])
         return out.reshape(theta.shape[0], -1)
 
-    def lattice(self, region: AffineRegion, grid: GridSpec, rows: slice, out: np.ndarray, where: np.ndarray):
-        """Write the field at ``A p + t`` into complex ``out`` where ``where`` holds.
+    def phasors(self, region: AffineRegion, grid: GridSpec, where: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row phasors ``(W, pairs)`` and column phasors ``(H, pairs)`` of the field at ``A p + t``.
 
-        ``p`` runs over the cell centres of ``grid``'s ``rows``. A pair's phase ``(A^T w).p + w.t + psi`` is affine
-        in ``p``, so it is a row phasor times a column phasor: ``H + W`` cos/sin calls per pair, not ``H * W``.
-        ``out.view(float)`` is the call's ``(rows, W, D)``, to a few ulp.
+        ``p`` runs over the cell centres of ``grid``. A pair's phase ``(A^T w).p + w.t + psi`` is affine in ``p``,
+        so at cell ``(i, k)`` the pair's ``cos + i sin`` is ``col[i] * row[k]``: ``H + W`` cos/sin calls per pair,
+        not ``H * W``. A non-finite phase is refused where a cell of the ``(H, W)`` mask ``where`` uses it.
         """
         with np.errstate(over="ignore", invalid="ignore"):  # refused below if a cell uses them
             freqs = self.freqs @ region.linear  # row j: (A^T w_j)^T
             theta_x = np.multiply.outer(grid.axis_centers_x(), freqs[:, 0]) + (self.freqs @ region.offset + self.phases)
-            theta_y = np.multiply.outer(grid.axis_centers_y()[rows], freqs[:, 1])
+            theta_y = np.multiply.outer(grid.axis_centers_y(), freqs[:, 1])
             row, col = (np.cos(theta) + 1j * np.sin(theta) for theta in (theta_x, theta_y))
         used = np.concatenate([theta_x[where.any(axis=0)], theta_y[where.any(axis=1)]])
-        _check_phases(used, lambda: region.map_points(grid.cell_centers().reshape(grid.height, -1, 2)[rows][where]))
-        np.multiply(col[:, None], row, out=out, where=True if where.all() else where[..., None])  # True: unmasked
+        _check_phases(used, lambda: region.map_points(grid.cell_centers()[where.reshape(-1)]))
+        return row, col
 
 
 def _check_phases(theta: np.ndarray, points: Callable[[], np.ndarray]) -> None:
@@ -175,13 +173,40 @@ def _check_phases(theta: np.ndarray, points: Callable[[], np.ndarray]) -> None:
             raise ValueError(f"feature field phases are not finite at points of magnitude {np.abs(points()).max():.3g}")
 
 
-def _pool(level: np.ndarray, factor: int) -> np.ndarray:
-    """Means of ``factor x factor`` blocks: the block's cells summed in row-major order, then divided by factor^2."""
-    total = level[::factor, ::factor].copy()
-    for k in range(1, factor * factor):
-        total += level[k // factor :: factor, k % factor :: factor]
-    total /= factor * factor
-    return total
+def _levels(field: FeatureField, scene: SceneSpec, base: GridSpec, strides: Sequence[int]) -> dict[int, np.ndarray]:
+    """The field's ``(H, W, D)`` block means over ``base`` at each stride, straight from per-axis phasors.
+
+    A block wholly in region r is the mean of r's column phasors over its rows times the mean of r's row
+    phasors over its columns; a block that straddles regions is the explicit mean of its cells, each the
+    column x row product of its own region. Only stride 1 allocates a stride-1 array.
+    """
+    ids = scene.region_index(base.cell_centers()).reshape(base.height, base.width)
+    axes = [field.phasors(r, base, ids == i) for i, r in enumerate(scene.regions)]
+    ys, xs = np.nonzero(ids[:, 1:] != ids[:, :-1])  # cell (y, x) differs from (y, x + 1)
+    yd, xd = np.nonzero(ids[1:] != ids[:-1])  # cell (y, x) differs from (y + 1, x)
+    out = {}
+    for s in strides:
+        first = ids[::s, ::s]  # each block's first cell
+        h, w = first.shape
+        pure = np.ones((h, w), bool)  # a block straddles when two adjacent cells in it differ
+        cut = (xs + 1) % s > 0  # both cells in one block
+        pure[ys[cut] // s, xs[cut] // s] = False
+        cut = (yd + 1) % s > 0
+        pure[yd[cut] // s, xd[cut] // s] = False
+        level = np.empty((h, w, field.phases.size), complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # phases no cell uses may be non-finite
+            for i, (row, col) in enumerate(axes):
+                col_mean, row_mean = col.reshape(h, s, -1).mean(axis=1), row.reshape(w, s, -1).mean(axis=1)
+                np.multiply(col_mean[:, None], row_mean, out=level, where=(pure & (first == i))[..., None])
+        bi, bk = np.nonzero(~pure)
+        if len(bi):
+            r = bi[:, None, None] * s + np.arange(s)[:, None]  # (n, s, 1): the rows of each straddling block
+            c = bk[:, None, None] * s + np.arange(s)  # (n, 1, s): its columns
+            reg = ids[r, c]
+            rows, cols = (np.stack(a) for a in zip(*axes))  # (regions, W, pairs), (regions, H, pairs)
+            level[bi, bk] = (cols[reg, r] * rows[reg, c]).mean(axis=(1, 2))
+        out[s] = level.view(float)  # cos and sin interleaved per pair
+    return out
 
 
 def synth_pyramid(
@@ -194,53 +219,29 @@ def synth_pyramid(
 
     Target features sample the field at target cell centers; source features
     sample it at each source cell's ground-truth warped location (defined even
-    outside the extent, mimicking content that left the frame), evaluated
-    region by region with ``FeatureField.lattice``. Each coarser level pools
-    the coarsest finer level whose stride divides its own (2 from 1, 4 from 2,
-    8 from 4, 14 from 2): a block mean of the stride-1 level up to rounding.
+    outside the extent, mimicking content that left the frame). Every level
+    is the block mean of that stride-1 field, computed by ``_levels`` from each
+    region's per-axis phasors (``FeatureField.phasors``), to a few ulp.
 
     A pyramid stores only the levels a refining stage reads (window > 0:
     strides 14, 8 and 4, 1.07 MB at base 224 and D = 32 instead of 17.1 MB
-    for all five). They are built in bands of ``lcm(*CORR_WINDOWS)`` = 56 base
-    rows, which every stride divides, so each band pools on its own and the
-    whole stride-1 level is never allocated. A pass-through level (strides 2
-    and 1) is rebuilt by the same code, the whole grid as one band, on each
-    access (3–6 ms at base 224). The two pyramids are built on separate
-    threads when they are large enough (see ``_parallel_map``).
+    for all five), built here. A pass-through level (strides 2 and 1) is built
+    by the same code on each access and not cached (about 2 ms for stride 2 and
+    4 ms for stride 1 at base 224).
     """
     validate_base(base)
     field = FeatureField(feature_dim, seed)
     stored = [s for s, window in CORR_WINDOWS.items() if window]
 
-    def bands(spec: SceneSpec, band: int, top: int):
-        """Per ``band`` base rows: the first row, and the levels of strides up to ``top`` (stride 1 in one buffer)."""
-        centers = base.cell_centers().reshape(base.height, base.width, 2)
-        level1 = np.empty((band, base.width, feature_dim // 2), complex)  # fresh pages per band would each fault
-        for y in range(0, base.height, band):
-            rows = slice(y, y + band)
-            region = spec.region_index(centers[rows].reshape(-1, 2)).reshape(band, base.width)
-            for i, r in enumerate(spec.regions):
-                field.lattice(r, base, rows, level1, region == i)
-            levels = {1: level1.view(float)}  # (rows, W, D): cos and sin interleaved per pair
-            for s in sorted(CORR_WINDOWS)[1:]:
-                if s <= top:
-                    parent = max(t for t in levels if s % t == 0)
-                    levels[s] = _pool(levels[parent], s // parent)
-            yield y, levels
-
     def build(spec: SceneSpec) -> FeaturePyramid:
-        arrays = {s: np.empty((base.height // s, base.width // s, feature_dim)) for s in stored}
-        band = math.lcm(*CORR_WINDOWS)
-        for y, levels in bands(spec, band, max(stored)):
-            for s in stored:
-                arrays[s][y // s : (y + band) // s] = levels[s]
+        arrays = _levels(field, spec, base, stored)
 
-        def rebuild(s: int) -> np.ndarray:
-            return next(bands(spec, base.height, s))[1][s]
+        def on_access(s: int) -> np.ndarray:
+            return _levels(field, spec, base, [s])[s]
 
-        return FeaturePyramid({s: arrays.get(s, partial(rebuild, s)) for s in CORR_WINDOWS})
+        return FeaturePyramid({s: arrays.get(s, partial(on_access, s)) for s in CORR_WINDOWS})
 
-    return tuple(_parallel_map(build, [scene, identity_scene()], base.n_cells * feature_dim))
+    return build(scene), build(identity_scene())
 
 
 def _logit(p: np.ndarray) -> np.ndarray:

@@ -37,9 +37,10 @@ from . import (
     to_warp,
     two_translation_scene,
 )
-from .cascade import CORR_WINDOWS, run_cascade, scene_true_warp, stage_epes, synth_pyramid, upsample_warp
+from .cascade import CORR_WINDOWS, FeatureField, run_cascade, scene_true_warp, stage_epes, synth_pyramid, upsample_warp
 from .grids import containing_cells, in_extent
 from .sampling import KDE_BLOCK_ENTRIES
+from .scalespace import AffineRegion, SceneSpec
 from .steering import random_c4_steering
 
 
@@ -179,10 +180,16 @@ def _metric_oracles() -> None:
 
 
 def _pyramid_block_means() -> None:
-    for pyr in synth_pyramid(two_translation_scene(), GridSpec(56, 56), feature_dim=8, seed=8):
+    # A diagonal motion boundary cuts blocks at every stride; the oracle is the field at each mapped centre.
+    scene = SceneSpec((AffineRegion(lambda p: p[:, 0] + p[:, 1] < 0.1, np.diag([1.02, 0.98]), np.array([0.05, -0.1])),
+                       AffineRegion(lambda p: p[:, 0] + p[:, 1] >= 0.1, np.eye(2), np.array([-0.1, 0.05]))))
+    base, field = GridSpec(56, 56), FeatureField(8, seed=8)
+    centers = base.cell_centers()
+    for pyr, pts in zip(synth_pyramid(scene, base, feature_dim=8, seed=8), (scene.map_points(centers), centers)):
+        level1 = field(pts).reshape(56, 56, 8)
         for s in CORR_WINDOWS:
-            want = pyr.features(1).reshape(56 // s, s, 56 // s, s, 8).mean(axis=(1, 3))
-            _check(np.max(np.abs(pyr.features(s) - want)) < 1e-12, f"stride-{s} level is not a block mean")
+            want = level1.reshape(56 // s, s, 56 // s, s, 8).mean(axis=(1, 3))
+            _check(np.max(np.abs(pyr.features(s) - want)) < 1e-12, f"stride-{s} level is not a block mean of the field")
 
 
 def _pass_through_stage_epes() -> None:

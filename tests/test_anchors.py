@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,31 @@ def test_to_warp_two_adjacent_anchors_midpoint():
     w = to_warp(AnchorProbs(src, pi, np.array([1.0])), grid)
     midpoint = (grid.anchors[1] + grid.anchors[2]) / 2
     assert np.allclose(w.target_coords[0, 0], midpoint, atol=1e-12)
+
+
+def test_to_warp_decodes_around_the_first_of_tied_maxima():
+    grid = build_anchor_grid(3, 3)
+    pi = np.full((1, 9), 0.05)
+    pi[0, 1] = pi[0, 7] = 0.325  # anchors (0, 1) and (2, 1) tie
+    w = to_warp(AnchorProbs(GridSpec(1, 1), pi, np.array([1.0])), grid)
+    assert np.allclose(w.target_coords[0, 0], literal_to_warp(pi[0], grid), atol=1e-12)
+    assert w.target_coords[0, 0, 1] < grid.anchors[4][1]  # pulled towards anchor 1, the first
+
+
+def test_to_warp_does_not_copy_the_read_only_probabilities():
+    rng = np.random.default_rng(13)
+    grid = build_anchor_grid(64, 64)
+    src = GridSpec(16, 16)
+    probs = random_probs(rng, src, grid.count)
+    assert probs.pi.shape == (256, 4096) and not probs.pi.flags.writeable
+    to_warp(probs, grid)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        to_warp(probs, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak  # a copy of pi alone is 8.4 MB
 
 
 def test_to_warp_matches_literal_rule():

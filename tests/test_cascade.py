@@ -137,20 +137,18 @@ def block_mean_oracle(level, factor):
     return out
 
 
-# Each level pools the coarsest finer level whose stride divides its own.
-POOL_PARENT = {1: 1, 2: 1, 4: 2, 8: 4, 14: 2}
+# A level entry is a mean of at most 14² = 196 terms of magnitude <= 1, each
+# within an ulp of its value, so two orders of summation differ by at most
+# 196 · 2⁻⁵³ ≈ 2.2e-14.
+LEVEL_ATOL = 2.5e-14
 
 
 def test_synth_pyramid_levels_are_block_means_of_its_stride_1_level():
     scene = random_affine_scene(np.random.default_rng(4))
-    assert set(POOL_PARENT) == set(CORR_WINDOWS)
     for pyr in synth_pyramid(scene, BASE, feature_dim=8, seed=4):
         level1 = pyr.features(1)
-        for s, parent in POOL_PARENT.items():
-            got = pyr.features(s)
-            assert np.array_equal(got, block_mean_oracle(pyr.features(parent), s // parent))
-            want = level1.reshape(56 // s, s, 56 // s, s, 8).mean(axis=(1, 3))
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        for s in CORR_WINDOWS:
+            np.testing.assert_allclose(pyr.features(s), block_mean_oracle(level1, s), rtol=0, atol=LEVEL_ATOL)
 
 
 def three_strip_scene():
@@ -165,67 +163,13 @@ def three_strip_scene():
 
 
 def two_halves_scene():
-    """Top and bottom halves with their own motion: at base 224 the split y = 0 is the edge between two bands."""
+    """Top and bottom halves with their own motion, split at y = 0: a block edge at every stride and base."""
     return SceneSpec(
         (
             AffineRegion(lambda p: p[:, 1] < 0.0, np.array([[1.02, 0.0], [0.01, 0.99]]), np.array([0.1, 0.0])),
             AffineRegion(lambda p: p[:, 1] >= 0.0, np.eye(2), np.array([-0.1, 0.05])),
         )
     )
-
-
-def whole_grid_pyramids(scene, base, feature_dim, seed):
-    """Every level of both pyramids built from the whole stride-1 level at once: the oracle of the banded build."""
-    field = FeatureField(feature_dim, seed)
-    out = []
-    for spec in (scene, identity_scene()):
-        region = spec.region_index(base.cell_centers()).reshape(base.height, base.width)
-        level1 = np.empty((base.height, base.width, feature_dim // 2), complex)
-        for i, r in enumerate(spec.regions):
-            field.lattice(r, base, slice(None), level1, region == i)
-        levels = {1: level1.view(float)}
-        for s, parent in sorted(POOL_PARENT.items())[1:]:
-            levels[s] = cascade._pool(levels[parent], s // parent)
-        out.append(levels)
-    return out
-
-
-@pytest.mark.parametrize("base", [56, 224])
-@pytest.mark.parametrize(
-    "scene",
-    [
-        affine_scene([[1.02, 0.03], [-0.03, 0.98]], (0.1, -0.05)),
-        two_translation_scene((-0.2, 0.0), (0.2, 0.05)),  # a vertical boundary inside every band
-        three_strip_scene(),  # at base 224 each boundary falls inside a band
-        two_halves_scene(),  # at base 224 the boundary is a band edge
-        translation_scene((2.5, -1.5)),
-    ],
-    ids=["affine", "two-translation", "three-strip", "two-halves", "out-of-extent"],
-)
-def test_banded_synth_pyramid_equals_the_whole_grid_build(monkeypatch, scene, base):
-    grid = GridSpec(base, base)
-    want = whole_grid_pyramids(scene, grid, 32, seed=base)
-    for pair in serial_and_threaded(monkeypatch, lambda: synth_pyramid(scene, grid, seed=base)):
-        for pyr, levels in zip(pair, want):
-            assert list(pyr.levels) == list(CORR_WINDOWS)
-            stored = [s for s, f in pyr.levels.items() if isinstance(f, np.ndarray)]
-            assert stored == [s for s, w in CORR_WINDOWS.items() if w]  # the levels a refining stage reads
-            for s in CORR_WINDOWS:
-                got = pyr.features(s)
-                assert got.flags.c_contiguous and np.array_equal(got, levels[s])
-
-
-def test_lattice_writes_a_whole_band_as_the_masked_write_does():
-    field, base = FeatureField(32, seed=3), GridSpec(224, 224)
-    region = affine_scene([[1.02, 0.03], [-0.03, 0.98]], (0.1, -0.05)).regions[0]
-    rows = slice(56, 112)
-    whole = np.empty((56, 224, 16), complex)
-    field.lattice(region, base, rows, whole, np.ones((56, 224), bool))
-    where = np.ones((56, 224), bool)
-    where[7, 9] = False
-    masked = np.full_like(whole, np.nan)
-    field.lattice(region, base, rows, masked, where)
-    assert np.array_equal(masked[where], whole[where]) and np.isnan(masked[7, 9]).all()
 
 
 # Strides 14, 8 and 4 at base 224 and D = 32: (16² + 28² + 56²) · 32 · 8 bytes.
@@ -247,33 +191,100 @@ def test_a_base_224_pair_retains_only_the_levels_a_stage_reads(monkeypatch):
     assert retained <= 2 * STORED_BYTES_224 + 16_384  # the level arrays plus a few small objects
 
 
-def test_the_cascade_never_builds_a_pass_through_level(monkeypatch):
+def test_the_cascade_never_builds_a_pass_through_level():
     base = GridSpec(224, 224)
     scene = random_affine_scene(np.random.default_rng(21))
-    pyrA, pyrB = synth_pyramid(scene, base, seed=21)
+    calls = []
+
+    def counted(pyr):
+        def wrap(s, build):
+            return lambda: calls.append(s) or build()
+
+        return FeaturePyramid({s: wrap(s, f) if callable(f) else f for s, f in pyr.levels.items()})
+
+    pyrA, pyrB = map(counted, synth_pyramid(scene, base, seed=21))
+    assert [s for s, f in pyrA.levels.items() if callable(f)] == [s for s, w in CORR_WINDOWS.items() if w == 0]
     states = {s: scene_true_warp(scene, pyrA.grid(s)) for s, w in CORR_WINDOWS.items() if w == 0}
     coarse = scene_true_warp(scene, pyrA.grid(14))
-    # Building a pass-through level allocates the whole stride-1 level. Sixteen
-    # serial row blocks keep each refiner's gather far below that size.
-    level1_bytes = base.n_cells * 32 * 8
-    monkeypatch.setattr(cascade, "_usable_cpus", lambda: 16)
-    monkeypatch.setattr(cascade, "PARALLEL_MIN_ELEMENTS", 1 << 62)
-    peaks = {}
+    for name, call in [
+        ("grid", lambda: [pyrA.grid(s) for s in CORR_WINDOWS]),
+        ("analytic_refiner", lambda: [analytic_refiner(w, pyrA, pyrB, s) for s, w in states.items()]),
+        ("run_cascade", lambda: run_cascade(pyrA, pyrB, coarse)),
+    ]:
+        call()
+        assert calls == [], name
+    # Building a pass-through level allocates no stride-1 array either.
     tracemalloc.start()
     try:
-        for name, call in [
-            ("grid", lambda: [pyrA.grid(s) for s in CORR_WINDOWS]),
-            ("analytic_refiner", lambda: [analytic_refiner(w, pyrA, pyrB, s) for s, w in states.items()]),
-            ("run_cascade", lambda: run_cascade(pyrA, pyrB, coarse)),
-            ("features(2)", lambda: pyrA.features(2)),  # the measure sees a build
-        ]:
-            tracemalloc.reset_peak()
-            call()
-            peaks[name] = tracemalloc.get_traced_memory()[1]
+        assert pyrA.features(2).shape == (112, 112, 32) and calls == [2]
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peaks.pop("features(2)") > level1_bytes
-    assert all(peak < level1_bytes for peak in peaks.values()), peaks
+    assert peak < base.n_cells * 32 * 8, peak
+
+
+def diagonal_scene():
+    """Two regions split along the diagonal x + y = 0.1: the boundary cuts blocks at every stride."""
+    below = lambda p: p[:, 0] + p[:, 1] < 0.1
+    return SceneSpec(
+        (
+            AffineRegion(below, np.array([[1.02, 0.01], [0.0, 0.98]]), np.array([0.05, -0.1])),
+            AffineRegion(lambda p: ~below(p), np.eye(2), np.array([-0.1, 0.05])),
+        )
+    )
+
+
+def disc_scene():
+    """A rotating disc over a translating background."""
+    inside = lambda p: p[:, 0] ** 2 + (p[:, 1] - 0.1) ** 2 < 0.35
+    return SceneSpec(
+        (
+            AffineRegion(inside, np.array([[0.97, -0.03], [0.03, 0.97]]), np.array([0.1, 0.0])),
+            AffineRegion(lambda p: ~inside(p), np.eye(2), np.array([-0.05, 0.02])),
+        )
+    )
+
+
+@pytest.mark.parametrize("base", [56, 112, 224])
+@pytest.mark.parametrize(
+    "scene",
+    [
+        affine_scene([[1.02, 0.03], [-0.03, 0.98]], (0.1, -0.05)),
+        two_translation_scene((-0.2, 0.0), (0.2, 0.05)),
+        three_strip_scene(),
+        two_halves_scene(),
+        translation_scene((2.5, -1.5)),  # every target outside the extent
+        diagonal_scene(),
+        disc_scene(),
+    ],
+    ids=["affine", "two-translation", "three-strip", "two-halves", "out-of-extent", "diagonal", "disc"],
+)
+def test_every_level_is_a_block_mean_of_the_field_at_mapped_centers(scene, base):
+    grid = GridSpec(base, base)
+    field = FeatureField(32, seed=base)
+    centers = grid.cell_centers()
+    pair = synth_pyramid(scene, grid, seed=base)
+    for pyr, pts in zip(pair, (scene.map_points(centers), centers)):
+        assert list(pyr.levels) == list(CORR_WINDOWS)
+        stored = [s for s, f in pyr.levels.items() if isinstance(f, np.ndarray)]
+        assert stored == [s for s, w in CORR_WINDOWS.items() if w]  # the levels a refining stage reads
+        level1 = field(pts).reshape(base, base, 32)
+        for s in CORR_WINDOWS:
+            got = pyr.features(s)
+            assert got.shape == (base // s, base // s, 32) and got.flags.c_contiguous
+            want = level1.reshape(base // s, s, base // s, s, 32).mean(axis=(1, 3))
+            np.testing.assert_allclose(got, want, rtol=0, atol=LEVEL_ATOL)
+
+
+@pytest.mark.parametrize("scene", [diagonal_scene(), disc_scene()], ids=["diagonal", "disc"])
+@pytest.mark.parametrize("base", [56, 112, 224])
+def test_the_curved_boundaries_cut_stored_blocks(scene, base):
+    # The oracle test above then covers blocks that straddle regions.
+    grid = GridSpec(base, base)
+    ids = scene.region_index(grid.cell_centers()).reshape(base, base)
+    for s in (14, 8, 4):
+        blocks = ids.reshape(base // s, s, base // s, s)
+        assert np.any(blocks.min(axis=(1, 3)) != blocks.max(axis=(1, 3))), s
 
 
 @pytest.mark.parametrize("feature_dim", [4, 32])
@@ -290,7 +301,7 @@ def test_the_cascade_never_builds_a_pass_through_level(monkeypatch):
     ids=["affine-random", "affine", "two-translation", "three-strip", "out-of-extent"],
 )
 def test_synth_pyramid_stride_1_matches_the_field_at_mapped_centers(scene, base, feature_dim):
-    # The lattice path multiplies per-axis phasors; the scattered call is its oracle.
+    # The level multiplies per-axis phasors; the scattered call is its oracle.
     grid = GridSpec(base, base)
     field = FeatureField(feature_dim, seed=base + feature_dim)
     centers = grid.cell_centers()
@@ -344,8 +355,8 @@ def test_synth_pyramid_refuses_non_finite_phases(scene, magnitude):
         synth_pyramid(scene, BASE, seed=1)
 
 
-def test_lattice_skips_phases_no_region_cell_uses():
-    # A region that holds no cell centre may have any motion: the lattice never reads it.
+def test_phasors_skip_phases_no_region_cell_uses():
+    # A region that holds no cell centre may have any motion: no level reads its phasors.
     scene = SceneSpec(
         (
             AffineRegion(lambda p: np.abs(p[:, 0]) > 1e-3, np.eye(2), np.zeros(2)),
@@ -763,7 +774,7 @@ def test_cascade_monotone_epe_on_random_scenes():
     assert failures == 0
 
 
-# --- the threads behind synth_pyramid and analytic_refiner ---------------
+# --- the threads behind analytic_refiner ---------------------------------
 
 
 def run_with_timeout(fn, seconds=60):
@@ -877,21 +888,6 @@ def serial_and_threaded(monkeypatch, fn, threshold=False):
 
 
 @pytest.mark.parametrize("threshold", [False, True])
-@pytest.mark.parametrize(
-    "scene",
-    [affine_scene([[1.02, 0.03], [-0.03, 0.98]], (0.1, -0.05)), two_translation_scene((-0.2, 0.0), (0.2, 0.05))],
-)
-def test_synth_pyramid_threads_are_bit_identical_to_serial(monkeypatch, scene, threshold):
-    base = GridSpec(224, 224)
-    assert base.n_cells * 32 >= BIG  # the threaded run really starts a thread
-    serial, threaded = serial_and_threaded(monkeypatch, lambda: synth_pyramid(scene, base, seed=7), threshold)
-    for got, want in zip(threaded, serial):
-        assert list(got.levels) == list(want.levels)
-        for s in CORR_WINDOWS:
-            assert np.array_equal(got.features(s), want.features(s))
-
-
-@pytest.mark.parametrize("threshold", [False, True])
 @pytest.mark.parametrize("stride", [14, 8, 4])
 def test_analytic_refiner_threads_are_bit_identical_to_serial(monkeypatch, stride, threshold):
     base = GridSpec(224, 224)
@@ -921,8 +917,8 @@ def run_fresh(code):
 def test_no_thread_outlives_a_call():
     # Base-56 work stays below PARALLEL_MIN_ELEMENTS, so it never pays for a
     # thread (and the memory arena that comes with one), even with two CPUs,
-    # nor for importing concurrent.futures. Base-224 work starts threads and
-    # joins them before returning.
+    # nor for importing concurrent.futures. Base-224 refining starts threads
+    # and joins them before returning; building the pyramids starts none.
     counts = run_fresh(
         """
 import sys, threading
@@ -933,21 +929,21 @@ from matchkit.scalespace import affine_scene
 cascade._usable_cpus = lambda: 2
 print(threading.active_count())
 scene = affine_scene([[1.01, 0.02], [-0.02, 0.99]], (0.05, -0.03))
-pa, pb = mk.synth_pyramid(scene, mk.GridSpec(56, 56))
-true14 = mk.scene_true_warp(scene, mk.GridSpec(4, 4))
-mk.run_cascade(pa, pb, mk.WarpField(true14.grid, true14.target_coords, np.full((4, 4), 0.5)))
-print(threading.active_count(), 'concurrent.futures' in sys.modules)
-mk.synth_pyramid(scene, mk.GridSpec(224, 224))
-print(threading.active_count(), 'concurrent.futures' in sys.modules)
+for base in (56, 224):
+    pa, pb = mk.synth_pyramid(scene, mk.GridSpec(base, base))
+    print(threading.active_count(), 'concurrent.futures' in sys.modules)
+    true14 = mk.scene_true_warp(scene, pa.grid(14))
+    mk.run_cascade(pa, pb, mk.WarpField(true14.grid, true14.target_coords, np.full(true14.certainty.shape, 0.5)))
+    print(threading.active_count(), 'concurrent.futures' in sys.modules)
 """
     )
-    assert counts == ["1", "1", "False", "1", "True"]
+    assert counts == ["1", "1", "False", "1", "False", "1", "False", "1", "True"]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_gets_a_working_pool():
-    # The child of a fork inherits the pool object but not its threads; it
-    # must start its own instead of waiting forever on the inherited queue.
+    # The child of a fork inherits the parent's memory but not its threads;
+    # its threaded refining must start threads of its own.
     out = run_fresh(
         """
 import os
@@ -956,10 +952,12 @@ from matchkit import cascade
 from matchkit.scalespace import translation_scene
 cascade._usable_cpus = lambda: 2
 base, scene = mk.GridSpec(224, 224), translation_scene((0.1, 0.0))
-want = mk.synth_pyramid(scene, base)[0].features(1)
+pa, pb = mk.synth_pyramid(scene, base)
+coarse = mk.scene_true_warp(scene, pa.grid(14))
+want = mk.run_cascade(pa, pb, coarse)[0].target_coords
 pid = os.fork()
 if pid == 0:
-    got = mk.synth_pyramid(scene, base)[0].features(1)
+    got = mk.run_cascade(pa, pb, coarse)[0].target_coords
     os._exit(0 if (got == want).all() else 3)
 print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
