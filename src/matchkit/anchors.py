@@ -60,7 +60,7 @@ class AnchorProbs:
         m = _readonly(np.atleast_1d(self.matchability))
         if pi.ndim != 2 or pi.shape[0] != self.source.n_cells:
             raise ValueError(f"pi shape {pi.shape} does not match source grid")
-        if np.any(pi < 0) or not np.all(np.isfinite(pi)):
+        if not (pi.min(initial=0.0) >= 0 and pi.max(initial=0.0) < np.inf):  # NaN fails both; no (N, K) mask
             raise ValueError("anchor probabilities must be finite and nonnegative")
         rows = pi.sum(axis=1)
         if np.any(np.abs(rows - 1.0) > ROW_SUM_TOL):
@@ -141,6 +141,7 @@ def gaussian_anchor_probs(grid: AnchorGrid, means: np.ndarray, sigma: float) -> 
     and renormalizes the in-extent mass to one, refusing a row that has none
     (a mean ~8 sigma outside, or a sigma so wide that every cell rounds to 0).
     Useful for building synthetic AnchorProbs whose decoding error can be bounded.
+    The result is read-only.
     """
     if not 0 < sigma < np.inf:  # also refuses NaN
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
@@ -153,10 +154,12 @@ def gaussian_anchor_probs(grid: AnchorGrid, means: np.ndarray, sigma: float) -> 
     cdf_y = _gauss_cdf(edges_y[None, :], means[:, 1:2], sigma)  # (N, rows+1)
     mass_x = np.diff(cdf_x, axis=1)
     mass_y = np.diff(cdf_y, axis=1)
-    pi = (mass_y[:, :, None] * mass_x[:, None, :]).reshape(means.shape[0], grid.count)
+    pi = np.empty((means.shape[0], grid.count))  # owns its memory, so AnchorProbs keeps it uncopied
+    np.multiply(mass_y[:, :, None], mass_x[:, None, :], out=pi.reshape(-1, grid.rows, grid.cols))
     total = pi.sum(axis=1, keepdims=True)
     if np.any(total == 0):
         x, y = means[np.flatnonzero(total == 0)[0]]
         raise ValueError(f"sigma {sigma:g} leaves no mass inside the extent for the mean ({x:g}, {y:g})")
     pi /= total
+    pi.setflags(write=False)
     return pi

@@ -12,14 +12,6 @@ upsampled warp through.
 Stages are strictly isolated: each consumes the previous stage's output as a
 fixed input, so recomputing one stage never changes an earlier one.
 
-``analytic_refiner`` splits its array work into one task per CPU the
-process may use: one block of source rows per task. The caller runs the
-first task; threads started for the call run the rest and are joined before
-it returns, so no thread outlives a call. numpy releases the interpreter lock
-inside that work, each task computes what the serial code computes on
-disjoint rows, and the results are bit-identical to the serial path. Work too
-small to repay a thread runs serially (``PARALLEL_MIN_ELEMENTS``).
-
 Real encoder features are out of scope at desk scale; ``synth_pyramid``
 builds smooth band-limited random feature fields (per affine region, row
 phasors times column phasors) whose ground-truth warp is known exactly, which
@@ -30,7 +22,6 @@ level straight from the regions' per-axis phasors.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping, Sequence
@@ -43,43 +34,11 @@ from .scalespace import AffineRegion, SceneSpec, identity_scene
 # Refiner strides, coarse to fine, each with its correlation window (0: pass-through).
 CORR_WINDOWS = {14: 15, 8: 7, 4: 5, 2: 0, 1: 0}
 FREQ_SCALE = 3.2  # std of the feature field's frequencies: its inverse correlation length
-
-# Smallest task, in array elements, worth a thread. Below it a thread
-# costs more than it saves: its own malloc arena raised the peak RSS of the
-# all-base-56 `sparse-boundary` benchmark workload from 81 to 87 MB, and its
-# ops got slower. Base-56 refiner stages stay below it (at most 0.16M
-# elements); base-224 ones are above (row blocks 0.6M-1.3M on two CPUs).
-PARALLEL_MIN_ELEMENTS = 1 << 18
+# Most similarities one banded gemm of `analytic_refiner` computes (1 MB of float64). Bands must stay
+# cache-sized: at stride 4 and base 224 (2 vCPUs, one BLAS thread) a stage took 8.8 ms at 2^17, 20.4 at 2^21.
+BAND_CAP = 1 << 17
 
 _LOGIT_EPS = 1e-7
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _parallel_map(fn: Callable, items: Sequence, elements: int) -> list:
-    """``[fn(x) for x in items]``, over threads of its own when that can pay.
-
-    ``elements`` is the size of one task in array elements. The tasks run
-    serially when the process may use one CPU, when there is one task, or
-    when a task is smaller than ``PARALLEL_MIN_ELEMENTS``. Otherwise the
-    caller runs the first task and ``cpus - 1`` threads, joined before the
-    return, run the rest. An exception from a task is raised here, that of
-    the first failing task in input order, after every task has finished.
-    """
-    cpus = _usable_cpus()
-    if cpus < 2 or len(items) < 2 or elements < PARALLEL_MIN_ELEMENTS:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor  # ~8 ms: paid by processes that use threads
-
-    with ThreadPoolExecutor(cpus - 1, thread_name_prefix="matchkit") as pool:
-        rest = [pool.submit(fn, item) for item in items[1:]]
-        first = fn(items[0])
-    return [first, *(f.result() for f in rest)]
 
 
 @dataclass(frozen=True)
@@ -313,8 +272,13 @@ def analytic_refiner(
     corrected target coordinate. Window cells keep their lattice
     coordinates, including virtual out-of-extent ones, whose similarity of
     -1 suppresses them. The certainty logit grows by the window's maximum
-    correlation. One block of source rows per CPU is gathered and decoded
-    on its own thread (see ``_parallel_map``).
+    correlation.
+
+    Both sides are normalized once. Consecutive source rows form a block
+    while the block's cells times its target-row band (every target row its
+    windows touch, times the target width) stay within ``BAND_CAP``
+    similarities; each block is one gemm against its band, from which each
+    window's entries are picked.
     """
     if stride not in CORR_WINDOWS:
         raise ValueError(f"stride must be one of {tuple(CORR_WINDOWS)}, got {stride}")
@@ -335,36 +299,37 @@ def analytic_refiner(
     norm_b = np.linalg.norm(feats_b, axis=1)
     if np.any(norm_a == 0) or np.any(norm_b == 0):
         raise ValueError("pyramid features contain a zero-norm cell")
-    coords = state.target_coords.reshape(-1, 2)
+    fa, fb = feats_a / norm_a[:, None], feats_b / norm_b[:, None]
+    r0, c0 = containing_cells(state.target_coords.reshape(-1, 2), tgt)
     offs = np.arange(-(window // 2), window // 2 + 1)
-
-    def refine(rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        r0, c0 = containing_cells(coords[rows], tgt)
-        rr = r0[:, None, None] + offs[None, :, None]  # (n, w, 1)
-        cc = c0[:, None, None] + offs[None, None, :]  # (n, 1, w)
-        valid = (rr >= 0) & (rr < tgt.height) & (cc >= 0) & (cc < tgt.width)
-        flat_idx = np.where(valid, rr * tgt.width + cc, 0)
-        sims = np.einsum("nd,nijd->nij", feats_a[rows], feats_b[flat_idx]) / (
-            norm_a[rows, None, None] * norm_b[flat_idx]
-        )
-        sims = np.where(valid, sims, -1.0)
-        peak = sims.max(axis=(1, 2))
-        with np.errstate(over="ignore"):  # a weight that overflows to -inf is exp's 0, its limit
-            soft = np.exp((sims - peak[:, None, None]) / temperature)
-        soft /= soft.reshape(len(soft), -1).sum(axis=1)[:, None, None]
-        win_x = EXTENT_MIN + (cc + 0.5) * tgt.cell_width
-        win_y = EXTENT_MIN + (rr + 0.5) * tgt.cell_height
-        new_x, new_y = ((soft * win).reshape(len(soft), -1).sum(axis=1) for win in (win_x, win_y))
-        return new_x, new_y, peak
-
-    # Rows are independent, so the blocks concatenate to exactly the single-block result.
-    n, parts = grid.n_cells, _usable_cpus()
-    blocks = _parallel_map(
-        refine,
-        [slice(n * k // parts, n * (k + 1) // parts) for k in range(parts)],
-        -(-n // parts) * window**2 * feats_a.shape[1],
-    )
-    new_x, new_y, peak = (np.concatenate(pieces) for pieces in zip(*blocks))
+    rr = r0[:, None, None] + offs[None, :, None]  # (n, w, 1)
+    cc = c0[:, None, None] + offs[None, None, :]  # (n, 1, w)
+    by_row = r0.reshape(grid.height, grid.width)
+    lows = np.maximum(by_row.min(axis=1) - window // 2, 0).tolist()  # each source row's target-row band
+    highs = np.minimum(by_row.max(axis=1) + window // 2 + 1, tgt.height).tolist()
+    sims = np.empty((grid.n_cells, window * window))
+    start = 0
+    while start < grid.height:
+        stop, lo, hi = start + 1, lows[start], highs[start]
+        while stop < grid.height:
+            lo_next, hi_next = min(lo, lows[stop]), max(hi, highs[stop])
+            if (stop + 1 - start) * grid.width * (hi_next - lo_next) * tgt.width > BAND_CAP:
+                break
+            stop, lo, hi = stop + 1, lo_next, hi_next
+        cells = slice(start * grid.width, stop * grid.width)
+        band = fa[cells] @ fb[lo * tgt.width : hi * tgt.width].T
+        pick = (np.clip(rr[cells], lo, hi - 1) - lo) * tgt.width + np.clip(cc[cells], 0, tgt.width - 1)
+        sims[cells] = np.take_along_axis(band, pick.reshape(len(band), -1), axis=1)
+        start = stop
+    sims = sims.reshape(-1, window, window)
+    sims[(rr < 0) | (rr >= tgt.height) | (cc < 0) | (cc >= tgt.width)] = -1.0  # cells beyond the extent
+    peak = sims.max(axis=(1, 2))
+    with np.errstate(over="ignore"):  # a weight that overflows to -inf is exp's 0, its limit
+        soft = np.exp((sims - peak[:, None, None]) / temperature)
+    soft /= soft.reshape(len(soft), -1).sum(axis=1)[:, None, None]
+    win_x = EXTENT_MIN + (cc + 0.5) * tgt.cell_width
+    win_y = EXTENT_MIN + (rr + 0.5) * tgt.cell_height
+    new_x, new_y = ((soft * win).reshape(len(soft), -1).sum(axis=1) for win in (win_x, win_y))
     new_cert = _sigmoid(_logit(state.certainty.reshape(-1)) + peak)
     return WarpField(
         grid,

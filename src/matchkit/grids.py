@@ -31,6 +31,9 @@ ROW_SUM_TOL = 1e-9
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only float64 array: ``a`` itself if it is one that owns its memory, else a copy."""
+    if type(a) is np.ndarray and a.dtype == np.float64 and a.base is None and not a.flags.writeable:
+        return a
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out

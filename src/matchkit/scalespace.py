@@ -60,7 +60,10 @@ class SceneSpec:
             raise ValueError("regions do not cover the source extent")
         if np.any(counts > 1):
             raise ValueError("regions overlap")
-        return np.argmax(member, axis=0)
+        ids = np.zeros(len(pts), dtype=np.intp)
+        for i in range(1, len(member)):  # one region per point, checked above
+            ids[member[i]] = i
+        return ids
 
     def map_points(self, pts: np.ndarray) -> np.ndarray:
         """Each point moved by its region's map; one region holding every point maps the C-contiguous ``pts[sel]``."""

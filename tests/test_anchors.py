@@ -194,6 +194,44 @@ def test_to_warp_does_not_copy_the_read_only_probabilities():
     assert peak < 2_000_000, peak  # a copy of pi alone is 8.4 MB
 
 
+def test_anchor_probs_keeps_read_only_probabilities_uncopied():
+    rng = np.random.default_rng(14)
+    pi = rng.uniform(0.01, 1.0, (256, 4096))
+    pi /= pi.sum(axis=1, keepdims=True)
+    pi.setflags(write=False)
+    match = np.full(256, 0.5)
+    AnchorProbs(GridSpec(16, 16), pi, match)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        probs = AnchorProbs(GridSpec(16, 16), pi, match)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probs.pi is pi
+    assert peak < 1_000_000, peak  # a copy of pi alone is 8.4 MB
+    # gaussian_anchor_probs hands out a read-only array that owns its memory.
+    pi = gaussian_anchor_probs(build_anchor_grid(8, 8), np.zeros((4, 2)), 0.3)
+    assert not pi.flags.writeable and AnchorProbs(GridSpec(2, 2), pi, np.ones(4)).pi is pi
+
+
+@pytest.mark.parametrize("bad", [-1e-300, -np.inf, np.inf, np.nan])
+def test_anchor_probs_refuses_negative_or_non_finite_probabilities(bad):
+    pi = np.full((2, 4), 0.25)
+    pi[1, 2] = bad
+    with pytest.raises(ValueError, match="^anchor probabilities must be finite and nonnegative$"):
+        AnchorProbs(GridSpec(1, 2), pi, np.ones(2))
+
+
+def test_anchor_probs_copies_probabilities_something_can_write():
+    pi = np.full((2, 4), 0.25)
+    readonly_view = pi.view()  # read-only, but pi writes its memory
+    readonly_view.setflags(write=False)
+    kept = [AnchorProbs(GridSpec(1, 2), given, np.ones(2)).pi for given in (pi, readonly_view)]
+    pi[0] = [1.0, 0.0, 0.0, 0.0]
+    for got in kept:
+        assert not got.flags.writeable and np.array_equal(got, np.full((2, 4), 0.25))
+
+
 def test_to_warp_matches_literal_rule():
     rng = np.random.default_rng(9)
     grid = build_anchor_grid(8, 8)

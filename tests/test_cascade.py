@@ -3,8 +3,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -176,8 +174,7 @@ def two_halves_scene():
 STORED_BYTES_224 = 1_069_056
 
 
-def test_a_base_224_pair_retains_only_the_levels_a_stage_reads(monkeypatch):
-    monkeypatch.setattr(cascade, "_usable_cpus", lambda: 1)
+def test_a_base_224_pair_retains_only_the_levels_a_stage_reads():
     scene = two_translation_scene((-0.2, 0.0), (0.2, 0.05))
     synth_pyramid(scene, GridSpec(224, 224), seed=3)  # first-call allocations stay out of the count
     tracemalloc.start()
@@ -405,7 +402,7 @@ def refiner_cell_oracle(pyr_a, pyr_b, state, stride, cell, temperature, outside=
 
 @pytest.mark.parametrize("temperature", [0.05, 1.0])
 @pytest.mark.parametrize("stride", [14, 8, 4])
-def test_refiner_matches_cell_loop_oracle(stride, temperature):
+def test_refiner_matches_cell_loop_oracle(monkeypatch, stride, temperature):
     rng = np.random.default_rng(50 + stride)
     scene = random_affine_scene(rng)
     pyrA, pyrB = synth_pyramid(scene, BASE, seed=5)
@@ -415,15 +412,36 @@ def test_refiner_matches_cell_loop_oracle(stride, temperature):
     edges = [[-1, -1], [1, 1], [-1, 1], [1, -1], [0.999, -0.999], [0.0, 1.0], [-1.0, 0.3]]
     coords = np.concatenate([edges, rng.uniform(-1, 1, (grid.n_cells - len(edges), 2))])
     state = WarpField(grid, coords.reshape(grid.height, grid.width, 2), rng.uniform(0, 1, (grid.height, grid.width)))
-    out = analytic_refiner(state, pyrA, pyrB, stride, temperature)
-    got = np.column_stack([out.target_coords.reshape(-1, 2), out.certainty.reshape(-1)])
     want = np.array([refiner_cell_oracle(pyrA, pyrB, state, stride, c, temperature) for c in range(grid.n_cells)])
-    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    runs = []
+    for cap in (cascade.BAND_CAP, 1):  # the random estimates' bands span the target grid: one block, then one per row
+        monkeypatch.setattr(cascade, "BAND_CAP", cap)
+        out = analytic_refiner(state, pyrA, pyrB, stride, temperature)
+        runs.append(np.column_stack([out.target_coords.reshape(-1, 2), out.certainty.reshape(-1)]))
+        assert np.allclose(runs[-1], want, rtol=0, atol=1e-12)
+    assert np.allclose(runs[0], runs[1], rtol=0, atol=1e-15)
+    got = runs[0]
     if temperature == 1.0:
         # The -1 entries beyond the extent, at their virtual lattice
         # coordinates, move a corner estimate: dropping them would show.
         dropped = [refiner_cell_oracle(pyrA, pyrB, state, stride, c, temperature, -np.inf) for c in range(4)]
         assert np.all(np.abs(np.array(dropped)[:, :2] - got[:4, :2]) > 1e-3)
+
+
+@pytest.mark.parametrize("cap", [1, 5_000, 1 << 17])  # blocks of one source row, of one to four, of all fourteen
+def test_refiner_with_narrow_bands_matches_cell_loop_oracle(monkeypatch, cap):
+    # Estimates near the truth give each source row a band of a few target rows.
+    rng = np.random.default_rng(57)
+    scene = random_affine_scene(rng)
+    pyrA, pyrB = synth_pyramid(scene, BASE, seed=5)
+    grid = pyrA.grid(4)
+    coords = scene_true_warp(scene, grid).target_coords + rng.uniform(-0.1, 0.1, (grid.height, grid.width, 2))
+    state = WarpField(grid, coords, rng.uniform(0, 1, (grid.height, grid.width)))
+    monkeypatch.setattr(cascade, "BAND_CAP", cap)
+    out = analytic_refiner(state, pyrA, pyrB, 4)
+    got = np.column_stack([out.target_coords.reshape(-1, 2), out.certainty.reshape(-1)])
+    want = np.array([refiner_cell_oracle(pyrA, pyrB, state, 4, c, 0.05) for c in range(grid.n_cells)])
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_refiner_orthogonal_construction():
@@ -774,197 +792,34 @@ def test_cascade_monotone_epe_on_random_scenes():
     assert failures == 0
 
 
-# --- the threads behind analytic_refiner ---------------------------------
-
-
-def run_with_timeout(fn, seconds=60):
-    """Run ``fn`` on one helper thread; fail instead of hanging if it never returns."""
-    box = {}
-
-    def target():
-        try:
-            box["value"] = fn()
-        except BaseException as exc:  # handed to the test thread below
-            box["error"] = exc
-
-    t = threading.Thread(target=target, daemon=True)
-    t.start()
-    t.join(seconds)
-    assert not t.is_alive(), "call did not finish: deadlock?"
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Take the threaded path on any machine."""
-    monkeypatch.setattr(cascade, "_usable_cpus", lambda: 2)
-
-
-BIG = cascade.PARALLEL_MIN_ELEMENTS
-
-
-def test_parallel_map_keeps_input_order(two_cpus):
-    def task(k):
-        time.sleep(0.05 if k == 0 else 0.0)  # the first task finishes last
-        return k, threading.current_thread().name
-
-    got = cascade._parallel_map(task, range(4), BIG)
-    assert [k for k, _ in got] == [0, 1, 2, 3]
-    assert got[0][1] == threading.current_thread().name  # the caller runs the first task
-    assert all(name.startswith("matchkit") for _, name in got[1:])
-
-
-@pytest.mark.parametrize("cpus, elements", [(1, BIG), (2, BIG - 1)])
-def test_parallel_map_runs_serially_on_one_cpu_or_small_tasks(monkeypatch, cpus, elements):
-    monkeypatch.setattr(cascade, "_usable_cpus", lambda: cpus)
-    names = cascade._parallel_map(lambda k: threading.current_thread().name, range(3), elements)
-    assert names == [threading.current_thread().name] * 3
-
-
-def test_parallel_map_reraises_the_first_failure_in_input_order(two_cpus):
-    class Boom(Exception):
-        pass
-
-    done = []
-
-    def task(k):
-        time.sleep({1: 0.05, 3: 0.15}.get(k, 0.0))  # task 2 fails first, task 3 ends last
-        if k in (1, 2):
-            raise Boom(f"task {k} failed")
-        done.append(k)
-        return k
-
-    with pytest.raises(Boom, match=r"^task 1 failed$"):
-        cascade._parallel_map(task, range(4), BIG)
-    assert sorted(done) == [0, 3]  # every task ran before the error surfaced
-
-
-def test_nested_parallel_map_does_not_deadlock(two_cpus):
-    def outer(k):
-        return cascade._parallel_map(lambda j: j, [k, k + 10, k + 20], BIG)
-
-    got = run_with_timeout(lambda: cascade._parallel_map(outer, range(4), BIG))
-    assert got == [[k, k + 10, k + 20] for k in range(4)]
-
-
-def test_concurrent_callers_each_get_their_own_results(two_cpus):
-    # Eight callers map at once, with frequent thread switches.
-    results = []
-    lock = threading.Lock()
-
-    def task(k):
-        return k * k
-
-    def caller(c):
-        got = cascade._parallel_map(task, range(c, c + 6), BIG)
-        with lock:
-            results.append((c, got))
-
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+def test_a_base_224_cascade_peaks_below_8_mb():
+    # Gathering every window's target vectors took n x window² x D floats: 20 MB at stride 4 alone.
+    scene = random_affine_scene(np.random.default_rng(7))
+    pyrA, pyrB = synth_pyramid(scene, GridSpec(224, 224), seed=7)
+    coarse = scene_true_warp(scene, pyrA.grid(14))
+    run_cascade(pyrA, pyrB, coarse)  # first-call allocations stay out of the count
+    tracemalloc.start()
     try:
-        callers = [threading.Thread(target=caller, args=(c,)) for c in range(8)]
-        for t in callers:
-            t.start()
-        for t in callers:
-            t.join(60)
-        assert not any(t.is_alive() for t in callers)
+        run_cascade(pyrA, pyrB, coarse)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        sys.setswitchinterval(old_interval)
-    assert sorted(results) == [(c, [k * k for k in range(c, c + 6)]) for c in range(8)]
+        tracemalloc.stop()
+    assert peak < 8_000_000, peak
 
 
-def serial_and_threaded(monkeypatch, fn, threshold=False):
-    """``fn()`` with one usable CPU (or a threshold above every task) and with two."""
-    if threshold:
-        monkeypatch.setattr(cascade, "PARALLEL_MIN_ELEMENTS", 1 << 62)
-    monkeypatch.setattr(cascade, "_usable_cpus", lambda: 2 if threshold else 1)
-    serial = fn()
-    monkeypatch.setattr(cascade, "PARALLEL_MIN_ELEMENTS", BIG)
-    monkeypatch.setattr(cascade, "_usable_cpus", lambda: 2)
-    return serial, run_with_timeout(fn)
-
-
-@pytest.mark.parametrize("threshold", [False, True])
-@pytest.mark.parametrize("stride", [14, 8, 4])
-def test_analytic_refiner_threads_are_bit_identical_to_serial(monkeypatch, stride, threshold):
-    base = GridSpec(224, 224)
-    scene = random_affine_scene(np.random.default_rng(stride))
-    pyrA, pyrB = synth_pyramid(scene, base, seed=stride)
-    grid, window = pyrA.grid(stride), CORR_WINDOWS[stride]
-    assert grid.n_cells * window**2 * 32 // 2 >= BIG  # each of two blocks is large enough
-    # Estimates near the truth, and some beyond the extent.
-    coords = scene_true_warp(scene, grid).target_coords
-    coords = coords + np.random.default_rng(1).uniform(-0.1, 0.1, coords.shape)
-    state = WarpField(grid, coords, np.random.default_rng(2).uniform(0, 1, coords.shape[:2]))
-    serial, threaded = serial_and_threaded(monkeypatch, lambda: analytic_refiner(state, pyrA, pyrB, stride), threshold)
-    assert np.array_equal(threaded.target_coords, serial.target_coords)
-    assert np.array_equal(threaded.certainty, serial.certainty)
-
-
-SRC = str(Path(cascade.__file__).resolve().parents[1])
-
-
-def run_fresh(code):
-    env = {**os.environ, "PYTHONPATH": SRC}
+def test_a_base_224_cascade_starts_no_thread():
+    code = """
+import threading
+def refuse(thread):
+    raise AssertionError(f"thread {thread.name} started")
+threading.Thread.start = refuse
+import matchkit as mk
+from matchkit.scalespace import affine_scene
+scene = affine_scene([[1.01, 0.02], [-0.02, 0.99]], (0.05, -0.03))
+pa, pb = mk.synth_pyramid(scene, mk.GridSpec(224, 224))
+print(len(mk.run_cascade(pa, pb, mk.scene_true_warp(scene, pa.grid(14)))[1]))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cascade.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
-
-
-def test_no_thread_outlives_a_call():
-    # Base-56 work stays below PARALLEL_MIN_ELEMENTS, so it never pays for a
-    # thread (and the memory arena that comes with one), even with two CPUs,
-    # nor for importing concurrent.futures. Base-224 refining starts threads
-    # and joins them before returning; building the pyramids starts none.
-    counts = run_fresh(
-        """
-import sys, threading
-import numpy as np
-import matchkit as mk
-from matchkit import cascade
-from matchkit.scalespace import affine_scene
-cascade._usable_cpus = lambda: 2
-print(threading.active_count())
-scene = affine_scene([[1.01, 0.02], [-0.02, 0.99]], (0.05, -0.03))
-for base in (56, 224):
-    pa, pb = mk.synth_pyramid(scene, mk.GridSpec(base, base))
-    print(threading.active_count(), 'concurrent.futures' in sys.modules)
-    true14 = mk.scene_true_warp(scene, pa.grid(14))
-    mk.run_cascade(pa, pb, mk.WarpField(true14.grid, true14.target_coords, np.full(true14.certainty.shape, 0.5)))
-    print(threading.active_count(), 'concurrent.futures' in sys.modules)
-"""
-    )
-    assert counts == ["1", "1", "False", "1", "False", "1", "False", "1", "True"]
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_gets_a_working_pool():
-    # The child of a fork inherits the parent's memory but not its threads;
-    # its threaded refining must start threads of its own.
-    out = run_fresh(
-        """
-import os
-import matchkit as mk
-from matchkit import cascade
-from matchkit.scalespace import translation_scene
-cascade._usable_cpus = lambda: 2
-base, scene = mk.GridSpec(224, 224), translation_scene((0.1, 0.0))
-pa, pb = mk.synth_pyramid(scene, base)
-coarse = mk.scene_true_warp(scene, pa.grid(14))
-want = mk.run_cascade(pa, pb, coarse)[0].target_coords
-pid = os.fork()
-if pid == 0:
-    got = mk.run_cascade(pa, pb, coarse)[0].target_coords
-    os._exit(0 if (got == want).all() else 3)
-print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-"""
-    )
-    assert out == ["0"]
-
-
-def test_import_defers_the_thread_pool_module():
-    # concurrent.futures costs every process milliseconds; only a pool needs it.
-    assert run_fresh("import sys, matchkit; print('concurrent.futures' in sys.modules)") == ["False"]
+    assert proc.stdout.split() == ["5"]

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matchkit import cascade, cli, selftest
+from matchkit import cli, selftest
 from matchkit.cli import main
 from matchkit.fileio import (
     read_correspondences_csv,
@@ -668,7 +668,6 @@ def test_loss_sweep_overflowing_rmax_or_huge_steps_is_a_data_error(tmp_path, cap
             "values must be finite and fit in float32",
             "truth.rmgrid",
         ),
-        # At base 224 the two pyramids are built at once; the source one, on the calling thread, raises.
         (["cascade", "--offset", "1e308,0", "--base", "224"], "feature field phases are not finite", "stage_epe.csv"),
     ],
 )
@@ -709,24 +708,6 @@ def test_steer_fit_negative_iters_is_refused_before_writing(tmp_path, capsys):
         assert not (out / name).exists()
     # The least-squares fit takes no iterations, so the flag does not matter there.
     assert run("steer", "fit", *flags, "--method", "lsq", "--out", str(out)) == 0
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["cascade", "--base", "224", "--seed", "4"],
-        ["cascade", "--base", "224", "--kind", "affine", "--offset", "0.1,-0.05"],
-        ["synth", "affine", "--base", "224", "--seed", "5"],
-    ],
-)
-def test_base_224_outputs_are_the_same_with_and_without_threads(tmp_path, monkeypatch, capsys, argv):
-    trees = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(cascade, "_usable_cpus", lambda: cpus)
-        out = tmp_path / f"cpus{cpus}"
-        assert run(*argv, "--out", str(out)) == 0
-        trees.append(read_bytes_tree(out))
-    assert trees[0] == trees[1] and len(trees[0]) > 1
 
 
 def test_config_that_is_not_json_names_the_file(tmp_path, capsys):

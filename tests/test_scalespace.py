@@ -74,6 +74,48 @@ def test_rasterize_two_regions_matches_per_cell_placement():
     assert np.allclose(j.probs, expect)
 
 
+def region_index_oracle(spec, pts):
+    """The first region holding each point, from the whole ``(regions, N)`` membership stack."""
+    return np.argmax(np.stack([r.contains(pts) for r in spec.regions]), axis=0)
+
+
+def test_region_index_matches_the_membership_argmax():
+    from matchkit.scalespace import AffineRegion, SceneSpec, affine_scene
+
+    strips = SceneSpec(
+        tuple(
+            AffineRegion(inside, np.eye(2), np.zeros(2))
+            for inside in (
+                lambda p: p[:, 1] < -0.3,
+                lambda p: (p[:, 1] >= -0.3) & (p[:, 1] < 0.4),
+                lambda p: p[:, 1] >= 0.4,
+            )
+        )
+    )
+    pts = np.concatenate([GridSpec(56, 56).cell_centers(), np.random.default_rng(3).uniform(-1, 1, (500, 2))])
+    for spec, regions in [
+        (affine_scene(np.eye(2), (0.1, 0.0)), 1),
+        (two_translation_scene((-0.2, 0.0), (0.2, 0.05)), 2),
+        (strips, 3),
+    ]:
+        ids = spec.region_index(pts)
+        assert ids.dtype == np.intp and np.array_equal(ids, region_index_oracle(spec, pts))
+        assert set(ids.tolist()) == set(range(regions))
+
+
+def test_region_index_names_a_gap_or_an_overlap():
+    from matchkit.scalespace import AffineRegion, SceneSpec
+
+    pts = GridSpec(8, 8).cell_centers()
+    for halves, message in [
+        ((lambda p: p[:, 0] < -0.5, lambda p: p[:, 0] > 0.5), "regions do not cover the source extent"),
+        ((lambda p: p[:, 0] < 0.5, lambda p: p[:, 0] > -0.5), "regions overlap"),
+    ]:
+        spec = SceneSpec(tuple(AffineRegion(h, np.eye(2), np.zeros(2)) for h in halves))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            spec.region_index(pts)
+
+
 def test_rasterize_rejects_broken_partitions():
     from matchkit.scalespace import AffineRegion, SceneSpec
 
