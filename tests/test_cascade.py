@@ -819,7 +819,40 @@ scene = affine_scene([[1.01, 0.02], [-0.02, 0.99]], (0.05, -0.03))
 pa, pb = mk.synth_pyramid(scene, mk.GridSpec(224, 224))
 print(len(mk.run_cascade(pa, pb, mk.scene_true_warp(scene, pa.grid(14)))[1]))
 """
+    assert run_fresh(code) == ["5"]
+
+
+def run_fresh(code):
     env = {**os.environ, "PYTHONPATH": str(Path(cascade.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["5"]
+    return proc.stdout.split()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_gets_a_working_pool():
+    # The child of a fork inherits the parent's memory but not BLAS's worker
+    # threads; its banded gemms must still run and give the parent's result.
+    out = run_fresh(
+        """
+import os
+import matchkit as mk
+from matchkit.scalespace import translation_scene
+base, scene = mk.GridSpec(224, 224), translation_scene((0.1, 0.0))
+pa, pb = mk.synth_pyramid(scene, base)
+coarse = mk.scene_true_warp(scene, pa.grid(14))
+want = mk.run_cascade(pa, pb, coarse)[0].target_coords
+pid = os.fork()
+if pid == 0:
+    got = mk.run_cascade(pa, pb, coarse)[0].target_coords
+    os._exit(0 if (got == want).all() else 3)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+    )
+    assert out == ["0"]
+
+
+def test_import_defers_the_thread_pool_module():
+    # concurrent.futures costs every process milliseconds, and nothing in matchkit needs a pool.
+    code = "import sys, matchkit; print('concurrent.futures' in sys.modules)"
+    assert run_fresh(code) == ["False"]

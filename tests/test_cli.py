@@ -710,6 +710,43 @@ def test_steer_fit_negative_iters_is_refused_before_writing(tmp_path, capsys):
     assert run("steer", "fit", *flags, "--method", "lsq", "--out", str(out)) == 0
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cascade", "--base", "224", "--seed", "4"],
+        ["cascade", "--base", "224", "--kind", "affine", "--offset", "0.1,-0.05"],
+        ["synth", "affine", "--base", "224", "--seed", "5"],
+    ],
+)
+def test_base_224_outputs_are_the_same_with_and_without_threads(tmp_path, argv):
+    # Once pinned to one CPU with one BLAS thread, once with every CPU and BLAS's own thread count.
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    one_cpu = min(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+
+    def pin():
+        if one_cpu is not None:
+            os.sched_setaffinity(0, {one_cpu})
+
+    trees = []
+    for name, extra, preexec in [("one", dict.fromkeys(BLAS_THREAD_VARS, "1"), pin), ("all", {}, None)]:
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "matchkit", *argv, "--out", str(out)],
+            env={**env, **extra},
+            preexec_fn=preexec,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        trees.append(read_bytes_tree(out))
+    assert trees[0] == trees[1] and len(trees[0]) > 1
+
+
 def test_config_that_is_not_json_names_the_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{bad json")
