@@ -384,9 +384,11 @@ def stage_epes(stages: list[tuple[int, WarpField]], scene: SceneSpec) -> list[tu
     Mean errors over grids of different sizes are not comparable, so each
     stage's target coordinates are carried to the last stage's grid through
     the chain of ``_hop``s that ``upsample_warp`` would take (coordinates
-    only), and compared there with the scene's truth, mapped once. A
-    pass-through stage's warp is its predecessor's first hop, so the two
-    share one EPE exactly.
+    only), and compared there with the scene's truth, mapped once. Stages
+    are walked from finest to coarsest: when a stage's first hop equals the
+    next stage's coordinates bit for bit (a pass-through stage is its
+    predecessor's first hop), the rest of its chain is the next stage's, so
+    it takes that stage's EPE.
     """
     if not stages:
         return []
@@ -395,12 +397,19 @@ def stage_epes(stages: list[tuple[int, WarpField]], scene: SceneSpec) -> list[tu
     keep = in_extent(true)
     if not np.any(keep):
         raise ValueError("no matchable cells to evaluate")
-    out = []
-    for i, (stride, w) in enumerate(stages):
-        x, y = w.target_coords[..., 0], w.target_coords[..., 1]
-        for old, new in zip(grids[i:], grids[i + 1 :]):
-            x, y = _hop(old, new, x, y)
+    epes: list[float] = []  # finest stage first
+    for i in reversed(range(len(stages))):
+        tc = stages[i][1].target_coords
+        x, y = tc[..., 0], tc[..., 1]
+        if i + 1 < len(stages):
+            x, y = _hop(grids[i], grids[i + 1], x, y)
+            finer = stages[i + 1][1].target_coords
+            if np.array_equal(x, finer[..., 0]) and np.array_equal(y, finer[..., 1]):
+                epes.append(epes[-1])
+                continue
+            for old, new in zip(grids[i + 1 :], grids[i + 2 :]):
+                x, y = _hop(old, new, x, y)
         dx, dy = x.reshape(-1) - true[:, 0], y.reshape(-1) - true[:, 1]
         err = np.sqrt(dx * dx + dy * dy)  # np.linalg.norm's bits, without its slow length-2 sum
-        out.append((stride, float(err[keep].mean())))
-    return out
+        epes.append(float(err[keep].mean()))
+    return [(stride, epe) for (stride, _), epe in zip(stages, reversed(epes))]

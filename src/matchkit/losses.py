@@ -10,14 +10,19 @@ The fine loss scores refined warps with a generalized Charbonnier penalty
 ``s = 2^i * c``. Its gradient behaves quadratically near zero error and
 decays like ``r^(-1/2)`` for large errors, so gross outliers stop dominating.
 
-Analytic gradients are returned alongside every loss so they can be checked
-against finite differences; scales are treated independently (no gradient
-flows from one refinement stage into another).
+Analytic gradients come with every loss so they can be checked against
+finite differences; scales are treated independently (no gradient flows from
+one refinement stage into another). The gradient arrays ``d_pi``,
+``d_coords`` and ``d_certainty`` are built on first read, from sparse terms
+and private copies captured at call time, so a caller that reads only the
+values allocates none of them. ``d_matchability`` is built at call time,
+because the overflow refusal reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -82,19 +87,20 @@ def charbonnier_grad(mu: np.ndarray, x: np.ndarray, s: float) -> np.ndarray:
     return 0.5 * ((r2 + s) ** -0.75)[..., None] * diff
 
 
-def _bce_mean(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy and its gradient w.r.t. ``p``.
+def _bce_mean(p: np.ndarray, y: np.ndarray) -> float:
+    """Mean binary cross-entropy of float probabilities ``p`` against float labels ``y``.
 
-    Probabilities are clamped to [LOG_EPS, 1 - LOG_EPS] before the logs; the
-    gradient is zero where the clamp is active.
+    Probabilities are clamped to [LOG_EPS, 1 - LOG_EPS] before the logs.
     """
-    p = np.asarray(p, dtype=float)
-    y = np.asarray(y, dtype=float)
     pc = np.clip(p, LOG_EPS, 1.0 - LOG_EPS)
-    value = float(np.mean(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))))
+    return float(np.mean(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))))
+
+
+def _bce_grad(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of :func:`_bce_mean` w.r.t. ``p``: zero where the clamp is active."""
+    pc = np.clip(p, LOG_EPS, 1.0 - LOG_EPS)
     interior = (p > LOG_EPS) & (p < 1.0 - LOG_EPS)
-    grad = np.where(interior, (-y / pc + (1.0 - y) / (1.0 - pc)) / p.size, 0.0)
-    return value, grad
+    return np.where(interior, (-y / pc + (1.0 - y) / (1.0 - pc)) / p.size, 0.0)
 
 
 @dataclass(frozen=True)
@@ -102,8 +108,18 @@ class CoarseLossResult:
     value: float
     conditional_term: float
     marginal_term: float
-    d_pi: np.ndarray  # (source cells, K)
     d_matchability: np.ndarray  # (source cells,)
+    # d_pi's shape and its nonzero terms: (cell, anchor, value) triples, summed on first read.
+    _pi_shape: tuple[int, int] = field(repr=False)
+    _pi_terms: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+
+    @cached_property
+    def d_pi(self) -> np.ndarray:
+        """(source cells, K) gradient w.r.t. ``pi``."""
+        d_pi = np.zeros(self._pi_shape)
+        cells, anchors, values = self._pi_terms
+        np.add.at(d_pi, (cells, anchors), values)
+        return d_pi
 
 
 def coarse_loss_raw(
@@ -139,11 +155,11 @@ def coarse_loss_raw(
     clamped = np.maximum(picked, LOG_EPS)
     conditional = float(np.sum(w * -np.log(clamped)) / wsum)
 
-    d_pi = np.zeros(pi.shape)  # untouched pages stay zero pages; zeros_like would write them all
     live = picked > LOG_EPS
-    np.add.at(d_pi, (cells[live], kdag[live]), -(w[live] / wsum) / clamped[live])
+    pi_terms = (cells[live], kdag[live], -(w[live] / wsum) / clamped[live])
 
-    marginal, d_match_unit = _bce_mean(matchability, mask)
+    marginal = _bce_mean(matchability, mask)
+    d_match_unit = _bce_grad(matchability, mask)
     with np.errstate(over="ignore"):  # an overflow is refused below
         value = conditional + cfg.marginal_weight * marginal
         d_matchability = cfg.marginal_weight * d_match_unit
@@ -153,8 +169,9 @@ def coarse_loss_raw(
         value=value,
         conditional_term=conditional,
         marginal_term=marginal,
-        d_pi=d_pi,
         d_matchability=d_matchability,
+        _pi_shape=pi.shape,
+        _pi_terms=pi_terms,
     )
 
 
@@ -179,8 +196,23 @@ class FineScaleResult:
     value: float
     charbonnier_term: float
     bce_term: float
-    d_coords: np.ndarray  # (H, W, 2) gradient w.r.t. warp target coordinates
-    d_certainty: np.ndarray  # (H, W)
+    # d_coords' flat tap cells and their point-major (x, y) contributions, summed on first read.
+    _coord_terms: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    # The warp's read-only certainty and a private float copy of the mask, both (H, W).
+    _certainty: np.ndarray = field(repr=False)
+    _mask: np.ndarray = field(repr=False)
+
+    @cached_property
+    def d_coords(self) -> np.ndarray:
+        """(H, W, 2) gradient w.r.t. the warp's target coordinates."""
+        d_coords = np.zeros((*self._certainty.shape, 2))
+        np.add.at(d_coords.reshape(-1, 2), *self._coord_terms)
+        return d_coords
+
+    @cached_property
+    def d_certainty(self) -> np.ndarray:
+        """(H, W) gradient w.r.t. the warp's certainty."""
+        return _bce_grad(self._certainty, self._mask)
 
 
 @dataclass(frozen=True)
@@ -222,20 +254,20 @@ def fine_loss(
         mu = bilinear(fld.target_coords, taps)
         nll = charbonnier_nll(mu, corr.xb, s)
         charb = float(np.sum(w * nll) / wsum)
-        # Chain rule through the bilinear sampling: scatter each pair's
-        # Charbonnier gradient onto its four supporting cells, point-major.
+        # Chain rule through the bilinear sampling: each pair's Charbonnier
+        # gradient goes to its four supporting cells, point-major.
         g_mu = charbonnier_grad(mu, corr.xb, s) * (w / wsum)[:, None]
         cells, bw = (np.stack(part, axis=-1) for part in zip(*taps))
-        d_coords = np.zeros_like(fld.target_coords)
-        np.add.at(d_coords.reshape(-1, 2), cells.ravel(), (bw[..., None] * g_mu[:, None, :]).reshape(-1, 2))
-        mask = np.asarray(masks[i], dtype=float).reshape(fld.grid.height, fld.grid.width)
-        bce, d_cert = _bce_mean(fld.certainty, mask)
+        coord_terms = (cells.ravel(), (bw[..., None] * g_mu[:, None, :]).reshape(-1, 2))
+        mask = np.array(masks[i], dtype=float).reshape(fld.grid.height, fld.grid.width)
+        bce = _bce_mean(fld.certainty, mask)
         results[i] = FineScaleResult(
             value=charb + bce,
             charbonnier_term=charb,
             bce_term=bce,
-            d_coords=d_coords,
-            d_certainty=d_cert,
+            _coord_terms=coord_terms,
+            _certainty=fld.certainty,
+            _mask=mask,
         )
         total += charb + bce
     return FineLossResult(value=total, scales=results)

@@ -677,9 +677,8 @@ def test_stage_epes_without_matchable_cells_is_rejected():
     assert stage_epes([], scene) == []
 
 
-def test_stage_epes_of_pass_through_stages_are_equal_only_when_untouched():
-    # A hand-built stage list: the window-0 stages are *not* the upsample of
-    # the stage before, so their EPEs must differ from their neighbours'.
+def pass_through_stages():
+    """A cascade's stages, and a copy whose window-0 stages are nudged off the upsample of the stage before."""
     scene = random_affine_scene(np.random.default_rng(11))
     pyrA, pyrB = synth_pyramid(scene, BASE, seed=11)
     _, stages = run_cascade(pyrA, pyrB, scene_true_warp(scene, GridSpec(4, 4)))
@@ -690,6 +689,13 @@ def test_stage_epes_of_pass_through_stages_are_equal_only_when_untouched():
             shift = rng.uniform(-0.5, 0.5, w.target_coords.shape) * 2 / w.grid.width
             w = WarpField(w.grid, w.target_coords + shift, w.certainty)
         nudged.append((stride, w))
+    return scene, stages, nudged
+
+
+def test_stage_epes_of_pass_through_stages_are_equal_only_when_untouched():
+    # The nudged window-0 stages are *not* the upsample of the stage before,
+    # so their EPEs must differ from their neighbours'.
+    scene, stages, nudged = pass_through_stages()
     got = stage_epes(nudged, scene)
     assert got == stage_epes_oracle(nudged, scene)
     assert len({e for _, e in got[2:]}) == 3  # strides 4, 2 and 1 now differ
@@ -697,6 +703,25 @@ def test_stage_epes_of_pass_through_stages_are_equal_only_when_untouched():
     got = stage_epes(stages, scene)
     assert got == stage_epes_oracle(stages, scene)
     assert got[2][1] == got[3][1] == got[4][1]
+
+
+def test_stage_epes_reuses_the_chain_of_a_pass_through_stage(monkeypatch):
+    # Only strides 14 and 8 hop into the last grid, plus stride 2's first hop,
+    # which finds stride 1's coordinates; stride 4's first hop finds stride 2's.
+    scene, stages, nudged = pass_through_stages()
+    last = stages[-1][1].grid
+    into_last = []
+
+    def counting_hop(old, new, *planes):
+        into_last.append(new == last)
+        return hop(old, new, *planes)
+
+    hop = cascade._hop
+    monkeypatch.setattr(cascade, "_hop", counting_hop)
+    for chain, hops in ((stages, 3), (nudged, 4)):
+        into_last.clear()
+        stage_epes(chain, scene)
+        assert sum(into_last) == hops
 
 
 def test_stage_epes_one_hop_is_upsample_warp_to_the_byte():

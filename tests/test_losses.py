@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +22,9 @@ from matchkit import (
     gradient_sweep,
 )
 from matchkit import kernel_matrix, synth_equivariant
-from matchkit.losses import MAX_SWEEP_STEPS, coarse_loss_raw
+from matchkit import closest_anchor
+from matchkit.grids import bilinear, bilinear_taps, containing_cells
+from matchkit.losses import LOG_EPS, MAX_SWEEP_STEPS, coarse_loss_raw
 
 
 def test_charbonnier_closed_forms():
@@ -173,6 +176,74 @@ def test_coarse_loss_gradients_match_finite_differences():
         assert np.all(np.abs(res.d_pi - fd_pi) / scale < 1e-4)
         scale_m = np.maximum(np.abs(fd_match), 1e-6)
         assert np.all(np.abs(res.d_matchability - fd_match) / scale_m < 1e-4)
+
+
+def eager_d_pi(pi, source, corr, cfg):
+    """The coarse gradient as it was built on every call: a dense zero array plus the live terms."""
+    rows, cols = containing_cells(corr.xa, source)
+    cells = rows * source.width + cols
+    kdag = closest_anchor(cfg.anchor_grid, corr.xb)
+    w = corr.weights
+    picked = pi[cells, kdag]
+    live = picked > LOG_EPS
+    d_pi = np.zeros(pi.shape)
+    np.add.at(d_pi, (cells[live], kdag[live]), -(w[live] / float(w.sum())) / np.maximum(picked, LOG_EPS)[live])
+    return d_pi
+
+
+def test_value_only_coarse_loss_allocates_no_dense_gradient():
+    grid = build_anchor_grid(64, 64)
+    source = GridSpec(16, 16)
+    probs = AnchorProbs(source, np.full((source.n_cells, grid.count), 1 / grid.count), np.full(source.n_cells, 0.5))
+    centers = source.cell_centers()
+    corr = CorrespondenceSet(centers, np.clip(centers * 0.9 + 0.05, -1, 1), np.ones(len(centers)))
+    mask = np.ones(source.n_cells, bool)
+    cfg = CoarseLossConfig(1.0, grid)
+    coarse_loss(probs, mask, corr, cfg)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        res = coarse_loss(probs, mask, corr, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak  # a dense d_pi alone is 8.4 MB
+    assert res.d_pi is res.d_pi
+    assert np.array_equal(res.d_pi, eager_d_pi(probs.pi, source, corr, cfg))
+
+
+def test_deferred_gradients_do_not_read_caller_arrays():
+    rng = np.random.default_rng(39)
+    source, pi, match, mask, corr, cfg = make_coarse_setup(rng, GridSpec(3, 4), build_anchor_grid(4, 4))
+    rows, cols = containing_cells(corr.xa, source)
+    pi[rows[0] * source.width + cols[0], closest_anchor(cfg.anchor_grid, corr.xb[:1])[0]] = 0.0  # a dead term
+    fmask = mask.astype(float)
+    want = eager_d_pi(pi, source, corr, cfg)
+    res = coarse_loss_raw(pi, match, source, fmask, corr, cfg)
+    pi[...] = rng.uniform(0.0, 1.0, pi.shape)
+    fmask[...] = 1.0 - fmask
+    assert np.array_equal(res.d_pi, want)
+
+    warps, corr, masks, fcfg = make_fine_setup(rng, scales=(0, 2))
+    masks = {i: m.astype(float) for i, m in masks.items()}
+    want = {}
+    for i, fld in warps.items():
+        taps = bilinear_taps(fld.certainty.shape, corr.xa[:, 0], corr.xa[:, 1])
+        g_mu = charbonnier_grad(bilinear(fld.target_coords, taps), corr.xb, fcfg.scale_value(i))
+        g_mu = g_mu * (corr.weights / corr.weights.sum())[:, None]
+        cells, bw = (np.stack(part, axis=-1) for part in zip(*taps))
+        d_coords = np.zeros_like(fld.target_coords)
+        np.add.at(d_coords.reshape(-1, 2), cells.ravel(), (bw[..., None] * g_mu[:, None, :]).reshape(-1, 2))
+        p, y = fld.certainty, masks[i].copy()
+        pc = np.clip(p, LOG_EPS, 1.0 - LOG_EPS)
+        interior = (p > LOG_EPS) & (p < 1.0 - LOG_EPS)
+        want[i] = d_coords, np.where(interior, (-y / pc + (1.0 - y) / (1.0 - pc)) / p.size, 0.0)
+    res = fine_loss(warps, corr, masks, fcfg)
+    for m in masks.values():
+        m[...] = 1.0 - m
+    for i, (d_coords, d_cert) in want.items():
+        assert np.array_equal(res.scales[i].d_coords, d_coords)
+        assert np.array_equal(res.scales[i].d_certainty, d_cert)
+        assert res.scales[i].d_certainty is res.scales[i].d_certainty
 
 
 def test_coarse_loss_invariant_to_non_closest_redistribution():
