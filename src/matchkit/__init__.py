@@ -15,6 +15,7 @@ from .cascade import (
     matchable_mask,
     run_cascade,
     scene_true_warp,
+    synth_levels,
     synth_pyramid,
     upsample_warp,
 )

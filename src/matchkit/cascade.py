@@ -16,15 +16,14 @@ Real encoder features are out of scope at desk scale; ``synth_pyramid``
 builds smooth band-limited random feature fields (per affine region, row
 phasors times column phasors) whose ground-truth warp is known exactly, which
 makes end-to-end refinement accuracy measurable. Its pyramids store only the
-levels a refining stage reads and build the others on each access, every
-level straight from the regions' per-axis phasors.
+levels a refining stage reads; ``synth_levels`` builds any strides' levels,
+each straight from the regions' per-axis phasors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping
 
 import numpy as np
 
@@ -34,26 +33,24 @@ from .scalespace import AffineRegion, SceneSpec, identity_scene
 # Refiner strides, coarse to fine, each with its correlation window (0: pass-through).
 CORR_WINDOWS = {14: 15, 8: 7, 4: 5, 2: 0, 1: 0}
 FREQ_SCALE = 3.2  # std of the feature field's frequencies: its inverse correlation length
-# Most similarities one banded gemm of `analytic_refiner` computes (1 MB of float64). Bands must stay
-# cache-sized: at stride 4 and base 224 (2 vCPUs, one BLAS thread) a stage took 8.8 ms at 2^17, 20.4 at 2^21.
-BAND_CAP = 1 << 17
 
 _LOGIT_EPS = 1e-7
 
 
 @dataclass(frozen=True)
 class FeaturePyramid:
-    """Per-stride ``(H, W, D)`` feature levels sharing one base resolution.
+    """Per-stride ``(H, W, D)`` feature arrays sharing one base resolution.
 
-    A level is an array, or a function that builds it on each access and is
-    not cached, so the pyramid stays immutable and needs no lock. Every
-    level's grid is the common base of the arrays divided by its stride.
+    A stride's grid is the common base of the arrays divided by the stride.
+    ``grid`` serves every stride of ``CORR_WINDOWS`` whether stored or not,
+    since a pass-through stage reads no features; ``features`` only stored
+    ones.
     """
 
-    levels: Mapping[int, np.ndarray | Callable[[], np.ndarray]]
+    levels: Mapping[int, np.ndarray]
 
     def __post_init__(self) -> None:
-        bases = {(s * f.shape[0], s * f.shape[1]) for s, f in self.levels.items() if not callable(f)}
+        bases = {(s * f.shape[0], s * f.shape[1]) for s, f in self.levels.items()}
         if not bases:
             raise ValueError("pyramid stores no levels")
         if len(bases) != 1:
@@ -61,13 +58,12 @@ class FeaturePyramid:
         object.__setattr__(self, "_base", bases.pop())
 
     def grid(self, stride: int) -> GridSpec:
-        if stride not in self.levels:
+        if stride not in self.levels and stride not in CORR_WINDOWS:
             raise KeyError(stride)
         return GridSpec(self._base[0] // stride, self._base[1] // stride)
 
     def features(self, stride: int) -> np.ndarray:
-        level = self.levels[stride]
-        return level() if callable(level) else level
+        return self.levels[stride]
 
 
 def validate_base(base: GridSpec) -> None:
@@ -132,7 +128,7 @@ def _check_phases(theta: np.ndarray, points: Callable[[], np.ndarray]) -> None:
             raise ValueError(f"feature field phases are not finite at points of magnitude {np.abs(points()).max():.3g}")
 
 
-def _levels(field: FeatureField, scene: SceneSpec, base: GridSpec, strides: Sequence[int]) -> dict[int, np.ndarray]:
+def _levels(field: FeatureField, scene: SceneSpec, base: GridSpec, strides: Collection[int]) -> dict[int, np.ndarray]:
     """The field's ``(H, W, D)`` block means over ``base`` at each stride, straight from per-axis phasors.
 
     A block wholly in region r is the mean of r's column phasors over its rows times the mean of r's row
@@ -168,39 +164,41 @@ def _levels(field: FeatureField, scene: SceneSpec, base: GridSpec, strides: Sequ
     return out
 
 
+def synth_levels(
+    scene: SceneSpec,
+    base: GridSpec,
+    strides: Collection[int],
+    feature_dim: int = 32,
+    seed: int = 0,
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """Matched source/target ``(H, W, D)`` levels at ``strides``, from one random feature field.
+
+    Target features sample the field at target cell centers; source features
+    sample it at each source cell's ground-truth warped location (defined even
+    outside the extent, mimicking content that left the frame). Every level
+    is the block mean of that stride-1 field, computed by ``_levels`` from each
+    region's per-axis phasors (``FeatureField.phasors``), to a few ulp. A
+    level does not depend on which other strides are asked for.
+    """
+    validate_base(base)
+    field = FeatureField(feature_dim, seed)
+    return _levels(field, scene, base, strides), _levels(field, identity_scene(), base, strides)
+
+
 def synth_pyramid(
     scene: SceneSpec,
     base: GridSpec,
     feature_dim: int = 32,
     seed: int = 0,
 ) -> tuple[FeaturePyramid, FeaturePyramid]:
-    """Build matched source/target pyramids from one random feature field.
+    """Source/target pyramids of ``synth_levels`` at the strides a refining stage reads (14, 8 and 4).
 
-    Target features sample the field at target cell centers; source features
-    sample it at each source cell's ground-truth warped location (defined even
-    outside the extent, mimicking content that left the frame). Every level
-    is the block mean of that stride-1 field, computed by ``_levels`` from each
-    region's per-axis phasors (``FeatureField.phasors``), to a few ulp.
-
-    A pyramid stores only the levels a refining stage reads (window > 0:
-    strides 14, 8 and 4, 1.07 MB at base 224 and D = 32 instead of 17.1 MB
-    for all five), built here. A pass-through level (strides 2 and 1) is built
-    by the same code on each access and not cached (about 2 ms for stride 2 and
-    4 ms for stride 1 at base 224).
+    That is 1.07 MB per pyramid at base 224 and D = 32, instead of 17.1 MB
+    for all five strides.
     """
-    validate_base(base)
-    field = FeatureField(feature_dim, seed)
     stored = [s for s, window in CORR_WINDOWS.items() if window]
-
-    def build(spec: SceneSpec) -> FeaturePyramid:
-        arrays = _levels(field, spec, base, stored)
-
-        def on_access(s: int) -> np.ndarray:
-            return _levels(field, spec, base, [s])[s]
-
-        return FeaturePyramid({s: arrays.get(s, partial(on_access, s)) for s in CORR_WINDOWS})
-
-    return build(scene), build(identity_scene())
+    levels_a, levels_b = synth_levels(scene, base, stored, feature_dim, seed)
+    return FeaturePyramid(levels_a), FeaturePyramid(levels_b)
 
 
 def _logit(p: np.ndarray) -> np.ndarray:
@@ -274,11 +272,9 @@ def analytic_refiner(
     -1 suppresses them. The certainty logit grows by the window's maximum
     correlation.
 
-    Both sides are normalized once. Consecutive source rows form a block
-    while the block's cells times its target-row band (every target row its
-    windows touch, times the target width) stay within ``BAND_CAP``
-    similarities; each block is one gemm against its band, from which each
-    window's entries are picked.
+    Both sides are normalized once. Each source row is one gemm against
+    its target-row band (every target row its windows touch), from which
+    each window's entries are picked.
     """
     if stride not in CORR_WINDOWS:
         raise ValueError(f"stride must be one of {tuple(CORR_WINDOWS)}, got {stride}")
@@ -307,20 +303,13 @@ def analytic_refiner(
     by_row = r0.reshape(grid.height, grid.width)
     lows = np.maximum(by_row.min(axis=1) - window // 2, 0).tolist()  # each source row's target-row band
     highs = np.minimum(by_row.max(axis=1) + window // 2 + 1, tgt.height).tolist()
+    # Each window's flat target cells, clamped into the extent (a band ends at the edge where a window leaves it).
+    flat = (np.clip(rr, 0, tgt.height - 1) * tgt.width + np.clip(cc, 0, tgt.width - 1)).reshape(grid.n_cells, -1)
     sims = np.empty((grid.n_cells, window * window))
-    start = 0
-    while start < grid.height:
-        stop, lo, hi = start + 1, lows[start], highs[start]
-        while stop < grid.height:
-            lo_next, hi_next = min(lo, lows[stop]), max(hi, highs[stop])
-            if (stop + 1 - start) * grid.width * (hi_next - lo_next) * tgt.width > BAND_CAP:
-                break
-            stop, lo, hi = stop + 1, lo_next, hi_next
-        cells = slice(start * grid.width, stop * grid.width)
+    for y, (lo, hi) in enumerate(zip(lows, highs)):
+        cells = slice(y * grid.width, (y + 1) * grid.width)
         band = fa[cells] @ fb[lo * tgt.width : hi * tgt.width].T
-        pick = (np.clip(rr[cells], lo, hi - 1) - lo) * tgt.width + np.clip(cc[cells], 0, tgt.width - 1)
-        sims[cells] = np.take_along_axis(band, pick.reshape(len(band), -1), axis=1)
-        start = stop
+        sims[cells] = np.take_along_axis(band, flat[cells] - lo * tgt.width, axis=1)
     sims = sims.reshape(-1, window, window)
     sims[(rr < 0) | (rr >= tgt.height) | (cc < 0) | (cc >= tgt.width)] = -1.0  # cells beyond the extent
     peak = sims.max(axis=(1, 2))

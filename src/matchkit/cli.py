@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import (
+    CORR_WINDOWS,
     AnchorProbs,
     GridSpec,
     WarpField,
@@ -48,6 +49,7 @@ from . import (
     scene_true_warp,
     spatial_entropy,
     synth_equivariant,
+    synth_levels,
     synth_pyramid,
     to_warp,
     translation_scene,
@@ -202,10 +204,10 @@ def _cmd_synth(a, stage: Path) -> int:
         base = GridSpec(a.base, a.base)
         truth = scene_true_warp(scene, base)
         _save_warp(stage, "truth", truth)
-        pyr_a, pyr_b = synth_pyramid(scene, base, seed=a.seed)
-        for stride in sorted(pyr_a.levels):
-            write_grid(stage / f"source_stride{stride}.rmgrid", pyr_a.features(stride))
-            write_grid(stage / f"target_stride{stride}.rmgrid", pyr_b.features(stride))
+        levels_a, levels_b = synth_levels(scene, base, sorted(CORR_WINDOWS), seed=a.seed)
+        for stride in levels_a:
+            write_grid(stage / f"source_stride{stride}.rmgrid", levels_a[stride])
+            write_grid(stage / f"target_stride{stride}.rmgrid", levels_b[stride])
         print(f"wrote truth warp and pyramid levels to {a.out}")
         return 0
     grid = build_anchor_grid(*a.anchors)

@@ -34,6 +34,7 @@ from . import (
     normalize_joint,
     rasterize_scene,
     synth_equivariant,
+    synth_levels,
     to_warp,
     two_translation_scene,
 )
@@ -185,11 +186,11 @@ def _pyramid_block_means() -> None:
                        AffineRegion(lambda p: p[:, 0] + p[:, 1] >= 0.1, np.eye(2), np.array([-0.1, 0.05]))))
     base, field = GridSpec(56, 56), FeatureField(8, seed=8)
     centers = base.cell_centers()
-    for pyr, pts in zip(synth_pyramid(scene, base, feature_dim=8, seed=8), (scene.map_points(centers), centers)):
+    for levels, pts in zip(synth_levels(scene, base, CORR_WINDOWS, 8, seed=8), (scene.map_points(centers), centers)):
         level1 = field(pts).reshape(56, 56, 8)
         for s in CORR_WINDOWS:
             want = level1.reshape(56 // s, s, 56 // s, s, 8).mean(axis=(1, 3))
-            _check(np.max(np.abs(pyr.features(s) - want)) < 1e-12, f"stride-{s} level is not a block mean of the field")
+            _check(np.max(np.abs(levels[s] - want)) < 1e-12, f"stride-{s} level is not a block mean of the field")
 
 
 def _pass_through_stage_epes() -> None:

@@ -17,6 +17,7 @@ from matchkit import (
     in_extent,
     run_cascade,
     scene_true_warp,
+    synth_levels,
     synth_pyramid,
     upsample_warp,
 )
@@ -75,20 +76,6 @@ def test_feature_pyramid_grids_come_from_the_arrays():
         pyrA.grid(3)
 
 
-def test_feature_pyramid_builds_a_function_level_on_each_access():
-    calls = []
-
-    def level1():
-        calls.append(1)
-        return np.ones((6, 10, 4))
-
-    pyr = FeaturePyramid({2: np.zeros((3, 5, 4)), 1: level1})
-    assert pyr.grid(1) == GridSpec(6, 10) and calls == []  # the grid comes from the stored array
-    assert pyr.features(1) is not pyr.features(1) and calls == [1, 1]  # not cached
-    with pytest.raises(ValueError, match="stores no levels"):
-        FeaturePyramid({1: level1})
-
-
 def test_validate_base():
     validate_base(BASE)
     with pytest.raises(ValueError):
@@ -96,8 +83,8 @@ def test_validate_base():
 
 
 def test_synth_identity_features_match():
-    pyrA, pyrB = synth_pyramid(identity_scene(), BASE, seed=1)
-    assert np.allclose(pyrA.features(1), pyrB.features(1))
+    levelsA, levelsB = synth_levels(identity_scene(), BASE, (1,), seed=1)
+    assert np.allclose(levelsA[1], levelsB[1])
 
 
 def test_synth_translation_features_shifted():
@@ -105,19 +92,19 @@ def test_synth_translation_features_shifted():
     # displaced by 7 columns wherever both exist.
     shift_cells = 7
     scene = translation_scene((shift_cells * FINE, 0.0))
-    pyrA, pyrB = synth_pyramid(scene, BASE, seed=2)
-    fa = pyrA.features(1)
-    fb = pyrB.features(1)
+    levelsA, levelsB = synth_levels(scene, BASE, (1,), seed=2)
+    fa = levelsA[1]
+    fb = levelsB[1]
     assert np.allclose(fa[:, : 56 - shift_cells], fb[:, shift_cells:], atol=1e-10)
 
 
 def test_synth_pooling_consistency():
-    pyrA, _ = synth_pyramid(identity_scene(), BASE, seed=3)
-    lvl1 = pyrA.features(1)
-    lvl2 = pyrA.features(2)
+    levels, _ = synth_levels(identity_scene(), BASE, (14, 2, 1), seed=3)
+    lvl1 = levels[1]
+    lvl2 = levels[2]
     children = lvl1[:2, :2].mean(axis=(0, 1))
     assert np.allclose(lvl2[0, 0], children, atol=1e-12)
-    lvl14 = pyrA.features(14)
+    lvl14 = levels[14]
     assert np.allclose(lvl14[0, 0], lvl1[:14, :14].mean(axis=(0, 1)), atol=1e-12)
 
 
@@ -143,10 +130,9 @@ LEVEL_ATOL = 2.5e-14
 
 def test_synth_pyramid_levels_are_block_means_of_its_stride_1_level():
     scene = random_affine_scene(np.random.default_rng(4))
-    for pyr in synth_pyramid(scene, BASE, feature_dim=8, seed=4):
-        level1 = pyr.features(1)
+    for levels in synth_levels(scene, BASE, CORR_WINDOWS, feature_dim=8, seed=4):
         for s in CORR_WINDOWS:
-            np.testing.assert_allclose(pyr.features(s), block_mean_oracle(level1, s), rtol=0, atol=LEVEL_ATOL)
+            np.testing.assert_allclose(levels[s], block_mean_oracle(levels[1], s), rtol=0, atol=LEVEL_ATOL)
 
 
 def three_strip_scene():
@@ -184,36 +170,28 @@ def test_a_base_224_pair_retains_only_the_levels_a_stage_reads():
     finally:
         tracemalloc.stop()
     for pyr in pair:
-        assert sum(f.nbytes for f in pyr.levels.values() if isinstance(f, np.ndarray)) == STORED_BYTES_224
+        assert sum(f.nbytes for f in pyr.levels.values()) == STORED_BYTES_224
     assert retained <= 2 * STORED_BYTES_224 + 16_384  # the level arrays plus a few small objects
 
 
 def test_the_cascade_never_builds_a_pass_through_level():
     base = GridSpec(224, 224)
     scene = random_affine_scene(np.random.default_rng(21))
-    calls = []
-
-    def counted(pyr):
-        def wrap(s, build):
-            return lambda: calls.append(s) or build()
-
-        return FeaturePyramid({s: wrap(s, f) if callable(f) else f for s, f in pyr.levels.items()})
-
-    pyrA, pyrB = map(counted, synth_pyramid(scene, base, seed=21))
-    assert [s for s, f in pyrA.levels.items() if callable(f)] == [s for s, w in CORR_WINDOWS.items() if w == 0]
+    pyrA, pyrB = synth_pyramid(scene, base, seed=21)
+    for pyr in (pyrA, pyrB):
+        assert list(pyr.levels) == [14, 8, 4]  # the levels a refining stage reads
+        assert [pyr.grid(s) for s in CORR_WINDOWS] == [GridSpec(224 // s, 224 // s) for s in CORR_WINDOWS]
+        with pytest.raises(KeyError):
+            pyr.features(2)
+    for pyr, levels in zip((pyrA, pyrB), synth_levels(scene, base, (14, 8, 4), seed=21)):
+        assert all(np.array_equal(pyr.features(s), levels[s]) for s in (14, 8, 4))
     states = {s: scene_true_warp(scene, pyrA.grid(s)) for s, w in CORR_WINDOWS.items() if w == 0}
-    coarse = scene_true_warp(scene, pyrA.grid(14))
-    for name, call in [
-        ("grid", lambda: [pyrA.grid(s) for s in CORR_WINDOWS]),
-        ("analytic_refiner", lambda: [analytic_refiner(w, pyrA, pyrB, s) for s, w in states.items()]),
-        ("run_cascade", lambda: run_cascade(pyrA, pyrB, coarse)),
-    ]:
-        call()
-        assert calls == [], name
+    assert all(analytic_refiner(w, pyrA, pyrB, s) is w for s, w in states.items())
+    run_cascade(pyrA, pyrB, scene_true_warp(scene, pyrA.grid(14)))
     # Building a pass-through level allocates no stride-1 array either.
     tracemalloc.start()
     try:
-        assert pyrA.features(2).shape == (112, 112, 32) and calls == [2]
+        assert synth_levels(scene, base, (2,), seed=21)[0][2].shape == (112, 112, 32)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -260,14 +238,11 @@ def test_every_level_is_a_block_mean_of_the_field_at_mapped_centers(scene, base)
     grid = GridSpec(base, base)
     field = FeatureField(32, seed=base)
     centers = grid.cell_centers()
-    pair = synth_pyramid(scene, grid, seed=base)
-    for pyr, pts in zip(pair, (scene.map_points(centers), centers)):
-        assert list(pyr.levels) == list(CORR_WINDOWS)
-        stored = [s for s, f in pyr.levels.items() if isinstance(f, np.ndarray)]
-        assert stored == [s for s, w in CORR_WINDOWS.items() if w]  # the levels a refining stage reads
+    pair = synth_levels(scene, grid, CORR_WINDOWS, seed=base)
+    for levels, pts in zip(pair, (scene.map_points(centers), centers)):
         level1 = field(pts).reshape(base, base, 32)
         for s in CORR_WINDOWS:
-            got = pyr.features(s)
+            got = levels[s]
             assert got.shape == (base // s, base // s, 32) and got.flags.c_contiguous
             want = level1.reshape(base // s, s, base // s, s, 32).mean(axis=(1, 3))
             np.testing.assert_allclose(got, want, rtol=0, atol=LEVEL_ATOL)
@@ -302,9 +277,9 @@ def test_synth_pyramid_stride_1_matches_the_field_at_mapped_centers(scene, base,
     grid = GridSpec(base, base)
     field = FeatureField(feature_dim, seed=base + feature_dim)
     centers = grid.cell_centers()
-    pyrA, pyrB = synth_pyramid(scene, grid, feature_dim=feature_dim, seed=base + feature_dim)
-    for pyr, pts in ((pyrA, scene.map_points(centers)), (pyrB, centers)):
-        got = pyr.features(1)
+    levelsA, levelsB = synth_levels(scene, grid, (1,), feature_dim=feature_dim, seed=base + feature_dim)
+    for levels, pts in ((levelsA, scene.map_points(centers)), (levelsB, centers)):
+        got = levels[1]
         assert got.shape == (base, base, feature_dim) and got.flags.c_contiguous
         np.testing.assert_allclose(got.reshape(-1, feature_dim), field(pts), rtol=0, atol=1e-12)
 
@@ -360,8 +335,8 @@ def test_phasors_skip_phases_no_region_cell_uses():
             AffineRegion(lambda p: np.abs(p[:, 0]) <= 1e-3, np.eye(2), np.array([np.inf, 0.0])),
         )
     )
-    pyrA, pyrB = synth_pyramid(scene, BASE, seed=1)
-    assert np.array_equal(pyrA.features(1), pyrB.features(1))
+    levelsA, levelsB = synth_levels(scene, BASE, CORR_WINDOWS, seed=1)
+    assert np.array_equal(levelsA[1], levelsB[1])
 
 
 def refiner_cell_oracle(pyr_a, pyr_b, state, stride, cell, temperature, outside=-1.0):
@@ -402,7 +377,7 @@ def refiner_cell_oracle(pyr_a, pyr_b, state, stride, cell, temperature, outside=
 
 @pytest.mark.parametrize("temperature", [0.05, 1.0])
 @pytest.mark.parametrize("stride", [14, 8, 4])
-def test_refiner_matches_cell_loop_oracle(monkeypatch, stride, temperature):
+def test_refiner_matches_cell_loop_oracle(stride, temperature):
     rng = np.random.default_rng(50 + stride)
     scene = random_affine_scene(rng)
     pyrA, pyrB = synth_pyramid(scene, BASE, seed=5)
@@ -413,14 +388,9 @@ def test_refiner_matches_cell_loop_oracle(monkeypatch, stride, temperature):
     coords = np.concatenate([edges, rng.uniform(-1, 1, (grid.n_cells - len(edges), 2))])
     state = WarpField(grid, coords.reshape(grid.height, grid.width, 2), rng.uniform(0, 1, (grid.height, grid.width)))
     want = np.array([refiner_cell_oracle(pyrA, pyrB, state, stride, c, temperature) for c in range(grid.n_cells)])
-    runs = []
-    for cap in (cascade.BAND_CAP, 1):  # the random estimates' bands span the target grid: one block, then one per row
-        monkeypatch.setattr(cascade, "BAND_CAP", cap)
-        out = analytic_refiner(state, pyrA, pyrB, stride, temperature)
-        runs.append(np.column_stack([out.target_coords.reshape(-1, 2), out.certainty.reshape(-1)]))
-        assert np.allclose(runs[-1], want, rtol=0, atol=1e-12)
-    assert np.allclose(runs[0], runs[1], rtol=0, atol=1e-15)
-    got = runs[0]
+    out = analytic_refiner(state, pyrA, pyrB, stride, temperature)  # the random estimates' bands span the grid
+    got = np.column_stack([out.target_coords.reshape(-1, 2), out.certainty.reshape(-1)])
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
     if temperature == 1.0:
         # The -1 entries beyond the extent, at their virtual lattice
         # coordinates, move a corner estimate: dropping them would show.
@@ -428,8 +398,7 @@ def test_refiner_matches_cell_loop_oracle(monkeypatch, stride, temperature):
         assert np.all(np.abs(np.array(dropped)[:, :2] - got[:4, :2]) > 1e-3)
 
 
-@pytest.mark.parametrize("cap", [1, 5_000, 1 << 17])  # blocks of one source row, of one to four, of all fourteen
-def test_refiner_with_narrow_bands_matches_cell_loop_oracle(monkeypatch, cap):
+def test_refiner_with_narrow_bands_matches_cell_loop_oracle():
     # Estimates near the truth give each source row a band of a few target rows.
     rng = np.random.default_rng(57)
     scene = random_affine_scene(rng)
@@ -437,7 +406,6 @@ def test_refiner_with_narrow_bands_matches_cell_loop_oracle(monkeypatch, cap):
     grid = pyrA.grid(4)
     coords = scene_true_warp(scene, grid).target_coords + rng.uniform(-0.1, 0.1, (grid.height, grid.width, 2))
     state = WarpField(grid, coords, rng.uniform(0, 1, (grid.height, grid.width)))
-    monkeypatch.setattr(cascade, "BAND_CAP", cap)
     out = analytic_refiner(state, pyrA, pyrB, 4)
     got = np.column_stack([out.target_coords.reshape(-1, 2), out.certainty.reshape(-1)])
     want = np.array([refiner_cell_oracle(pyrA, pyrB, state, 4, c, 0.05) for c in range(grid.n_cells)])
