@@ -76,6 +76,17 @@ def test_feature_pyramid_grids_come_from_the_arrays():
         pyrA.grid(3)
 
 
+def test_feature_pyramid_stores_plain_arrays():
+    level4, level2 = np.ones((3, 5, 4)), np.zeros((6, 10, 4))
+    pyr = FeaturePyramid({4: level4, 2: level2})
+    assert pyr.features(4) is level4 and pyr.features(2) is level2  # stored, not rebuilt or copied
+    assert pyr.grid(1) == GridSpec(12, 20)  # a stride of CORR_WINDOWS it does not store still has a grid
+    with pytest.raises(KeyError):
+        pyr.features(1)
+    with pytest.raises(KeyError):
+        pyr.features(14)
+
+
 def test_validate_base():
     validate_base(BASE)
     with pytest.raises(ValueError):
@@ -126,6 +137,16 @@ def block_mean_oracle(level, factor):
 # within an ulp of its value, so two orders of summation differ by at most
 # 196 · 2⁻⁵³ ≈ 2.2e-14.
 LEVEL_ATOL = 2.5e-14
+
+
+def test_synth_levels_do_not_depend_on_the_other_strides_asked_for():
+    scene = random_affine_scene(np.random.default_rng(6))
+    every = synth_levels(scene, BASE, CORR_WINDOWS, feature_dim=8, seed=6)
+    for strides in [(2,), (14, 1), (4, 8)]:
+        some = synth_levels(scene, BASE, strides, feature_dim=8, seed=6)
+        for levels_some, levels_every in zip(some, every):
+            assert sorted(levels_some) == sorted(strides)
+            assert all(np.array_equal(levels_some[s], levels_every[s]) for s in strides)
 
 
 def test_synth_pyramid_levels_are_block_means_of_its_stride_1_level():
@@ -405,6 +426,25 @@ def test_refiner_with_narrow_bands_matches_cell_loop_oracle():
     pyrA, pyrB = synth_pyramid(scene, BASE, seed=5)
     grid = pyrA.grid(4)
     coords = scene_true_warp(scene, grid).target_coords + rng.uniform(-0.1, 0.1, (grid.height, grid.width, 2))
+    state = WarpField(grid, coords, rng.uniform(0, 1, (grid.height, grid.width)))
+    out = analytic_refiner(state, pyrA, pyrB, 4)
+    got = np.column_stack([out.target_coords.reshape(-1, 2), out.certainty.reshape(-1)])
+    want = np.array([refiner_cell_oracle(pyrA, pyrB, state, 4, c, 0.05) for c in range(grid.n_cells)])
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_refiner_with_mixed_bands_matches_cell_loop_oracle():
+    # Source rows whose bands differ: near-truth rows of a few target rows,
+    # one row spread over the whole target grid, and rows whose estimates sit
+    # on the top and bottom edges, where the band is clipped to the grid.
+    rng = np.random.default_rng(58)
+    scene = random_affine_scene(rng)
+    pyrA, pyrB = synth_pyramid(scene, BASE, seed=7)
+    grid = pyrA.grid(4)
+    coords = scene_true_warp(scene, grid).target_coords + rng.uniform(-0.1, 0.1, (grid.height, grid.width, 2))
+    coords[3] = rng.uniform(-1, 1, (grid.width, 2))
+    coords[6, :, 1] = -1.0
+    coords[9, :, 1] = 0.999
     state = WarpField(grid, coords, rng.uniform(0, 1, (grid.height, grid.width)))
     out = analytic_refiner(state, pyrA, pyrB, 4)
     got = np.column_stack([out.target_coords.reshape(-1, 2), out.certainty.reshape(-1)])
