@@ -82,6 +82,8 @@ def closest_anchor(grid: AnchorGrid, x: np.ndarray) -> np.ndarray:
     coordinate, hence the smaller row-major index.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (2,):
+        raise ValueError(f"query points must have shape (..., 2), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("query point must be finite")
     c0, _, fx = _axis_taps(x[..., 0], grid.cols)
@@ -146,6 +148,8 @@ def gaussian_anchor_probs(grid: AnchorGrid, means: np.ndarray, sigma: float) -> 
     if not 0 < sigma < np.inf:  # also refuses NaN
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     means = np.atleast_2d(np.asarray(means, dtype=float))
+    if means.shape[1:] != (2,):
+        raise ValueError(f"means must have shape (N, 2), got {means.shape}")
     if not np.all(np.isfinite(means)):
         raise ValueError("means must be finite")
     edges_x = EXTENT_MIN + np.arange(grid.cols + 1) * (2.0 / grid.cols)

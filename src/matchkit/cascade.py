@@ -139,6 +139,7 @@ def _levels(field: FeatureField, scene: SceneSpec, base: GridSpec, strides: Coll
     axes = [field.phasors(r, base, ids == i) for i, r in enumerate(scene.regions)]
     ys, xs = np.nonzero(ids[:, 1:] != ids[:, :-1])  # cell (y, x) differs from (y, x + 1)
     yd, xd = np.nonzero(ids[1:] != ids[:-1])  # cell (y, x) differs from (y + 1, x)
+    rows, cols = (np.stack(a) for a in zip(*axes))  # (regions, W, pairs), (regions, H, pairs)
     out = {}
     for s in strides:
         first = ids[::s, ::s]  # each block's first cell
@@ -154,12 +155,10 @@ def _levels(field: FeatureField, scene: SceneSpec, base: GridSpec, strides: Coll
                 col_mean, row_mean = col.reshape(h, s, -1).mean(axis=1), row.reshape(w, s, -1).mean(axis=1)
                 np.multiply(col_mean[:, None], row_mean, out=level, where=(pure & (first == i))[..., None])
         bi, bk = np.nonzero(~pure)
-        if len(bi):
-            r = bi[:, None, None] * s + np.arange(s)[:, None]  # (n, s, 1): the rows of each straddling block
-            c = bk[:, None, None] * s + np.arange(s)  # (n, 1, s): its columns
-            reg = ids[r, c]
-            rows, cols = (np.stack(a) for a in zip(*axes))  # (regions, W, pairs), (regions, H, pairs)
-            level[bi, bk] = (cols[reg, r] * rows[reg, c]).mean(axis=(1, 2))
+        r = bi[:, None, None] * s + np.arange(s)[:, None]  # (n, s, 1): the rows of each straddling block
+        c = bk[:, None, None] * s + np.arange(s)  # (n, 1, s): its columns
+        reg = ids[r, c]
+        level[bi, bk] = (cols[reg, r] * rows[reg, c]).mean(axis=(1, 2))
         out[s] = level.view(float)  # cos and sin interleaved per pair
     return out
 

@@ -136,8 +136,6 @@ def _gaussian_taps(sigma_extent: float, cell_side: float, n: int) -> np.ndarray:
     cells an axis of ``n`` cells can reach, sum 1. ``diffuse`` renormalizes the
     joint, so dropping the taps that miss the axis changes its result only by rounding."""
     radius = int(math.floor(min(4.0 * sigma_extent / cell_side, n - 1)))
-    if radius < 1:
-        return np.array([1.0])
     offs = np.arange(-radius, radius + 1) * cell_side
     taps = np.exp(-0.5 * (offs / sigma_extent) ** 2)
     return taps / taps.sum()
@@ -148,8 +146,6 @@ def _convolve_axis(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
 
     The axis is copied to the front once, so each tap is one pass over
     contiguous rows. The kernel's radius must be below the axis length."""
-    if len(taps) == 1:
-        return arr * taps[0]
     moved = np.ascontiguousarray(np.moveaxis(arr, axis, 0))
     out = np.zeros_like(moved)
     tmp = np.empty_like(moved)

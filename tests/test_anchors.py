@@ -302,6 +302,20 @@ def test_gaussian_anchor_probs_rejects_nonfinite_means(bad):
         gaussian_anchor_probs(build_anchor_grid(4, 4), means, 0.1)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (3, 1)])
+def test_gaussian_anchor_probs_refuses_means_that_are_not_pairs(shape):
+    with pytest.raises(ValueError) as err:
+        gaussian_anchor_probs(build_anchor_grid(4, 4), np.zeros(shape), 0.1)
+    assert str(err.value) == f"means must have shape (N, 2), got {shape}"
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 1), (2, 2, 3)])
+def test_closest_anchor_refuses_points_that_are_not_pairs(shape):
+    with pytest.raises(ValueError) as err:
+        closest_anchor(build_anchor_grid(4, 4), np.zeros(shape))
+    assert str(err.value) == f"query points must have shape (..., 2), got {shape}"
+
+
 def gaussian_anchor_probs_oracle(grid, means, sigma):
     """The all-cells formula: ``math.erf`` at every cell edge, then the per-row renormalization."""
     erf = np.frompyfunc(math.erf, 1, 1)

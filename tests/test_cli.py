@@ -34,21 +34,6 @@ def test_unknown_subcommand_usage_error(capsys):
     assert "usage" in capsys.readouterr().err.lower()
 
 
-def test_selftest_clean_build(capsys):
-    assert run("selftest") == 0
-    out = capsys.readouterr().out
-    assert "ok" in out
-    assert "FAIL" not in out
-
-
-def test_selftest_deterministic_output(capsys):
-    run("selftest")
-    first = capsys.readouterr().out
-    run("selftest")
-    second = capsys.readouterr().out
-    assert first == second
-
-
 def test_loss_sweep_r0_row(tmp_path):
     assert run("loss-sweep", "--c", "0.03", "--rmax", "100", "--out", str(tmp_path)) == 0
     lines = (tmp_path / "loss_sweep.csv").read_text().splitlines()
