@@ -33,6 +33,7 @@ from .scalespace import AffineRegion, SceneSpec, identity_scene
 # Refiner strides, coarse to fine, each with its correlation window (0: pass-through).
 CORR_WINDOWS = {14: 15, 8: 7, 4: 5, 2: 0, 1: 0}
 FREQ_SCALE = 3.2  # std of the feature field's frequencies: its inverse correlation length
+_TEMPERATURE = 0.05  # default softargmax temperature of every refining stage
 
 _LOGIT_EPS = 1e-7
 
@@ -257,7 +258,7 @@ def analytic_refiner(
     pyr_a: FeaturePyramid,
     pyr_b: FeaturePyramid,
     stride: int,
-    temperature: float = 0.05,
+    temperature: float = _TEMPERATURE,
 ) -> WarpField:
     """One correlation-softargmax refinement stage at ``stride``.
 
@@ -330,7 +331,7 @@ def run_cascade(
     pyr_a: FeaturePyramid,
     pyr_b: FeaturePyramid,
     coarse_warp: WarpField,
-    temperature: float = 0.05,
+    temperature: float = _TEMPERATURE,
 ) -> tuple[WarpField, list[tuple[int, WarpField]]]:
     """Refine a stride-14 coarse warp down to stride 1, through ``CORR_WINDOWS``.
 

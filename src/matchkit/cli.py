@@ -57,7 +57,7 @@ from . import (
 )
 from . import auc as auc_metric
 from . import epe as epe_metric
-from .cascade import FeatureField, stage_epes
+from .cascade import _TEMPERATURE, FeatureField, stage_epes
 from .fileio import (
     read_correspondences_csv,
     read_csv,
@@ -147,8 +147,8 @@ def _grid_size(text: str) -> tuple[int, int]:
     return rows, cols
 
 
-def _scene_from_kind(kind: str, seed: int, offset=None) -> SceneSpec:
-    rng = np.random.default_rng(seed)
+def _scene_from_kind(kind: str, rng: np.random.Generator, offset=None) -> SceneSpec:
+    """The ``kind`` scene. What ``offset`` leaves open is drawn from ``rng``, which the caller draws on from."""
     if kind == "identity":
         return identity_scene()
     if kind == "translation":
@@ -199,8 +199,9 @@ def _cmd_synth(a, stage: Path) -> int:
         _write_descriptor_sets(stage, *_synth_descriptors(a))
         print(f"wrote rot0..rot3.rmdesc and w_true.rmsteer to {a.out}")
         return 0
+    rng = np.random.default_rng(a.seed)
     if a.kind != "probs":
-        scene = _scene_from_kind(a.kind, a.seed, a.offset)
+        scene = _scene_from_kind(a.kind, rng, a.offset)
         base = GridSpec(a.base, a.base)
         truth = scene_true_warp(scene, base)
         _save_warp(stage, "truth", truth)
@@ -212,8 +213,7 @@ def _cmd_synth(a, stage: Path) -> int:
         return 0
     grid = build_anchor_grid(*a.anchors)
     source = GridSpec(*a.grid)
-    rng = np.random.default_rng(a.seed)
-    scene = _scene_from_kind("affine", a.seed)
+    scene = _scene_from_kind("affine", rng)
     targets = np.clip(scene.map_points(source.cell_centers()), -0.999, 0.999)
     if a.via_gp:
         # Regress target coordinates from descriptors with the GP encoder,
@@ -298,12 +298,12 @@ def _cmd_diffuse(a, stage: Path) -> int:
 def _cmd_cascade(a, stage: Path) -> int:
     if a.perturb < 0:
         raise ValueError(f"--perturb must be nonnegative, got {a.perturb}")
-    scene = _scene_from_kind(a.kind, a.seed, a.offset)
+    rng = np.random.default_rng(a.seed)
+    scene = _scene_from_kind(a.kind, rng, a.offset)
     base = GridSpec(a.base, a.base)
     pyr_a, pyr_b = synth_pyramid(scene, base, seed=a.seed)
     g14 = GridSpec(a.base // 14, a.base // 14)
     true14 = scene_true_warp(scene, g14)
-    rng = np.random.default_rng(a.seed)
     cell14 = 2.0 / g14.width
     pert = rng.uniform(-a.perturb * cell14, a.perturb * cell14, (g14.height, g14.width, 2))
     coarse = WarpField(
@@ -379,7 +379,7 @@ def _cmd_sample(a, stage: Path) -> int:
     if a.warp:
         warp = _load_warp(a.warp)
     else:
-        scene = _scene_from_kind("affine", a.seed)
+        scene = _scene_from_kind("affine", np.random.default_rng(a.seed))
         grid = GridSpec(a.grid, a.grid)
         warp = scene_true_warp(scene, grid)
     if a.n_matches < 1:
@@ -492,7 +492,7 @@ def build_parser() -> _Parser:
     sp = command(sub, "cascade", _cmd_cascade, [scene], help="run coarse-to-fine refinement")
     sp.add_argument("--kind", choices=["identity", "translation", "affine"], default="translation")
     sp.add_argument("--perturb", type=FLOAT, default=1.0, help="coarse perturbation in stride-14 cells")
-    sp.add_argument("--temperature", type=FLOAT, default=0.05)
+    sp.add_argument("--temperature", type=FLOAT, default=_TEMPERATURE)
 
     steer = sub.add_parser("steer", help="descriptor steering")
     steer_sub = steer.add_subparsers(dest="steer_command", required=True)

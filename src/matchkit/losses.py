@@ -139,6 +139,9 @@ def coarse_loss_raw(
         raise ValueError("correspondence set is empty")
     pi = np.asarray(pi, dtype=float)
     matchability = np.asarray(matchability, dtype=float)
+    n, k = source.n_cells, cfg.anchor_grid.count
+    if pi.shape != (n, k) or matchability.shape != (n,):
+        raise ValueError(f"pi shape {pi.shape} and matchability shape {matchability.shape} must be {(n, k)} and {(n,)}")
     mask = np.asarray(matchable_mask, dtype=float).reshape(-1)
     if mask.shape != (source.n_cells,):
         raise ValueError("matchable mask must have one entry per source cell")

@@ -148,6 +148,31 @@ def test_coarse_loss_refuses_a_marginal_weight_that_overflows():
             coarse_loss(probs, mask, corr, CoarseLossConfig(1e308, grid))
 
 
+@pytest.mark.parametrize(
+    "anchors, rows, n_match, message",
+    [
+        # Unrefused, 64-anchor probs scored on 16 anchors read columns 0-15 as the anchors.
+        ((4, 4), 16, 16, "pi shape (16, 64) and matchability shape (16,) must be (16, 16) and (16,)"),
+        ((16, 16), 16, 16, "pi shape (16, 64) and matchability shape (16,) must be (16, 256) and (16,)"),
+        ((8, 8), 8, 16, "pi shape (8, 64) and matchability shape (16,) must be (16, 64) and (16,)"),
+        # Unrefused, one matchability value is broadcast to every cell.
+        ((8, 8), 16, 1, "pi shape (16, 64) and matchability shape (1,) must be (16, 64) and (16,)"),
+    ],
+    ids=["fewer anchors", "more anchors", "fewer rows", "one matchability"],
+)
+def test_coarse_loss_refuses_pi_or_matchability_that_misfit_the_grids(anchors, rows, n_match, message):
+    source = GridSpec(4, 4)
+    corr = CorrespondenceSet(np.full((1, 2), 0.9), np.full((1, 2), 0.9), np.ones(1))
+    cfg = CoarseLossConfig(1.0, build_anchor_grid(*anchors))
+    pi, match = np.full((rows, 64), 1 / 64), np.full(n_match, 0.5)
+    with pytest.raises(ValueError) as exc:
+        if rows == n_match == source.n_cells:  # AnchorProbs itself refuses the other two
+            coarse_loss(AnchorProbs(source, pi, match), np.ones(16, bool), corr, cfg)
+        else:
+            coarse_loss_raw(pi, match, source, np.ones(16, bool), corr, cfg)
+    assert str(exc.value) == message
+
+
 EMPTY_CORR = CorrespondenceSet(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
 
 
